@@ -13,9 +13,17 @@ space and time.  The scheme is stable while
 
 Gradients with respect to the initial condition are exact discrete
 adjoints: a reverse sweep applies the transpose of the linearized step,
-linearized about the stored states, so the result is the gradient of the
-discrete per-sample cost to machine precision.  A forward-mode (tangent)
-sweep is provided for dot-product verification.
+linearized about the stored states and predictors, so the result is the
+gradient of the discrete per-sample cost to machine precision.  A
+forward-mode (tangent) sweep is provided for dot-product verification.
+
+A level's samples are marched together: the step functions act on the
+last axis, so an ``(n_samples, nodes)`` array advances all samples of one
+control in a single call per time step, with one stability check for the
+whole batch.  Each row goes through exactly the elementwise operations of
+a single-sample march, so batched results equal per-sample ones bit for
+bit.  Batches are split into chunks whose stored states and predictors
+stay under ``BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -29,6 +37,14 @@ from .grids import INTERIOR, GridHierarchy, LevelVector
 from .problems import ControlProblem
 from .random_fields import CovarianceSpec, FieldSample
 
+# Bytes of states and predictors one batched march may store; a level's
+# samples are split into chunks under it (at least one sample per chunk).
+# It bounds the memory batching adds: a few MB holds a 20-sample batch of
+# 33-node samples over 201 time points, while one full-scale sample (513
+# nodes, 10001 steps) alone stores about 82 MB.
+BATCH_BYTES = 2_500_000
+
+
 def stability_bound(y: np.ndarray, k: np.ndarray, dx: float) -> float:
     """Largest stable time step for the current state and diffusion field."""
     denom = np.max(np.abs(y)) * dx + 2.0 * np.max(k)
@@ -41,25 +57,29 @@ def maccormack_predictor(y, k, dt, dx, s):
     psi = 0.5 * s * y * y
     r = dt / dx**2 * k
     yp = np.zeros_like(y)
-    yp[1:-1] = (
-        y[1:-1]
-        + dt / dx * (psi[2:] - psi[1:-1])
-        + r[1:-1] * (y[2:] - 2.0 * y[1:-1] + y[:-2])
+    yp[..., 1:-1] = (
+        y[..., 1:-1]
+        + dt / dx * (psi[..., 2:] - psi[..., 1:-1])
+        + r[..., 1:-1] * (y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2])
     )
     return yp
 
 
-def maccormack_step(y, k, dt, dx, s):
-    """One predictor/corrector step; endpoints held at zero."""
-    yp = maccormack_predictor(y, k, dt, dx, s)
+def maccormack_step(y, k, dt, dx, s, yp=None):
+    """One predictor/corrector step; endpoints held at zero.
+
+    ``yp`` is the step's predictor when the caller has already computed it.
+    """
+    if yp is None:
+        yp = maccormack_predictor(y, k, dt, dx, s)
     psip = 0.5 * s * yp * yp
     r = dt / dx**2 * k
     yn = np.zeros_like(y)
-    yn[1:-1] = 0.5 * (
-        y[1:-1]
-        + yp[1:-1]
-        + dt / dx * (psip[1:-1] - psip[:-2])
-        + r[1:-1] * (yp[2:] - 2.0 * yp[1:-1] + yp[:-2])
+    yn[..., 1:-1] = 0.5 * (
+        y[..., 1:-1]
+        + yp[..., 1:-1]
+        + dt / dx * (psip[..., 1:-1] - psip[..., :-2])
+        + r[..., 1:-1] * (yp[..., 2:] - 2.0 * yp[..., 1:-1] + yp[..., :-2])
     )
     return yn
 
@@ -91,17 +111,17 @@ def maccormack_step_adjoint(y, yp, w, k, dt, dx, s):
     c = dt / dx
     r = dt / dx**2 * k
     b = np.zeros_like(w)
-    b[1:-1] = (
-        w[1:-1] * (0.5 + 0.5 * c * s * yp[1:-1] - r[1:-1])
-        + w[2:] * (-0.5 * c * s * yp[1:-1] + 0.5 * r[2:])
-        + w[:-2] * (0.5 * r[:-2])
+    b[..., 1:-1] = (
+        w[..., 1:-1] * (0.5 + 0.5 * c * s * yp[..., 1:-1] - r[..., 1:-1])
+        + w[..., 2:] * (-0.5 * c * s * yp[..., 1:-1] + 0.5 * r[..., 2:])
+        + w[..., :-2] * (0.5 * r[..., :-2])
     )
     a = np.zeros_like(w)
-    a[1:-1] = (
-        0.5 * w[1:-1]
-        + b[1:-1] * (1.0 - c * s * y[1:-1] - 2.0 * r[1:-1])
-        + b[:-2] * (c * s * y[1:-1] + r[:-2])
-        + b[2:] * r[2:]
+    a[..., 1:-1] = (
+        0.5 * w[..., 1:-1]
+        + b[..., 1:-1] * (1.0 - c * s * y[..., 1:-1] - 2.0 * r[..., 1:-1])
+        + b[..., :-2] * (c * s * y[..., 1:-1] + r[..., :-2])
+        + b[..., 2:] * r[..., 2:]
     )
     return a
 
@@ -119,18 +139,31 @@ class Trajectory:
         return self.states[-1]
 
 
-def _march(y0, k, dt, dx, s, steps, *, record=None, t0=0):
-    """Advance ``steps`` steps from y0, checking stability before each."""
-    y = y0.copy()
+def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None, t0=0):
+    """Advance ``steps`` steps from y0, checking stability before each.
+
+    y0 and k hold one sample or a batch of rows; the check covers the whole
+    batch and raises at the first step where any row is unstable.  When
+    given, ``states[j + 1]`` and ``predictors[j]`` receive the state after
+    and the predictor of step ``t0 + j``.
+    """
+    y = y0
+    k_term = 2.0 * np.max(k, axis=-1)
     for j in range(steps):
-        if dt > stability_bound(y, k, dx):
+        # stability_bound per row; the smallest bound has the largest
+        # denominator, so one division decides for the whole batch
+        denom = float(np.max(np.max(np.abs(y), axis=-1) * dx + k_term))
+        if denom > 0.0 and dt > dx**2 / denom:
             raise StabilityViolation(
                 f"dt={dt:.3e} exceeds the stability bound at step {t0 + j}",
                 step=t0 + j,
             )
-        y = maccormack_step(y, k, dt, dx, s)
-        if record is not None:
-            record[j + 1] = y
+        yp = maccormack_predictor(y, k, dt, dx, s)
+        y = maccormack_step(y, k, dt, dx, s, yp)
+        if states is not None:
+            states[j + 1] = y
+        if predictors is not None:
+            predictors[j] = yp
     return y
 
 
@@ -144,7 +177,7 @@ def solve_forward(u: LevelVector, field: FieldSample, nt: int, T: float,
     dt = T / (nt - 1)
     states = np.zeros((nt, n))
     states[0, 1:-1] = u.values
-    _march(states[0], field.values, dt, dx, s, nt - 1, record=states)
+    _march(states[0], field.values, dt, dx, s, nt - 1, states=states)
     return Trajectory(level=u.level, dt=dt, states=states)
 
 
@@ -201,6 +234,7 @@ class BurgersInitialControl(ControlProblem):
         self.nt = spec.nt or suggested_time_steps(hierarchy, spec.covariance, spec.T)
         if self.nt < 2:
             raise ValueError("nt must be at least 2")
+        self.dt = spec.T / (self.nt - 1)
         self._targets = {}
 
     def target(self, level: int) -> LevelVector:
@@ -217,64 +251,108 @@ class BurgersInitialControl(ControlProblem):
         return solve_forward(u, field, self.nt, self.spec.T, self.spec.s)
 
     def tracking_cost(self, u, field):
-        self._check(u, field)
-        traj = self.solve_forward(u, field)
-        r = traj.final[1:-1] - self.target(u.level).values
-        return 0.5 * u.h * float(np.vdot(r, r))
+        return self.tracking_cost_batch(u, [field])[0]
 
     def tracking_cost_grad(self, u, field):
-        self._check(u, field)
-        k = field.values
-        dx = self.hierarchy.h(u.level)
-        dt = self.spec.T / (self.nt - 1)
-        s = self.spec.s
-        stride = max(1, self.spec.checkpoint_stride)
+        return self.tracking_cost_grad_batch(u, [field])[0]
+
+    # -- per-level batches ---------------------------------------------------
+
+    def _chunks(self, u, fields, rows):
+        """(initial states, diffusion fields) of the batch, stacked in chunks
+        that store at most BATCH_BYTES at ``rows`` stored states per sample."""
+        fields = list(fields)
+        for f in fields:
+            self._check(u, f)
+        size = max(1, BATCH_BYTES // (rows * self.hierarchy.nodes(u.level) * 8))
+        for start in range(0, len(fields), size):
+            k = np.stack([f.values for f in fields[start:start + size]])
+            y0 = np.zeros(k.shape)
+            y0[:, 1:-1] = u.values
+            yield y0, k
+
+    def _advance(self, level, y0, k, steps, **record):
+        return _march(y0, k, self.dt, self.hierarchy.h(level), self.spec.s,
+                      steps, **record)
+
+    def _recorded_march(self, level, y0, k, steps, t0=0):
+        states = np.empty((steps + 1,) + k.shape)
+        states[0] = y0
+        predictors = np.empty((steps,) + k.shape)
+        self._advance(level, y0, k, steps, states=states, predictors=predictors,
+                    t0=t0)
+        return states, predictors
+
+    def _forward_sweep(self, level, y0, k):
+        """Final states and the (states, predictors) blocks of the march,
+        last block first, for the reverse sweep.
+
+        With ``checkpoint_stride`` > 1 the forward pass keeps only every
+        stride-th state, and each block is marched again from its anchor
+        when the reverse sweep reaches it.
+        """
         nsteps = self.nt - 1
+        stride = self.spec.checkpoint_stride
+        if stride <= 1:
+            states, predictors = self._recorded_march(level, y0, k, nsteps)
+            return states[-1], [(states, predictors)]
+        starts = range(0, nsteps, stride)
+        anchors = {0: y0}
+        for start in starts:
+            count = min(stride, nsteps - start)
+            anchors[start + count] = self._advance(level, anchors[start], k, count,
+                                                 t0=start)
+        blocks = (
+            self._recorded_march(level, anchors[start], k,
+                                 min(stride, nsteps - start), t0=start)
+            for start in reversed(starts)
+        )
+        return anchors[nsteps], blocks
 
-        y0 = np.zeros(field.nodes)
-        y0[1:-1] = u.values
-        if stride == 1:
-            states = np.zeros((self.nt, field.nodes))
+    def _costs(self, u, final):
+        """Per-sample tracking costs and final-time residuals of a batch."""
+        r = final[:, 1:-1] - self.target(u.level).values
+        return [0.5 * u.h * float(np.vdot(row, row)) for row in r], r
+
+    def tracking_cost_batch(self, u, fields):
+        out = []
+        for y0, k in self._chunks(u, fields, rows=1):
+            final = self._advance(u.level, y0, k, self.nt - 1)
+            out += self._costs(u, final)[0]
+        return out
+
+    def tracking_cost_grad_batch(self, u, fields):
+        nsteps = self.nt - 1
+        stride = self.spec.checkpoint_stride
+        # stored states per sample: the whole march, or the anchors plus two
+        # blocks (the one being swept while the next is re-marched)
+        rows = 2 * nsteps + 1 if stride <= 1 else nsteps // stride + 4 * stride + 4
+        out = []
+        for y0, k in self._chunks(u, fields, rows):
+            out += self._cost_grad_chunk(u, y0, k)
+        return out
+
+    def _cost_grad_chunk(self, u, y0, k):
+        final, blocks = self._forward_sweep(u.level, y0, k)
+        costs, r = self._costs(u, final)
+        w = np.zeros(k.shape)
+        w[:, 1:-1] = r
+        dx = self.hierarchy.h(u.level)
+        for states, predictors in blocks:
+            for j in range(len(predictors) - 1, -1, -1):
+                w = maccormack_step_adjoint(states[j], predictors[j], w, k,
+                                            self.dt, dx, self.spec.s)
+        return [(jt, u.with_values(row[1:-1])) for jt, row in zip(costs, w)]
+
+    def state_batch(self, u, fields):
+        for y0, k in self._chunks(u, fields, rows=self.nt):
+            states = np.empty((self.nt,) + k.shape)
             states[0] = y0
-            _march(y0, k, dt, dx, s, nsteps, record=states)
-            get_block = lambda start, count: states[start : start + count + 1]
-        else:
-            # keep states every `stride` steps, recompute blocks in reverse
-            anchors = {0: y0}
-            y = y0
-            for j in range(nsteps):
-                if dt > stability_bound(y, k, dx):
-                    raise StabilityViolation(
-                        f"dt={dt:.3e} exceeds the stability bound at step {j}",
-                        step=j,
-                    )
-                y = maccormack_step(y, k, dt, dx, s)
-                if (j + 1) % stride == 0 or j + 1 == nsteps:
-                    anchors[j + 1] = y
-            states = None
-
-            def get_block(start, count):
-                block = np.zeros((count + 1, field.nodes))
-                block[0] = anchors[start]
-                _march(block[0], k, dt, dx, s, count, record=block, t0=start)
-                return block
-
-        final = states[-1] if states is not None else anchors[nsteps]
-        r = final[1:-1] - self.target(u.level).values
-        jt = 0.5 * u.h * float(np.vdot(r, r))
-
-        w = np.zeros(field.nodes)
-        w[1:-1] = r
-        step = nsteps
-        while step > 0:
-            start = (step - 1) // stride * stride if stride > 1 else step - 1
-            block = get_block(start, step - start)
-            for j in range(step - start - 1, -1, -1):
-                yj = block[j]
-                yp = maccormack_predictor(yj, k, dt, dx, s)
-                w = maccormack_step_adjoint(yj, yp, w, k, dt, dx, s)
-            step = start
-        return jt, u.with_values(w[1:-1])
+            self._advance(u.level, y0, k, self.nt - 1, states=states)
+            # copies, so no yielded state keeps the whole chunk alive
+            for i in range(k.shape[0]):
+                yield states[:, i].copy()
+            del states  # before the next chunk is marched
 
     def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:
         """Largest line-search step keeping the initial state inside the

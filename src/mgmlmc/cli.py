@@ -267,8 +267,6 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the experiment config file")
         p.add_argument("--workers", type=int, default=None,
                        help="bound on sample-evaluation parallelism")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force a deterministic reduction order (always on)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -33,7 +33,6 @@ The format is INI-style (parsed by :mod:`configparser`), flat and diffable::
 
     [run]
     workers = 1
-    deterministic = true
     state_samples = 64
 
 The environment variable ``MGMLMC_SEED`` (or legacy ``MGOPT_SEED``)
@@ -88,7 +87,6 @@ class ExperimentConfig:
     baseline_eps1: float | None = None
     nt: int | None = None
     workers: int = 1
-    deterministic: bool = True
     state_samples: int = 64
     raw: dict = dataclass_field(default_factory=dict)
 
@@ -164,7 +162,6 @@ def load_config(path: str) -> ExperimentConfig:
                              cfg.baseline_eps1)
     cfg.nt = _get(parser, "burgers", "nt", int, cfg.nt)
     cfg.workers = _get(parser, "run", "workers", int, cfg.workers)
-    cfg.deterministic = _get(parser, "run", "deterministic", bool, cfg.deterministic)
     cfg.state_samples = _get(parser, "run", "state_samples", int, cfg.state_samples)
 
     env_seed = os.environ.get("MGMLMC_SEED") or os.environ.get("MGOPT_SEED")

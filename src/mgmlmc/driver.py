@@ -39,6 +39,7 @@ from .mlmc import (
     mlmc_gradient,
     optimal_allocation,
     refresh_level_stats,
+    sample_states,
 )
 from .problems import ControlProblem
 from .random_fields import RngStream
@@ -342,12 +343,10 @@ def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,
     unbiased per-node sample variance.
     """
     set_id = make_set_id(cycle, PURPOSE_STATE)
+    streams = [RngStream(global_seed, set_id, u.level, i) for i in range(n_samples)]
     total = None
     total_sq = None
-    for i in range(n_samples):
-        stream = RngStream(global_seed, set_id, u.level, i)
-        field = problem.field(stream, u.level)
-        state = problem.state(u, field)
+    for state in sample_states(problem, u, streams, workers=workers):
         if total is None:
             total = np.zeros_like(state)
             total_sq = np.zeros_like(state)

@@ -21,8 +21,6 @@ finite differences of the per-sample cost reproduce them to solver accuracy.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -173,29 +171,6 @@ class DiffusionOperator:
         return 3.0 * self._k_gamma * w / (2.0 * self.h)
 
 
-class _OperatorCache:
-    """Small LRU cache of assembled/factorized operators keyed by seed_id."""
-
-    def __init__(self, max_items: int = 32):
-        self.max_items = max_items
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        return None
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_items:
-                self._data.popitem(last=False)
-
-
 def solve_diffusion(rhs_or_bc, field: FieldSample, bc_mode: str = INTERIOR_SOURCE,
                     **solver_opts) -> StateField:
     """Solve -div(k grad y) with the given data on the field's grid.
@@ -269,27 +244,18 @@ class _EllipticBase(ControlProblem):
     kappa_default = 2.0
     is_quadratic = True  # linear PDE + quadratic cost for fixed samples
 
-    def __init__(self, hierarchy: GridHierarchy, spec, cache_size: int = 32):
+    def __init__(self, hierarchy: GridHierarchy, spec):
         if hierarchy.dim != 2:
             raise LevelMismatch("elliptic problems need a 2-D hierarchy")
         super().__init__(hierarchy, spec.alpha, spec.covariance)
         self.spec = spec
-        self._cache = _OperatorCache(cache_size)
 
     def _operator(self, field: FieldSample) -> DiffusionOperator:
-        key = (field.level, field.seed_id) if field.seed_id else None
-        if key is not None:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        op = DiffusionOperator(
+        return DiffusionOperator(
             field.values, self.hierarchy.h(field.level),
             face_mean=self.spec.face_mean, method=self.spec.solver,
             lin_tol=self.spec.lin_tol,
         )
-        if key is not None:
-            self._cache.put(key, op)
-        return op
 
 
 class LaplaceSourceControl(_EllipticBase):
@@ -298,8 +264,8 @@ class LaplaceSourceControl(_EllipticBase):
     name = "laplace"
     control_role = INTERIOR
 
-    def __init__(self, hierarchy, spec: LaplaceProblemSpec | None = None, **kw):
-        super().__init__(hierarchy, spec or LaplaceProblemSpec(), **kw)
+    def __init__(self, hierarchy, spec: LaplaceProblemSpec | None = None):
+        super().__init__(hierarchy, spec or LaplaceProblemSpec())
         self._targets = {}
 
     def target(self, level: int) -> LevelVector:
@@ -342,8 +308,8 @@ class DtNBoundaryControl(_EllipticBase):
     name = "dtn"
     control_role = GAMMA
 
-    def __init__(self, hierarchy, spec: DtNProblemSpec | None = None, **kw):
-        super().__init__(hierarchy, spec or DtNProblemSpec(), **kw)
+    def __init__(self, hierarchy, spec: DtNProblemSpec | None = None):
+        super().__init__(hierarchy, spec or DtNProblemSpec())
         self._targets = {}
 
     def target_flux(self, level: int) -> np.ndarray:

@@ -82,32 +82,37 @@ def norm(a: LevelVector) -> float:
 
 
 def _prolong_1d(c: np.ndarray) -> np.ndarray:
-    """Linear interpolation of interior values, zero Dirichlet boundary."""
+    """Linear interpolation of interior values along axis 0, zero Dirichlet
+    boundary."""
     mc = c.shape[0]
-    f = np.zeros(2 * mc + 1)
+    f = np.zeros((2 * mc + 1,) + c.shape[1:])
     f[1::2] = c
-    padded = np.concatenate(([0.0], c, [0.0]))
+    zero = np.zeros((1,) + c.shape[1:])
+    padded = np.concatenate((zero, c, zero))
     f[0::2] = 0.5 * (padded[:-1] + padded[1:])
     return f
 
 
 def _restrict_1d(f: np.ndarray) -> np.ndarray:
-    """Full weighting (1/4)[1 2 1]; adjoint of _prolong_1d up to the h ratio."""
+    """Full weighting (1/4)[1 2 1] along axis 0; adjoint of _prolong_1d up to
+    the h ratio."""
     return 0.25 * (f[0:-2:2] + 2.0 * f[1::2] + f[2::2])
 
+
+# The 2-D transfers apply the 1-D stencil along axis 0, then along axis 1
+# (through the transpose): the same arithmetic, in the same order, as
+# applying it to every column and then to every row.
 
 def _prolong_values(values: np.ndarray) -> np.ndarray:
     if values.ndim == 1:
         return _prolong_1d(values)
-    out = np.apply_along_axis(_prolong_1d, 0, values)
-    return np.apply_along_axis(_prolong_1d, 1, out)
+    return np.ascontiguousarray(_prolong_1d(_prolong_1d(values).T).T)
 
 
 def _restrict_values(values: np.ndarray) -> np.ndarray:
     if values.ndim == 1:
         return _restrict_1d(values)
-    out = np.apply_along_axis(_restrict_1d, 0, values)
-    return np.apply_along_axis(_restrict_1d, 1, out)
+    return np.ascontiguousarray(_restrict_1d(_restrict_1d(values).T).T)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,18 @@ Sample counts per level follow the variance-optimal allocation
     n_l = ceil( 1/(theta eps^2) * sqrt(V_l / C_l) * sum_i sqrt(V_i C_i) ),
 
 and coarser optimization levels retain a fraction q^(K-k) of the samples.
+
+All estimators evaluate a level's samples through one per-level evaluator:
+the fields of the level's streams go to the problem's batch methods (one
+control, many fields), warm-up results cached for the same control are
+reused, and with ``workers > 1`` contiguous chunks of streams run on a
+thread pool.  Running sums are still accumulated sample by sample in stream
+order, so the estimates do not depend on batch size or ``workers``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -216,7 +224,8 @@ def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
 
 
 def _coupled_gradient_sample(problem, u_at, stream, level):
-    """(tracking-cost difference, Y_l values) for one realization."""
+    """(tracking-cost difference, Y_l values) for one realization, for
+    problems with only the per-sample interface."""
     if level == 0:
         f = problem.field(stream, 0)
         jt, q = problem.tracking_cost_grad(u_at[0], f)
@@ -228,21 +237,86 @@ def _coupled_gradient_sample(problem, u_at, stream, level):
     return jt_f - jt_c, y.values
 
 
-def _coupled_cost_sample(problem, u_at, stream, level):
+def _level_fields(problem, streams, level):
+    """Fields of a level's coupled samples: the fine members, drawn lazily,
+    and the list their coarse partners join as they are drawn.
+
+    Drawing lazily lets the per-sample batch defaults solve each sample
+    right after its draw instead of holding every field first.
+    """
+    coarse = []
+
+    def fine():
+        for stream in streams:
+            if level == 0:
+                yield problem.field(stream, 0)
+            else:
+                f_fine, f_coarse = problem.field_pair(stream, level)
+                coarse.append(f_coarse)
+                yield f_fine
+
+    return fine(), coarse
+
+
+def _coupled_gradients(problem, u_at, streams, level):
+    """(tracking-cost difference, Y_l values) for each stream, in order."""
+    batch = getattr(problem, "tracking_cost_grad_batch", None)
+    if batch is None:
+        return [_coupled_gradient_sample(problem, u_at, s, level) for s in streams]
+    fine, coarse = _level_fields(problem, streams, level)
+    res_f = batch(u_at[level], fine)
     if level == 0:
-        f = problem.field(stream, 0)
-        return problem.tracking_cost(u_at[0], f)
-    f_fine, f_coarse = problem.field_pair(stream, level)
-    return (problem.tracking_cost(u_at[level], f_fine)
-            - problem.tracking_cost(u_at[level - 1], f_coarse))
+        return [(jt, q.values) for jt, q in res_f]
+    res_c = batch(u_at[level - 1], coarse)
+    prolong = problem.hierarchy.prolong
+    return [(jt_f - jt_c, (q_f - prolong(q_c)).values)
+            for (jt_f, q_f), (jt_c, q_c) in zip(res_f, res_c)]
 
 
-def _map_in_order(fn, items, workers: int):
-    """Evaluate fn over items; results always in input order."""
+def _coupled_costs(problem, u_at, streams, level):
+    """Tracking-cost differences for each stream, in order."""
+    fine, coarse = _level_fields(problem, streams, level)
+    res_f = problem.tracking_cost_batch(u_at[level], fine)
+    if level == 0:
+        return res_f
+    res_c = problem.tracking_cost_batch(u_at[level - 1], coarse)
+    return [jt_f - jt_c for jt_f, jt_c in zip(res_f, res_c)]
+
+
+def _evaluate_level(evaluate, streams, workers: int, cached=None):
+    """Per-sample results of one level's streams, yielded in stream order.
+
+    ``evaluate(streams)`` returns an iterable of the results of a list of
+    streams, in order.  Indices found in ``cached`` (index -> result) are
+    taken from it and not evaluated.  With ``workers > 1`` the remaining
+    streams are split into contiguous chunks, one per worker, evaluated on
+    a thread pool and concatenated in order, so results do not depend on
+    ``workers``.
+    """
+    cached = cached or {}
+    todo = [i for i in range(len(streams)) if i not in cached]
     if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        fresh = iter(evaluate([streams[i] for i in todo]))
+    else:
+        size = max(1, math.ceil(len(todo) / workers))
+        chunks = [todo[j:j + size] for j in range(0, len(todo), size)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda idx: list(evaluate([streams[i] for i in idx])), chunks))
+        fresh = itertools.chain.from_iterable(parts)
+    for i in range(len(streams)):
+        yield cached[i] if i in cached else next(fresh)
+
+
+def sample_states(problem: ControlProblem, u: LevelVector, streams, *,
+                  workers: int = 1):
+    """Full-grid states at control u, one per stream's field on u's level,
+    yielded in stream order."""
+    return _evaluate_level(
+        lambda chunk: problem.state_batch(
+            u, (problem.field(s, u.level) for s in chunk)),
+        streams, workers,
+    )
 
 
 @dataclass(frozen=True)
@@ -301,15 +375,13 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
         if prefix_counts is not None and level < k and prefix_counts[level] > n:
             raise LevelMismatch("prefix counts exceed available samples")
 
-        def eval_or_cached(item):
-            i, stream = item
-            if sample_cache is not None and (level, i) in sample_cache:
-                return sample_cache[(level, i)]
-            return _coupled_gradient_sample(problem, u_at, stream, level)
-
-        hits = (sum(1 for i in range(n) if (level, i) in sample_cache)
-                if sample_cache is not None else 0)
-        results = _map_in_order(eval_or_cached, list(enumerate(streams)), workers)
+        cached = {i: sample_cache[(level, i)] for i in range(n)
+                  if sample_cache is not None and (level, i) in sample_cache}
+        hits = len(cached)
+        results = _evaluate_level(
+            lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
+            streams, workers, cached,
+        )
         sum_y = np.zeros(hier.shape(level, problem.control_role))
         sum_sq = np.zeros_like(sum_y)
         sum_jt = 0.0
@@ -396,8 +468,8 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
     total = 0.0
     for level in range(k + 1):
         streams = sets.streams(k, level)
-        results = _map_in_order(
-            lambda s: _coupled_cost_sample(problem, u_at, s, level),
+        results = _evaluate_level(
+            lambda chunk: _coupled_costs(problem, u_at, chunk, level),
             streams, workers,
         )
         total += sum(results) / len(streams)
@@ -461,10 +533,10 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     n_used = np.zeros(len(levels), dtype=int)
     for level in measured:
         streams = [stream_factory(level, i) for i in range(warmup_n)]
-        results = _map_in_order(
-            lambda s: _coupled_gradient_sample(problem, u_at, s, level),
+        results = list(_evaluate_level(
+            lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
             streams, workers,
-        )
+        ))
         if collect is not None:
             for i, res in enumerate(results):
                 collect[(level, i)] = res

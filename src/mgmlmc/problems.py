@@ -10,6 +10,10 @@ where T is the tracking term.  Subclasses implement T and its exact
 discrete gradient Q(u; omega) with respect to the control; the multilevel
 estimators only ever consume (T, Q) pairs and add the deterministic
 regularization part themselves.
+
+The estimators evaluate a level's samples through the batch methods, which
+take one control and many fields; by default they loop over the per-sample
+methods.
 """
 
 from __future__ import annotations
@@ -65,6 +69,25 @@ class ControlProblem:
     def state(self, u: LevelVector, field: FieldSample) -> np.ndarray:
         """Full-grid state (boundary included) for reporting/figures."""
         raise NotImplementedError
+
+    # -- per-level batches: one control, many fields ----------------------------
+    #
+    # ``fields`` is any iterable of realizations on the control's level,
+    # consumed once; results come in the same order and equal the per-sample
+    # results bit for bit.  The defaults loop over the per-sample methods;
+    # problems that can evaluate many samples in one pass override them.
+
+    def tracking_cost_batch(self, u: LevelVector, fields) -> list:
+        return [self.tracking_cost(u, f) for f in fields]
+
+    def tracking_cost_grad_batch(self, u: LevelVector, fields) -> list:
+        """[(T(u; omega), Q(u; omega))] for each realization."""
+        return [self.tracking_cost_grad(u, f) for f in fields]
+
+    def state_batch(self, u: LevelVector, fields):
+        """States for each realization, yielded one at a time: they are
+        large, and callers reduce them as they come."""
+        return (self.state(u, f) for f in fields)
 
     # -- assembled per-sample cost/gradient ------------------------------------
 

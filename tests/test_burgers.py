@@ -245,3 +245,100 @@ class TestAdjoint:
         jt2, q2 = p_ckpt.tracking_cost_grad(u, f)
         assert jt1 == pytest.approx(jt2, rel=1e-14)
         assert np.array_equal(q1.values, q2.values)
+
+
+def per_sample_reference(p, u, field):
+    """One sample marched alone, the reverse sweep recomputing each
+    predictor: (tracking cost, gradient values, states)."""
+    k, dx, dt, s = field.values, p.hierarchy.h(u.level), p.dt, p.spec.s
+    states = np.zeros((p.nt, field.nodes))
+    states[0, 1:-1] = u.values
+    for j in range(p.nt - 1):
+        assert dt <= stability_bound(states[j], k, dx)
+        states[j + 1] = maccormack_step(states[j], k, dt, dx, s)
+    r = states[-1, 1:-1] - p.target(u.level).values
+    w = np.zeros(field.nodes)
+    w[1:-1] = r
+    for j in range(p.nt - 2, -1, -1):
+        yp = maccormack_predictor(states[j], k, dt, dx, s)
+        w = maccormack_step_adjoint(states[j], yp, w, k, dt, dx, s)
+    return 0.5 * u.h * float(np.vdot(r, r)), w[1:-1], states
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_batch_equals_per_sample(self, burgers_small, level, n):
+        p = burgers_small
+        u = p.control_from_function(level, lambda x: 0.2 * np.sin(np.pi * x))
+        fields = [p.field(RngStream(31, 3, level, i), level) for i in range(n)]
+        grads = p.tracking_cost_grad_batch(u, fields)
+        costs = p.tracking_cost_batch(u, fields)
+        states = list(p.state_batch(u, fields))
+        assert len(grads) == len(costs) == len(states) == n
+        for f, (jt, q), cost, state in zip(fields, grads, costs, states):
+            jt_ref, q_ref, states_ref = per_sample_reference(p, u, f)
+            assert jt == jt_ref and cost == jt_ref
+            assert np.array_equal(q.values, q_ref)
+            assert np.array_equal(state, states_ref)
+            assert np.array_equal(state, p.state(u, f))
+
+    def test_mlmc_gradient_independent_of_workers_and_chunks(
+            self, burgers_small, monkeypatch):
+        import mgmlmc.burgers as burgers_mod
+        from mgmlmc import SampleAllocation, build_sample_sets, mlmc_cost, mlmc_gradient
+        from mgmlmc.driver import state_statistics
+
+        p = burgers_small
+        u = p.control_from_function(2, lambda x: 0.2 * np.sin(np.pi * x))
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 41, 4)
+
+        def run(workers):
+            est = mlmc_gradient(p, u, sets, 2, workers=workers,
+                                prefix_counts=sets.counts[1])
+            cost = mlmc_cost(p, u, sets, 2, workers=workers)
+            mean, var = state_statistics(p, u, 5, global_seed=41, workers=workers)
+            return est, cost, mean, var
+
+        ref = run(1)
+        monkeypatch.setattr(burgers_mod, "BATCH_BYTES", 1)  # one sample per chunk
+        for est, cost, mean, var in (run(1), run(2)):
+            assert np.array_equal(est.value.values, ref[0].value.values)
+            assert est.cost_value == ref[0].cost_value
+            assert np.array_equal(est.stats.V, ref[0].stats.V)
+            for level, (sum_y, sum_jt) in ref[0].prefix.items():
+                assert np.array_equal(est.prefix[level][0], sum_y)
+                assert est.prefix[level][1] == sum_jt
+            assert cost == ref[1]
+            assert np.array_equal(mean, ref[2]) and np.array_equal(var, ref[3])
+
+    def test_unstable_member_raises_at_earliest_step(self):
+        # anti-diffusion grows |y| until the bound, set by the boundary node's
+        # positive coefficient, drops below dt: stable at first, then not
+        hier = GridHierarchy(dim=1, n0=17, levels=1)
+        p = BurgersInitialControl(hier, BurgersProblemSpec(nt=201))
+        u = p.control_from_function(0, lambda x: 0.1 * np.sin(np.pi * x))
+
+        def anti_diffusive(c):
+            k = np.full(17, -c)
+            k[0] = 0.3
+            return FieldSample(level=0, values=k)
+
+        def failing_step(fields, evaluate):
+            with pytest.raises(StabilityViolation) as err:
+                list(evaluate(u, fields))
+            return err.value.step
+
+        stable = p.field(RngStream(3, 3, 0, 0), 0)
+        slow, fast = anti_diffusive(0.05), anti_diffusive(0.1)
+        steps = {}
+        for name, f in (("slow", slow), ("fast", fast)):
+            with pytest.raises(StabilityViolation) as err:
+                p.solve_forward(u, f)
+            steps[name] = err.value.step
+        assert 0 < steps["fast"] < steps["slow"]
+        for evaluate in (p.tracking_cost_batch, p.tracking_cost_grad_batch,
+                         p.state_batch):
+            assert failing_step([stable, slow, stable], evaluate) == steps["slow"]
+            assert failing_step([stable, slow, fast], evaluate) == steps["fast"]

@@ -71,6 +71,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))
 
+    def test_removed_deterministic_key_still_loads(self, tmp_path):
+        text = MGOPT_CONFIG.format(out=tmp_path / "o") + "deterministic = true\n"
+        cfg = load_config(write_config(tmp_path / "c.ini", text))
+        assert cfg.state_samples == 8
+        assert not hasattr(cfg, "deterministic")
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=tmp_path / "o"))
         monkeypatch.setenv("MGMLMC_SEED", "1234")
@@ -191,6 +197,6 @@ class TestRunCommand:
     def test_workers_flag(self, tmp_path):
         out = tmp_path / "o"
         cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=out))
-        assert main(["run", cfg_file, "--workers", "2", "--deterministic"]) == 0
+        assert main(["run", cfg_file, "--workers", "2"]) == 0
         record = json.loads((out / "run.json").read_text())
         assert record["config"]["workers"] == 2

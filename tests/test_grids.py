@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mgmlmc import GAMMA, INTERIOR, GridHierarchy, inner_product, norm
+from mgmlmc.grids import _prolong_1d, _prolong_values, _restrict_1d, _restrict_values
 from mgmlmc.errors import LevelMismatch
 
 
@@ -151,6 +152,24 @@ class TestRestrict:
         got = h.restrict(h.vector(1, f)).values
         assert got[0, 1] == pytest.approx(2.0 / 16.0)
         assert got[1, 1] == pytest.approx(2.0 / 16.0)
+
+
+class TestVectorizedTransfers:
+    @staticmethod
+    def columns_then_rows(stencil, values):
+        """The 1-D stencil applied to every column, then to every row."""
+        cols = np.stack([stencil(values[:, j]) for j in range(values.shape[1])], axis=1)
+        return np.stack([stencil(cols[i]) for i in range(cols.shape[0])])
+
+    @pytest.mark.parametrize("m", [15, 31, 63])
+    def test_bitwise_equal_to_row_column_stencils(self, m):
+        rng = np.random.default_rng(m)
+        coarse = rng.standard_normal((m, m))
+        fine = rng.standard_normal((2 * m + 1, 2 * m + 1))
+        assert np.array_equal(_prolong_values(coarse),
+                              self.columns_then_rows(_prolong_1d, coarse))
+        assert np.array_equal(_restrict_values(fine),
+                              self.columns_then_rows(_restrict_1d, fine))
 
 
 class TestAdjointness:
