@@ -39,7 +39,7 @@ print(f"forward trajectory: {traj.states.shape}, "
 
 print("\noptimizing the initial condition toward the final-time target...")
 config = OptimizerConfig(tau=5e-3, K=2, eps1=0.1, i_max=6,
-                         global_seed=5, warmup=20, kappa=1.0)
+                         global_seed=5, warmup=20)
 u_opt, report = robust_optimize(problem, config)
 print(f"{report.status} after {len(report.rows)} cycles, "
       f"{report.total_solves:.0f} equivalent fine solves")

@@ -149,11 +149,6 @@ def fd_gradient_checks(problem, K: int, global_seed: int, *,
     return {"per_sample": per_sample, "estimator": estimator}
 
 
-def _resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    out = {k: v for k, v in vars(cfg).items() if k != "raw"}
-    return out
-
-
 def cmd_run(cfg: ExperimentConfig) -> int:
     problem = build_problem(cfg)
     opt = optimizer_config(cfg)
@@ -177,7 +172,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _write_matrix_csv(outdir / "var_state.csv", var)
     record = {
         "version": __version__,
-        "config": _resolved_config_dict(cfg),
+        "config": vars(cfg),
         "global_seed": cfg.global_seed,
         "status": report.status,
         "converged": report.converged,

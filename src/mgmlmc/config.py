@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .burgers import BurgersInitialControl, BurgersProblemSpec
 from .driver import OptimizerConfig
@@ -88,7 +88,6 @@ class ExperimentConfig:
     nt: int | None = None
     workers: int = 1
     state_samples: int = 64
-    raw: dict = dataclass_field(default_factory=dict)
 
     def validate(self) -> "ExperimentConfig":
         if self.problem not in PROBLEMS:
@@ -124,9 +123,8 @@ def _get(parser, section, key, cast, default):
     if parser.has_option(section, key):
         raw = parser.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            # configparser's boolean words only; anything else is an error
+            return parser.getboolean(section, key) if cast is bool else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     return default
@@ -170,7 +168,6 @@ def load_config(path: str) -> ExperimentConfig:
             cfg.global_seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"seed override {env_seed!r} is not an integer") from exc
-    cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
     return cfg.validate()
 
 

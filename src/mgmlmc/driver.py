@@ -1,25 +1,35 @@
-"""Outer robust-optimization loops and run reports.
+"""The adaptive-accuracy outer loop and run reports.
 
-``robust_optimize`` wraps V-cycles in an adaptive-accuracy loop: every
-cycle draws fresh sample sets sized for the current gradient RMSE budget
-eps, tests convergence cheaply with the cycle's own samples, and only
-declares success after an expensive confirmation gradient computed with
-brand-new samples at RMSE r*tau.  Between cycles the budget follows
+Both drivers run one loop.  Every cycle warms up on its own sample
+streams at the current iterate, allocates MLMC samples for the current
+gradient RMSE budget eps, optimizes on those fixed samples, and only
+declares success after a confirmation gradient computed with brand-new
+samples at RMSE r*tau, taken when the cycle's own gradient norm is at most
+tau.  The two drivers differ in three places:
 
-    eta = min(1/2, |g|/|g0|),   eps_next = max(r*tau, r * eta * |g|).
+* inner optimizer: ``robust_optimize`` runs one MG/OPT V-cycle, whose
+  first gradient reuses the warm-up samples; ``baseline_optimize`` runs
+  NCG on the finest level until the gradient norm drops below eps/r, under
+  a total step budget.
+* confirmation statistics: the V-cycle's top-level sample statistics
+  refresh the extrapolated levels first; the baseline uses the planning
+  statistics.
+* next budget: the V-cycle driver follows
 
-``baseline_optimize`` is the single-level comparator: NCG on the finest
-level with MLMC gradients, iterating on fixed samples until the gradient
-norm drops below the RMSE it was computed with, then resampling with the
-RMSE multiplied by 0.25.  Both drivers share stream families keyed by the
-cycle index, so paired comparisons reuse the same randomness, and both
-emit the same per-cycle report rows.
+      eta = min(1/2, |g|/|g0|),   eps_next = max(r*tau, r * eta * |g|),
+
+  or r*tau after a failed confirmation; the baseline multiplies eps by
+  0.25, down to r*tau.
+
+Stream families are keyed by the cycle index, so paired comparisons reuse
+the same randomness, and both drivers emit the same per-cycle report rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +40,9 @@ from .mlmc import (
     PURPOSE_CONFIRM,
     PURPOSE_OPT,
     PURPOSE_STATE,
+    LevelStats,
     MgoptSampleSets,
+    SampleAllocation,
     SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
@@ -43,6 +55,8 @@ from .mlmc import (
 )
 from .problems import ControlProblem
 from .random_fields import RngStream
+
+BASELINE_RMSE_FACTOR = 0.25  # the baseline's eps shrinks by this per phase
 
 
 def update_eta(g_norm: float, g0_norm: float) -> float:
@@ -72,14 +86,9 @@ class OptimizerConfig:
     theta: float = 0.5
     nested: bool = True
     warmup: int = 100
-    extrapolate_finest: int = 2
     global_seed: int = 0
-    schedule: SmoothingSchedule | None = None
-    kappa: float | None = None
     workers: int = 1
-    verify_coherence: bool = True
     baseline_max_steps: int = 500
-    baseline_rmse_factor: float = 0.25
     baseline_eps1: float | None = None
 
     def __post_init__(self):
@@ -153,25 +162,56 @@ class RunReport:
         return {"solves": self.total_solves, "time": self.total_time}
 
 
-class _CycleClock:
-    """Tracks per-cycle wall time and ledger-based solve deltas."""
+class _CyclePlan(NamedTuple):
+    """Sample statistics, allocation and sets of one cycle, planned at v."""
 
-    def __init__(self, K, kappa):
-        self.K = K
-        self.kappa = kappa
-        self._t0 = None
-        self._mark = 0
+    stats: LevelStats  # warm-up estimates, extrapolated levels refreshed
+    extrapolated: list  # levels without warm-up samples
+    alloc: SampleAllocation
+    sets: MgoptSampleSets
+    cache: dict  # warm-up sample values at v, keyed by (level, index)
 
-    def start(self, ledger):
-        self._t0 = time.perf_counter()
-        self._mark = len(ledger.events)
 
-    def stop(self, ledger):
-        elapsed = time.perf_counter() - self._t0
-        solves = equivalent_fine_solves(
-            ledger.events[self._mark:], self.K, self.kappa
-        )
-        return solves, elapsed
+class _Step(NamedTuple):
+    """What a driver's inner optimizer reports back to the outer loop."""
+
+    v: LevelVector
+    J0: float
+    J: float
+    g0_norm: float
+    g_norm: float
+    sample_stats: LevelStats | None  # statistics of its last estimate
+    confirm_stats: LevelStats  # statistics the confirmation is sized from
+    budget_spent: bool = False
+
+
+def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePlan:
+    """Warm-up, refresh, floored allocation and sample sets of one cycle.
+
+    The warm-up runs at v on the measured levels with the cycle's own
+    optimization streams, so the cycle's first gradient reuses its samples
+    (``cache``).  Extrapolated levels take the previous cycle's sample
+    statistics when there are any, and no level is allocated fewer samples
+    than it warmed up with.
+    """
+    K = config.K
+    opt_set_id = make_set_id(cycle, PURPOSE_OPT)
+    cache: dict = {}
+    stats = estimate_level_stats(
+        problem, v, config.warmup, range(K + 1),
+        global_seed=config.global_seed,
+        set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K),
+        ledger=ledger, collect=cache, workers=config.workers,
+    )
+    extrapolated = [l for l in range(K + 1) if stats.n_used[l] == 0]
+    if fine_stats is not None:
+        stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
+    floor = np.where(stats.n_used > 0, stats.n_used, 1)
+    alloc = optimal_allocation(stats, eps, config.theta, floor=floor)
+    sets = build_sample_sets(
+        K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
+    )
+    return _CyclePlan(stats, extrapolated, alloc, sets, cache)
 
 
 def _confirmation(problem, v, stats, config, cycle, ledger):
@@ -185,154 +225,109 @@ def _confirmation(problem, v, stats, config, cycle, ledger):
                          eps_used=config.r * config.tau, workers=config.workers)
 
 
-def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
-                    row_sink=None):
-    """Adaptive-RMSE V-cycle loop; returns (control, RunReport)."""
-    K = config.K
-    kappa = config.kappa if config.kappa is not None else problem.kappa_default
-    schedule = config.schedule or SmoothingSchedule.default(K)
-    report = RunReport(K=K)
-    ledger = report.ledger
-    clock = _CycleClock(K, kappa)
-    v = problem.zero_control(K)
-    eps = config.eps1
+def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
+                   next_eps, row_sink):
+    """The outer loop of both drivers; returns (control, RunReport).
 
-    fine_stats = None  # sample statistics from the previous cycle's estimates
-    for i in range(1, config.i_max + 1):
-        clock.start(ledger)
-        # warm-up at the current iterate on the coarse (measured) levels;
-        # the warm-up streams are the cycle's own sample streams, so the
-        # solves are reused by the first gradient evaluation below
-        opt_set_id = make_set_id(i, PURPOSE_OPT)
-        stream_sid = MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K)
-        cache: dict = {}
-        stats = estimate_level_stats(
-            problem, v, config.warmup, range(K + 1),
-            global_seed=config.global_seed, set_id=stream_sid,
-            stream_factory=lambda level, j: RngStream(
-                config.global_seed, stream_sid, level, j),
-            kappa=kappa, extrapolate_finest=config.extrapolate_finest,
-            ledger=ledger, collect=cache, workers=config.workers,
-        )
-        extrapolated = [l for l in range(K + 1) if stats.n_used[l] == 0]
-        if fine_stats is not None:
-            stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
-        floor = np.where(stats.n_used > 0, stats.n_used, 1)
-        alloc = optimal_allocation(stats, eps, config.theta, floor=floor)
-        sets = build_sample_sets(
-            K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
-        )
-        v, cycle_report = run_vcycle(
-            problem, v, sets, schedule, ledger=ledger,
-            workers=config.workers, verify_coherence=config.verify_coherence,
-            initial_sample_cache=cache,
-        )
-        if cycle_report.level_stats is not None:
-            fine_stats = cycle_report.level_stats
-            stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
+    Each cycle plans its samples at the current iterate, runs the driver's
+    ``step(v, plan, ledger)`` on them, confirms with fresh samples when the
+    cheap gradient norm is at most tau, and reports one row.  The loop ends
+    on a confirmed gradient, after ``max_cycles`` cycles or when the step
+    has spent its budget; otherwise ``next_eps(eps, row)`` sets the next
+    cycle's RMSE budget.
+    """
+    report = RunReport(K=config.K, status=status)
+    ledger = report.ledger
+    v = problem.zero_control(config.K)
+    fine_stats = None  # sample statistics of the previous cycle's estimates
+    for i in range(1, max_cycles + 1):
+        t0 = time.perf_counter()
+        mark = len(ledger.events)
+        plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
+        out = step(v, plan, ledger)
+        v = out.v
+        if out.sample_stats is not None:
+            fine_stats = out.sample_stats
 
         confirmed = False
-        if cycle_report.g_norm <= config.tau:
-            est = _confirmation(problem, v, stats, config, i, ledger)
+        if out.g_norm <= config.tau:
+            est = _confirmation(problem, v, out.confirm_stats, config, i, ledger)
             fine_stats = est.stats
             if est.gradient_norm <= config.tau:
                 confirmed = True
                 report.status = "converged"
                 report.final_J = est.cost_value
                 report.final_g_norm = est.gradient_norm
-            else:
-                eps = config.r * config.tau
 
-        solves, elapsed = clock.stop(ledger)
-        # the eps column reports the budget this cycle's allocation used
-        row = CycleRow(i, alloc.eps, alloc.n, cycle_report.J0, cycle_report.J,
-                       cycle_report.g0_norm, cycle_report.g_norm, solves, elapsed)
+        solves = equivalent_fine_solves(ledger.events[mark:], config.K,
+                                        problem.kappa_default)
+        row = CycleRow(i, eps, plan.alloc.n, out.J0, out.J, out.g0_norm,
+                       out.g_norm, solves, time.perf_counter() - t0)
         report.rows.append(row)
         if row_sink is not None:
             row_sink(row)
-        if confirmed:
+        if confirmed or out.budget_spent:
             break
-        if cycle_report.g_norm > config.tau:
-            eta = update_eta(cycle_report.g_norm, cycle_report.g0_norm)
-            eps = next_rmse(eta, cycle_report.g_norm, config.r, config.tau)
+        eps = next_eps(eps, row)
     return v, report
+
+
+def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
+                    row_sink=None):
+    """Adaptive-RMSE V-cycle loop; returns (control, RunReport)."""
+    schedule = SmoothingSchedule.default(config.K)
+
+    def step(v, plan, ledger):
+        v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
+                              workers=config.workers,
+                              initial_sample_cache=plan.cache)
+        stats = plan.stats
+        if cycle.level_stats is not None:
+            stats = refresh_level_stats(stats, cycle.level_stats,
+                                        only_levels=plan.extrapolated)
+        return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
+                     cycle.level_stats, stats)
+
+    def next_eps(eps, row):
+        if row.g_norm <= config.tau:  # the confirmation failed
+            return config.r * config.tau
+        eta = update_eta(row.g_norm, row.g0_norm)
+        return next_rmse(eta, row.g_norm, config.r, config.tau)
+
+    return _adaptive_loop(problem, config, eps=config.eps1,
+                          max_cycles=config.i_max, status="max_cycles",
+                          step=step, next_eps=next_eps, row_sink=row_sink)
 
 
 def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
                       row_sink=None):
     """Finest-level NCG with MLMC gradients and 0.25-factor RMSE refinement."""
-    K = config.K
-    kappa = config.kappa if config.kappa is not None else problem.kappa_default
-    report = RunReport(K=K, status="max_steps")
-    ledger = report.ledger
-    clock = _CycleClock(K, kappa)
-    v = problem.zero_control(K)
-    eps = config.baseline_eps1 if config.baseline_eps1 is not None else config.eps1
     steps_used = 0
-    phase = 0
 
-    fine_stats = None
-    while steps_used < config.baseline_max_steps and phase < config.baseline_max_steps:
-        phase += 1
-        clock.start(ledger)
-        opt_set_id = make_set_id(phase, PURPOSE_OPT)
-        stream_sid = MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K)
-        cache: dict = {}
-        stats = estimate_level_stats(
-            problem, v, config.warmup, range(K + 1),
-            global_seed=config.global_seed, set_id=stream_sid,
-            stream_factory=lambda level, j: RngStream(
-                config.global_seed, stream_sid, level, j),
-            kappa=kappa, extrapolate_finest=config.extrapolate_finest,
-            ledger=ledger, collect=cache, workers=config.workers,
-        )
-        extrapolated = [l for l in range(K + 1) if stats.n_used[l] == 0]
-        if fine_stats is not None:
-            stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
-        floor = np.where(stats.n_used > 0, stats.n_used, 1)
-        alloc = optimal_allocation(stats, eps, config.theta, floor=floor)
-        sets = build_sample_sets(
-            K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
-        )
-        objective = LevelObjective(problem, sets, K, tau=None,
+    def step(v, plan, ledger):
+        nonlocal steps_used
+        objective = LevelObjective(problem, plan.sets, config.K, tau=None,
                                    ledger=ledger, workers=config.workers)
-        est0 = objective.evaluate_unshifted(v, sample_cache=cache)
+        est0 = objective.evaluate_unshifted(v, sample_cache=plan.cache)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
             objective, v, steps=config.baseline_max_steps - steps_used,
             initial=(est0.cost_value, est0.value),
-            gradient_tol=eps / config.r,
+            gradient_tol=plan.alloc.eps / config.r,
         )
-        v = res.v
         steps_used += res.steps_taken
-        g_norm = norm(res.g)
-        if objective.last_estimate is not None:
-            fine_stats = objective.last_estimate.stats
+        return _Step(res.v, res.J_initial, res.J, norm(res.g_initial),
+                     norm(res.g), objective.last_estimate.stats, plan.stats,
+                     budget_spent=steps_used >= config.baseline_max_steps)
 
-        confirmed = False
-        if g_norm <= config.tau:
-            est = _confirmation(problem, v, stats, config, phase, ledger)
-            fine_stats = est.stats
-            if est.gradient_norm <= config.tau:
-                confirmed = True
-                report.status = "converged"
-                report.final_J = est.cost_value
-                report.final_g_norm = est.gradient_norm
+    def next_eps(eps, row):
+        return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)
 
-        solves, elapsed = clock.stop(ledger)
-        row = CycleRow(
-            i=phase, eps=eps, n=alloc.n,
-            J0=res.J_initial, J=res.J,
-            g0_norm=norm(res.g_initial), g_norm=g_norm,
-            solves=solves, time=elapsed,
-        )
-        report.rows.append(row)
-        if row_sink is not None:
-            row_sink(row)
-        if confirmed:
-            break
-        eps = max(config.baseline_rmse_factor * eps, config.r * config.tau)
-    return v, report
+    eps1 = config.baseline_eps1 if config.baseline_eps1 is not None else config.eps1
+    return _adaptive_loop(problem, config, eps=eps1,
+                          max_cycles=config.baseline_max_steps,
+                          status="max_steps", step=step, next_eps=next_eps,
+                          row_sink=row_sink)
 
 
 def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,

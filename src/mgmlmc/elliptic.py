@@ -2,9 +2,10 @@
 
 The PDE -div(k grad y) = f on the unit square with Dirichlet boundary data
 is discretized by the 5-point variable-coefficient scheme; the coefficient
-at a cell face is the arithmetic (optionally harmonic) mean of the two
-adjacent node values.  Systems are SPD and solved either by a sparse direct
-factorization (default) or by diagonally preconditioned CG.
+at a cell face is the arithmetic mean of the two adjacent node values.
+Systems are SPD.  The control problems solve them by a sparse direct
+factorization; :class:`DiffusionOperator` also offers diagonally
+preconditioned CG.
 
 Two control problems are built on top:
 
@@ -48,18 +49,13 @@ class StateField:
         return self.values[1:-1, 1:-1]
 
 
-def _face_coefficients(k: np.ndarray, mean: str):
-    """Per-face coefficients west/east/south/north of each interior node."""
-    if mean == "arithmetic":
-        avg = lambda a, b: 0.5 * (a + b)
-    elif mean == "harmonic":
-        avg = lambda a, b: 2.0 * a * b / (a + b)
-    else:
-        raise ValueError(f"unknown face mean '{mean}'")
-    kw = avg(k[:-2, 1:-1], k[1:-1, 1:-1])
-    ke = avg(k[1:-1, 1:-1], k[2:, 1:-1])
-    ks = avg(k[1:-1, :-2], k[1:-1, 1:-1])
-    kn = avg(k[1:-1, 1:-1], k[1:-1, 2:])
+def _face_coefficients(k: np.ndarray):
+    """Arithmetic-mean coefficients on the faces west/east/south/north of
+    each interior node."""
+    kw = 0.5 * (k[:-2, 1:-1] + k[1:-1, 1:-1])
+    ke = 0.5 * (k[1:-1, 1:-1] + k[2:, 1:-1])
+    ks = 0.5 * (k[1:-1, :-2] + k[1:-1, 1:-1])
+    kn = 0.5 * (k[1:-1, 1:-1] + k[1:-1, 2:])
     return kw, ke, ks, kn
 
 
@@ -72,7 +68,6 @@ class DiffusionOperator:
     """
 
     def __init__(self, k: np.ndarray, h: float, *,
-                 face_mean: str = "arithmetic",
                  method: str = "direct",
                  lin_tol: float = 1e-10,
                  max_iter: int = 20000):
@@ -84,7 +79,7 @@ class DiffusionOperator:
         self.method = method
         self.lin_tol = lin_tol
         self.max_iter = max_iter
-        kw, ke, ks, kn = _face_coefficients(k, face_mean)
+        kw, ke, ks, kn = _face_coefficients(k)
         self._ks_bottom = ks[:, 0].copy()
         self._k_gamma = k[1:-1, 0].copy()
         m = self.m
@@ -171,8 +166,8 @@ class DiffusionOperator:
         return 3.0 * self._k_gamma * w / (2.0 * self.h)
 
 
-def solve_diffusion(rhs_or_bc, field: FieldSample, bc_mode: str = INTERIOR_SOURCE,
-                    **solver_opts) -> StateField:
+def solve_diffusion(rhs_or_bc, field: FieldSample,
+                    bc_mode: str = INTERIOR_SOURCE) -> StateField:
     """Solve -div(k grad y) with the given data on the field's grid.
 
     ``bc_mode`` selects the data interpretation: an interior source with
@@ -182,7 +177,7 @@ def solve_diffusion(rhs_or_bc, field: FieldSample, bc_mode: str = INTERIOR_SOURC
     """
     n = field.nodes
     h = 1.0 / (n - 1)
-    op = DiffusionOperator(field.values, h, **solver_opts)
+    op = DiffusionOperator(field.values, h)
     data = rhs_or_bc.values if isinstance(rhs_or_bc, LevelVector) else np.asarray(rhs_or_bc)
     full = np.zeros((n, n))
     if bc_mode == INTERIOR_SOURCE:
@@ -215,9 +210,6 @@ class LaplaceProblemSpec:
     covariance: CovarianceSpec = dataclass_field(
         default_factory=lambda: CovarianceSpec(sigma2=0.1, lam=0.3)
     )
-    face_mean: str = "arithmetic"
-    solver: str = "direct"
-    lin_tol: float = 1e-10
 
 
 def default_dtn_covariance() -> CovarianceSpec:
@@ -235,9 +227,6 @@ class DtNProblemSpec:
     alpha: float = 1e-6
     target_flux: callable = sine_target_flux
     covariance: CovarianceSpec = dataclass_field(default_factory=default_dtn_covariance)
-    face_mean: str = "arithmetic"
-    solver: str = "direct"
-    lin_tol: float = 1e-10
 
 
 class _EllipticBase(ControlProblem):
@@ -251,11 +240,7 @@ class _EllipticBase(ControlProblem):
         self.spec = spec
 
     def _operator(self, field: FieldSample) -> DiffusionOperator:
-        return DiffusionOperator(
-            field.values, self.hierarchy.h(field.level),
-            face_mean=self.spec.face_mean, method=self.spec.solver,
-            lin_tol=self.spec.lin_tol,
-        )
+        return DiffusionOperator(field.values, self.hierarchy.h(field.level))
 
 
 class LaplaceSourceControl(_EllipticBase):

@@ -47,14 +47,12 @@ class SmoothingSchedule:
     """Pre/postsmoothing step counts per optimization level.
 
     ``nu[k]``/``mu[k]`` apply at level k for k >= 1; the coarsest level runs
-    ``coarsest_steps`` smoother iterations (or an exact solve of the sampled
-    quadratic when ``coarsest_exact``).
+    ``coarsest_steps`` smoother iterations.
     """
 
     nu: tuple
     mu: tuple
     coarsest_steps: int
-    coarsest_exact: bool = False
 
     def __post_init__(self):
         if len(self.nu) != len(self.mu):
@@ -360,12 +358,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
     obj = LevelObjective(problem, sets, k, tau, ledger, workers)
 
     if k == 0:
-        steps = schedule.coarsest_steps
-        tol = 0.0
-        if schedule.coarsest_exact and obj.quadratic:
-            steps = int(np.prod(v.values.shape)) + 5
-            tol = 1e-13
-        res = ncg_smooth(obj, v, steps, gradient_tol=tol)
+        res = ncg_smooth(obj, v, schedule.coarsest_steps)
         if res.J is not None:
             events.append({
                 "level": 0, "kind": "summary",

@@ -223,20 +223,6 @@ def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
     return u_at
 
 
-def _coupled_gradient_sample(problem, u_at, stream, level):
-    """(tracking-cost difference, Y_l values) for one realization, for
-    problems with only the per-sample interface."""
-    if level == 0:
-        f = problem.field(stream, 0)
-        jt, q = problem.tracking_cost_grad(u_at[0], f)
-        return jt, q.values
-    f_fine, f_coarse = problem.field_pair(stream, level)
-    jt_f, q_f = problem.tracking_cost_grad(u_at[level], f_fine)
-    jt_c, q_c = problem.tracking_cost_grad(u_at[level - 1], f_coarse)
-    y = q_f - problem.hierarchy.prolong(q_c)
-    return jt_f - jt_c, y.values
-
-
 def _level_fields(problem, streams, level):
     """Fields of a level's coupled samples: the fine members, drawn lazily,
     and the list their coarse partners join as they are drawn.
@@ -260,14 +246,11 @@ def _level_fields(problem, streams, level):
 
 def _coupled_gradients(problem, u_at, streams, level):
     """(tracking-cost difference, Y_l values) for each stream, in order."""
-    batch = getattr(problem, "tracking_cost_grad_batch", None)
-    if batch is None:
-        return [_coupled_gradient_sample(problem, u_at, s, level) for s in streams]
     fine, coarse = _level_fields(problem, streams, level)
-    res_f = batch(u_at[level], fine)
+    res_f = problem.tracking_cost_grad_batch(u_at[level], fine)
     if level == 0:
         return [(jt, q.values) for jt, q in res_f]
-    res_c = batch(u_at[level - 1], coarse)
+    res_c = problem.tracking_cost_grad_batch(u_at[level - 1], coarse)
     prolong = problem.hierarchy.prolong
     return [(jt_f - jt_c, (q_f - prolong(q_c)).values)
             for (jt_f, q_f), (jt_c, q_c) in zip(res_f, res_c)]
@@ -494,10 +477,7 @@ def _fit_log2_decay(levels, values):
 def estimate_level_stats(problem: ControlProblem, u: LevelVector,
                          warmup_n: int, levels, *,
                          global_seed: int, set_id: int,
-                         stream_factory=None,
-                         kappa: float | None = None,
                          extrapolate_finest: int = 2,
-                         phi_fallback: float = 2.0,
                          ledger: SolveLedger | None = None,
                          collect: dict | None = None,
                          workers: int = 1) -> LevelStats:
@@ -506,12 +486,12 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     Levels must be contiguous from 0; the control ``u`` lives on the finest
     of them.  The last ``extrapolate_finest`` levels are not sampled: their
     variance follows the fitted decay of the measured ones (at least two
-    levels stay measured; ``phi_fallback`` is used when the fit has fewer
-    than two difference levels to work with).
+    levels stay measured; the rate 2 is used when the fit has fewer than two
+    difference levels to work with).
 
-    ``stream_factory(level, index)`` overrides stream construction, letting
-    warm-up samples share the streams of a subsequent estimator.  When
-    ``collect`` is a dict, the per-sample values are stored under
+    Sample i of a level uses ``RngStream(global_seed, set_id, level, i)``,
+    so warm-up samples can share the streams of a subsequent estimator.
+    When ``collect`` is a dict, the per-sample values are stored under
     ``(level, index)`` for reuse as a sample cache at the same control.
     """
     levels = tuple(levels)
@@ -525,14 +505,13 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     u_at = _restriction_chain(problem, u)
     n_extrapolated = min(max(extrapolate_finest, 0), max(len(levels) - 2, 0))
     measured = levels[: len(levels) - n_extrapolated]
-    if stream_factory is None:
-        stream_factory = lambda level, i: RngStream(global_seed, set_id, level, i)
 
     V = np.zeros(len(levels))
     mean_norms = np.zeros(len(levels))
     n_used = np.zeros(len(levels), dtype=int)
     for level in measured:
-        streams = [stream_factory(level, i) for i in range(warmup_n)]
+        streams = [RngStream(global_seed, set_id, level, i)
+                   for i in range(warmup_n)]
         results = list(_evaluate_level(
             lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
             streams, workers,
@@ -559,10 +538,10 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
         if V[last] == 0.0:
             V[level] = 0.0
         else:
-            rate = phi if phi is not None else phi_fallback
+            rate = phi if phi is not None else 2.0
             V[level] = V[last] * 2.0 ** (-rate * (level - last))
 
-    kappa = problem.kappa_default if kappa is None else kappa
+    kappa = problem.kappa_default
     C = 2.0 ** (kappa * np.asarray(levels, dtype=float))
     rho_slope = (_fit_log2_decay(fit_levels, mean_norms[fit_levels])
                  if len(fit_levels) >= 2 else None)

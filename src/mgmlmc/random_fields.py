@@ -266,10 +266,9 @@ class FieldSampler:
     the fine member of the level-(l-1) pair for the same stream.
     """
 
-    def __init__(self, hierarchy: GridHierarchy, spec: CovarianceSpec, **embed_opts):
+    def __init__(self, hierarchy: GridHierarchy, spec: CovarianceSpec):
         self.hierarchy = hierarchy
         self.spec = spec
-        self._embed_opts = embed_opts
         self._embedding: CirculantEmbedding | None = None
 
     @property
@@ -277,11 +276,8 @@ class FieldSampler:
         if self._embedding is None:
             top = self.hierarchy.finest
             self._embedding = build_embedding(
-                self.hierarchy.nodes(top),
-                self.hierarchy.h(top),
-                self.hierarchy.dim,
-                self.spec,
-                **self._embed_opts,
+                self.hierarchy.nodes(top), self.hierarchy.h(top),
+                self.hierarchy.dim, self.spec,
             )
         return self._embedding
 

@@ -67,6 +67,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(cfg_file)
 
+    def test_misspelled_boolean_rejected(self, tmp_path):
+        cfg_file = write_config(tmp_path / "c.ini", "[optimizer]\nnested = ture\n")
+        with pytest.raises(ConfigError, match=r"\[optimizer\] nested"):
+            load_config(cfg_file)
+        cfg_file = write_config(tmp_path / "c.ini", "[optimizer]\nnested = Off\n")
+        assert load_config(cfg_file).nested is False
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))

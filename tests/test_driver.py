@@ -19,7 +19,9 @@ from mgmlmc.mlmc import (
     PURPOSE_OPT,
     SampleAllocation,
     build_sample_sets,
+    equivalent_fine_solves,
     make_set_id,
+    predicted_gradient_cost,
 )
 from mgmlmc.random_fields import CovarianceSpec
 
@@ -157,6 +159,48 @@ class TestBaselineOptimize:
         assert report.converged
         assert report.final_g_norm <= cfg.tau
         assert all(len(r.n) == 3 for r in report.rows)
+
+    def test_step_budget_ends_the_run(self, laplace_small):
+        # tau is out of reach; the NCG steps run out before the phases do
+        cfg = OptimizerConfig(tau=1e-9, K=2, baseline_eps1=3e-3,
+                              global_seed=18, warmup=10, baseline_max_steps=3)
+        u, report = baseline_optimize(laplace_small, cfg)
+        assert report.status == "max_steps"
+        assert 1 <= len(report.rows) < cfg.baseline_max_steps
+        assert report.final_J is None and u.level == 2
+
+
+class TestWarmupReuse:
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_first_gradient_skips_warmup_samples(self, laplace_small,
+                                                 monkeypatch, driver):
+        # the warm-up runs on the cycle's own streams at the same control,
+        # so the cycle's first gradient charges only the samples the warm-up
+        # did not evaluate: each warm-up sample is charged once
+        import mgmlmc.mgopt as mgopt_mod
+
+        first = []
+        real = mgopt_mod.mlmc_gradient
+
+        def spy(problem, u, sets, k, *, ledger=None, **kwargs):
+            mark = len(ledger.events)
+            est = real(problem, u, sets, k, ledger=ledger, **kwargs)
+            if not first:
+                first.append((sets, ledger.events[mark:]))
+            return est
+
+        monkeypatch.setattr(mgopt_mod, "mlmc_gradient", spy)
+        warmup = 12
+        cfg = OptimizerConfig(tau=1e-9, K=2, i_max=1, global_seed=19,
+                              warmup=warmup, baseline_max_steps=1)
+        driver(laplace_small, cfg)
+        sets, events = first[0]
+        kappa = laplace_small.kappa_default
+        unit = [2.0 ** (kappa * (level - 2)) for level in range(3)]
+        # levels 0 and 1 are warmed up; level 2 is extrapolated
+        warm = warmup * (unit[0] + unit[1] + unit[0])
+        assert equivalent_fine_solves(events, 2, kappa) == pytest.approx(
+            predicted_gradient_cost(sets, 2, kappa) - warm, rel=1e-12)
 
 
 class TestConfirmationDiscipline:

@@ -192,8 +192,8 @@ class TestLevelStats:
             estimate_level_stats(laplace_small, laplace_small.zero_control(2),
                                  1, range(3), global_seed=1, set_id=4)
 
-    def test_synthetic_decay_recovers_phi(self):
-        # inject Y_l with V_l = 4^-l through a fake problem; fitted phi = 2
+    def test_synthetic_decay_recovers_phi(self, monkeypatch):
+        # inject Y_l with V_l = 4^-l through a fake level evaluation; fitted phi = 2
         hier = GridHierarchy(dim=1, n0=5, levels=5)
 
         class SyntheticProblem:
@@ -202,30 +202,18 @@ class TestLevelStats:
             alpha = 1e-6
             kappa_default = 1.0
 
-            def field(self, stream, level):
-                return None
-
-            def field_pair(self, stream, level):
-                return None, None
-
-            def tracking_cost_grad(self, u, field):
-                raise AssertionError("patched out")
-
         import mgmlmc.mlmc as mlmc_mod
 
-        def fake_coupled(problem, u_at, stream, level):
-            rng = stream.generator()
-            val = 2.0 ** (-level) * rng.standard_normal(hier.shape(level))
-            return 0.0, val  # pointwise sd 2^-l -> integrated V_l ~ 4^-l
+        def fake_coupled(problem, u_at, streams, level):
+            # pointwise sd 2^-l -> integrated V_l ~ 4^-l
+            return [(0.0, 2.0 ** (-level)
+                     * s.generator().standard_normal(hier.shape(level)))
+                    for s in streams]
 
-        orig = mlmc_mod._coupled_gradient_sample
-        mlmc_mod._coupled_gradient_sample = fake_coupled
-        try:
-            stats = estimate_level_stats(
-                SyntheticProblem(), hier.zeros(4), 400, range(5),
-                global_seed=3, set_id=4, extrapolate_finest=0)
-        finally:
-            mlmc_mod._coupled_gradient_sample = orig
+        monkeypatch.setattr(mlmc_mod, "_coupled_gradients", fake_coupled)
+        stats = estimate_level_stats(
+            SyntheticProblem(), hier.zeros(4), 400, range(5),
+            global_seed=3, set_id=4, extrapolate_finest=0)
         # V_l = h * m * 4^-l exactly in expectation; the h factor halves per
         # level, so the measured decay rate is phi = 2 + 1 - (node growth) = 2
         assert stats.phi == pytest.approx(2.0, abs=0.1)
