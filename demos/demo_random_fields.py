@@ -23,7 +23,7 @@ print("C(x, x') at distance 0.3:", covariance((0.0,), (0.3,), spec))
 
 # The embedding diagonalizes the covariance of a 33-node 1-D grid exactly:
 # the implied circulant row reproduces the covariance at every lag.
-emb = build_embedding(33, 1.0 / 32, 1, spec, initial_padding=2)
+emb = build_embedding(33, 1.0 / 32, 1, spec)
 row = np.fft.ifft(emb.sqrt_eig**2).real
 x = np.arange(33) / 32
 exact = [covariance((0.0,), (xi,), spec) for xi in x]

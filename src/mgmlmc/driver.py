@@ -231,10 +231,12 @@ def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
 
     Each cycle plans its samples at the current iterate, runs the driver's
     ``step(v, plan, ledger)`` on them, confirms with fresh samples when the
-    cheap gradient norm is at most tau, and reports one row.  The loop ends
-    on a confirmed gradient, after ``max_cycles`` cycles or when the step
-    has spent its budget; otherwise ``next_eps(eps, row)`` sets the next
-    cycle's RMSE budget.
+    cheap gradient norm is at most tau, and reports one row.  Planning and
+    step share one sample bank, so each of the cycle's fields is drawn
+    once; the confirmation's fresh fields are used once and are not banked.
+    The loop ends on a confirmed gradient, after ``max_cycles`` cycles or
+    when the step has spent its budget; otherwise ``next_eps(eps, row)``
+    sets the next cycle's RMSE budget.
     """
     report = RunReport(K=config.K, status=status)
     ledger = report.ledger
@@ -243,8 +245,9 @@ def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
     for i in range(1, max_cycles + 1):
         t0 = time.perf_counter()
         mark = len(ledger.events)
-        plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
-        out = step(v, plan, ledger)
+        with problem.sample_bank():
+            plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
+            out = step(v, plan, ledger)
         v = out.v
         if out.sample_stats is not None:
             fine_stats = out.sample_stats

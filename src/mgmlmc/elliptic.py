@@ -22,6 +22,7 @@ finite differences of the per-sample cost reproduce them to solver accuracy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -59,6 +60,32 @@ def _face_coefficients(k: np.ndarray):
     return kw, ke, ks, kn
 
 
+@functools.lru_cache(maxsize=None)
+def _csc_pattern(m: int):
+    """CSC ``indices``, ``indptr`` and the permutation taking the operator's
+    entries, listed as in :class:`DiffusionOperator`, to CSC order, for an
+    m x m interior grid.
+
+    Entries follow the order diagonal, (i, i+1) horizontal couplings and
+    their transposes, then the vertical ones; no entry repeats, so
+    ``csc_matrix((vals[perm], indices, indptr))`` equals the matrix built
+    from the triplets bit for bit.  One pattern per grid size is kept.
+    """
+    idx = np.arange(m * m).reshape(m, m)
+    r_h, c_h = idx[:-1, :].ravel(), idx[1:, :].ravel()
+    r_v, c_v = idx[:, :-1].ravel(), idx[:, 1:].ravel()
+    rows = np.concatenate([idx.ravel(), r_h, c_h, r_v, c_v])
+    cols = np.concatenate([idx.ravel(), c_h, r_h, c_v, r_v])
+    order = sp.csc_matrix(
+        (np.arange(1, rows.size + 1, dtype=float), (rows, cols)),
+        shape=(m * m, m * m),
+    )
+    perm = order.data.astype(np.intp) - 1
+    for a in (order.indices, order.indptr, perm):
+        a.flags.writeable = False
+    return order.indices, order.indptr, perm
+
+
 class DiffusionOperator:
     """Assembled 5-point operator for one field realization.
 
@@ -83,30 +110,16 @@ class DiffusionOperator:
         self._ks_bottom = ks[:, 0].copy()
         self._k_gamma = k[1:-1, 0].copy()
         m = self.m
-        idx = np.arange(m * m).reshape(m, m)
         inv_h2 = 1.0 / h**2
-        diag = (kw + ke + ks + kn).ravel() * inv_h2
-        rows = [idx.ravel()]
-        cols = [idx.ravel()]
-        vals = [diag]
-        # horizontal couplings (x1 direction) and their transposes
-        r = idx[:-1, :].ravel()
-        c = idx[1:, :].ravel()
-        v = -ke[:-1, :].ravel() * inv_h2
-        rows += [r, c]
-        cols += [c, r]
-        vals += [v, v]
-        # vertical couplings (x2 direction)
-        r = idx[:, :-1].ravel()
-        c = idx[:, 1:].ravel()
-        v = -kn[:, :-1].ravel() * inv_h2
-        rows += [r, c]
-        cols += [c, r]
-        vals += [v, v]
-        self.matrix = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m * m, m * m),
-        )
+        # values in the entry order of _csc_pattern: diagonal, horizontal
+        # couplings and their transposes, vertical couplings likewise
+        v_h = -ke[:-1, :].ravel() * inv_h2
+        v_v = -kn[:, :-1].ravel() * inv_h2
+        vals = np.concatenate([(kw + ke + ks + kn).ravel() * inv_h2,
+                               v_h, v_h, v_v, v_v])
+        indices, indptr, perm = _csc_pattern(m)
+        self.matrix = sp.csc_matrix((vals[perm], indices, indptr),
+                                    shape=(m * m, m * m))
         self._lu = None
         self._precond = None
 

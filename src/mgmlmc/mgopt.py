@@ -41,6 +41,10 @@ from .mlmc import (
 )
 from .problems import ControlProblem
 
+# Largest relative deviation of the coarse shifted gradient from the
+# restricted fine one that the V-cycle accepts (the coherence identity).
+COHERENCE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SmoothingSchedule:
@@ -338,7 +342,6 @@ class VCycleReport:
 def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
            k: int, sets: MgoptSampleSets, schedule: SmoothingSchedule, *,
            ledger: SolveLedger | None = None,
-           verify_coherence: bool = True, coherence_tol: float = 1e-10,
            workers: int = 1, events: list | None = None,
            initial_sample_cache: dict | None = None):
     """One V-cycle at level k; returns (v', (J, g) at v', events).
@@ -398,21 +401,19 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
     if tau is not None:
         tau_coarse = hier.restrict(tau) + tau_coarse
 
-    if verify_coherence:
-        lhs = hier.restrict(gJ1)
-        rhs = ghat_coarse - tau_coarse
-        dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
-        events.append({"level": k, "kind": "coherence", "value": dev})
-        if dev > coherence_tol:
-            raise AssertionError(
-                f"coarse gradient deviates from the restricted fine gradient: "
-                f"{dev:.3e} > {coherence_tol:.1e} at level {k}"
-            )
+    lhs = hier.restrict(gJ1)
+    rhs = ghat_coarse - tau_coarse
+    dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
+    events.append({"level": k, "kind": "coherence", "value": dev})
+    if dev > COHERENCE_TOL:
+        raise AssertionError(
+            f"coarse gradient deviates from the restricted fine gradient: "
+            f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
+        )
 
     v_coarse_new, _, _ = vcycle(
         problem, v_coarse, tau_coarse, k - 1, sets, schedule,
-        ledger=ledger, verify_coherence=verify_coherence,
-        coherence_tol=coherence_tol, workers=workers, events=events,
+        ledger=ledger, workers=workers, events=events,
     )
     d = hier.prolong(v_coarse_new - v_coarse)
 
@@ -444,7 +445,6 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
                ledger: SolveLedger | None = None, workers: int = 1,
-               verify_coherence: bool = True,
                initial_sample_cache: dict | None = None) -> tuple:
     """Top-level V-cycle call; returns (v', VCycleReport)."""
     K = v.level
@@ -452,8 +452,7 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     events: list = []
     v_new, final_pair, events = vcycle(
         problem, v, None, K, sets, schedule,
-        ledger=cycle_ledger, workers=workers,
-        verify_coherence=verify_coherence, events=events,
+        ledger=cycle_ledger, workers=workers, events=events,
         initial_sample_cache=initial_sample_cache,
     )
     start = next(e for e in events if e["kind"] == "summary" and e["level"] == K)

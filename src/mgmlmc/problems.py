@@ -14,14 +14,30 @@ regularization part themselves.
 The estimators evaluate a level's samples through the batch methods, which
 take one control and many fields; by default they loop over the per-sample
 methods.
+
+Fields come from :meth:`ControlProblem.field` and
+:meth:`ControlProblem.field_pair`.  Outside a sample bank each call draws
+afresh.  While :meth:`ControlProblem.sample_bank` is open, every level-sized
+realization is kept under ``(stream.seed_id, level)`` and later calls for
+the same stream and level return it without drawing: the optimization of
+one cycle evaluates the same fixed sample sets many times.  Banked arrays
+are read-only, so no evaluation can alter what a later one reads.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .grids import INTERIOR, GridHierarchy, LevelVector, inner_product
-from .random_fields import CovarianceSpec, FieldSample, FieldSampler, RngStream
+from .random_fields import (
+    CovarianceSpec,
+    FieldSample,
+    FieldSampler,
+    RngStream,
+    restrict_field,
+)
 
 
 class ControlProblem:
@@ -40,6 +56,7 @@ class ControlProblem:
         self.alpha = alpha
         self.covariance = covariance
         self.sampler = FieldSampler(hierarchy, covariance)
+        self._bank: dict | None = None  # (seed_id, level) -> FieldSample
 
     # -- controls ------------------------------------------------------------
 
@@ -51,11 +68,48 @@ class ControlProblem:
 
     # -- fields --------------------------------------------------------------
 
+    @contextlib.contextmanager
+    def sample_bank(self):
+        """Keep every field drawn inside the block; drop them all on exit.
+
+        Within the block a stream's realization at a level is drawn once.
+        The coarse member of a pair is banked at level - 1 under the same
+        stream, where it equals the stream's own draw at that level bit for
+        bit, since both are injections of one finest-grid draw.
+        """
+        if self._bank is not None:
+            raise RuntimeError("a sample bank is already open")
+        self._bank = {}
+        try:
+            yield
+        finally:
+            self._bank = None
+
+    def _banked(self, stream: RngStream, level: int, make) -> FieldSample:
+        # worker threads evaluate disjoint streams, so no two of them look
+        # up the same key
+        key = (stream.seed_id, level)
+        sample = self._bank.get(key)
+        if sample is None:
+            sample = make()
+            sample.values.flags.writeable = False
+            self._bank[key] = sample
+        return sample
+
     def field(self, stream: RngStream, level: int) -> FieldSample:
-        return self.sampler.sample(stream, level)
+        if self._bank is None:
+            return self.sampler.sample(stream, level)
+        return self._banked(stream, level,
+                            lambda: self.sampler.sample(stream, level))
 
     def field_pair(self, stream: RngStream, level: int):
-        return self.sampler.pair(stream, level)
+        if self._bank is None:
+            return self.sampler.pair(stream, level)
+        fine = self._banked(stream, level,
+                            lambda: self.sampler.sample(stream, level))
+        coarse = self._banked(stream, level - 1,
+                              lambda: restrict_field(fine, level - 1))
+        return fine, coarse
 
     # -- per-sample cost pieces (subclass responsibility) ---------------------
 

@@ -14,7 +14,8 @@ Sampling is driven by counter-based Philox streams keyed on
 same draw, distinct keys are independent.  For multilevel estimators the
 :class:`FieldSampler` draws the Gaussian field once on the finest grid of a
 hierarchy and injects it to coarser grids, so coupled samples on adjacent
-levels agree exactly at shared nodes.
+levels agree exactly at shared nodes.  The sampler draws on every call;
+keeping a cycle's draws is the job of ``ControlProblem.sample_bank``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .errors import EmbeddingNotPSD, LevelMismatch
 from .grids import GridHierarchy
 
 _MASK64 = (1 << 64) - 1
+
+# padding schedule and eigenvalue clipping tolerance of build_embedding
+INITIAL_PADDING = 2
+MAX_PADDING = 8
+TOL_EMBED = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,27 +163,19 @@ class CirculantEmbedding:
         return self.sqrt_eig.shape
 
 
-def build_embedding(
-    n: int,
-    h: float,
-    dim: int,
-    spec: CovarianceSpec,
-    *,
-    initial_padding: int = 2,
-    max_padding: int = 8,
-    tol_embed: float = 1e-12,
-) -> CirculantEmbedding:
+def build_embedding(n: int, h: float, dim: int,
+                    spec: CovarianceSpec) -> CirculantEmbedding:
     """Embed the covariance of an n-nodes-per-axis grid into a circulant.
 
     The extended period per axis is ``2 * padding * (n - 1)`` points, so all
     physical lags are represented without wraparound.  Eigenvalues in
-    ``[-tol, 0)`` with ``tol = tol_embed * max eigenvalue`` are clipped to
+    ``[-tol, 0)`` with ``tol = TOL_EMBED * max eigenvalue`` are clipped to
     zero; if any eigenvalue is more negative the padding is doubled, up to
-    ``max_padding`` before :class:`EmbeddingNotPSD` is raised.
+    ``MAX_PADDING`` before :class:`EmbeddingNotPSD` is raised.
     """
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
-    padding = initial_padding
+    padding = INITIAL_PADDING
     while True:
         m = 2 * padding * (n - 1)
         lag = h * np.minimum(np.arange(m), m - np.arange(m))
@@ -188,13 +186,13 @@ def build_embedding(
         symbol = spec.sigma2 * np.exp(-dist / spec.lam)
         eig = np.fft.fftn(symbol).real
         top = max(eig.max(), 0.0)
-        tol = tol_embed * top
+        tol = TOL_EMBED * top
         if eig.min() >= -tol:
             eig = np.clip(eig, 0.0, None)
             return CirculantEmbedding(
                 n=n, h=h, dim=dim, padding=padding, sqrt_eig=np.sqrt(eig)
             )
-        if padding >= max_padding:
+        if padding >= MAX_PADDING:
             raise EmbeddingNotPSD(
                 f"embedding eigenvalue {eig.min():.3e} < -{tol:.3e} "
                 f"at padding {padding}"

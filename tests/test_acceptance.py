@@ -121,7 +121,7 @@ def test_c03_coherence_identity(laplace_small):
         alloc = SampleAllocation(eps=0.05, theta=0.5, n=(12, 6, 2), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 3000 + cycle,
                                  make_set_id(cycle, PURPOSE_OPT))
-        v, rep = run_vcycle(p, v, sets, schedule, verify_coherence=True)
+        v, rep = run_vcycle(p, v, sets, schedule)
         devs = [e["value"] for e in rep.events if e["kind"] == "coherence"]
         assert len(devs) == 2
         worst = max(worst, max(devs))

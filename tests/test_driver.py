@@ -1,3 +1,7 @@
+import contextlib
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,8 @@ from mgmlmc.mlmc import (
     make_set_id,
     predicted_gradient_cost,
 )
-from mgmlmc.random_fields import CovarianceSpec
+from mgmlmc.problems import ControlProblem
+from mgmlmc.random_fields import CovarianceSpec, FieldSampler, RngStream
 
 
 class TestRmseSchedule:
@@ -201,6 +206,102 @@ class TestWarmupReuse:
         warm = warmup * (unit[0] + unit[1] + unit[0])
         assert equivalent_fine_solves(events, 2, kappa) == pytest.approx(
             predicted_gradient_cost(sets, 2, kappa) - warm, rel=1e-12)
+
+
+def _run_fingerprint(u, report):
+    """Everything a run reports except wall times."""
+    rows = [row_to_record(r)[:-1] for r in report.rows]
+    return (u.values.tobytes(), rows, report.status, report.final_J,
+            report.final_g_norm, report.ledger.events)
+
+
+class TestSampleBank:
+    DRIVERS = [robust_optimize, baseline_optimize]
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_cycle_draws_each_field_once(self, laplace_small, monkeypatch,
+                                         driver):
+        # one cycle and an unreachable tau: every draw happens inside the
+        # cycle, whose evaluations revisit the same fixed samples
+        draws = Counter()
+        real = FieldSampler.sample
+
+        def spy(self, stream, level):
+            draws[stream.seed_id] += 1
+            return real(self, stream, level)
+
+        monkeypatch.setattr(FieldSampler, "sample", spy)
+        cfg = OptimizerConfig(tau=1e-9, K=2, i_max=1, global_seed=41,
+                              warmup=6, baseline_max_steps=1)
+        driver(laplace_small, cfg)
+        assert draws and set(draws.values()) == {1}
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_results_equal_unbanked_and_threaded(self, laplace_small,
+                                                 monkeypatch, driver):
+        cfg = OptimizerConfig(tau=2e-3, K=2, eps1=0.1, i_max=8,
+                              global_seed=11, warmup=20)
+        banked = _run_fingerprint(*driver(laplace_small, cfg))
+        threaded = _run_fingerprint(*driver(
+            laplace_small, dataclasses.replace(cfg, workers=2)))
+        with monkeypatch.context() as m:
+            m.setattr(ControlProblem, "sample_bank",
+                      lambda self: contextlib.nullcontext())
+            unbanked = _run_fingerprint(*driver(laplace_small, cfg))
+        assert banked[2] == "converged"
+        assert banked == unbanked
+        assert banked == threaded
+
+    @staticmethod
+    def _assert_no_bank_open(problem):
+        s = RngStream(43, 1, 1, 0)
+        assert problem.field(s, 1) is not problem.field(s, 1)
+        with problem.sample_bank():
+            pass
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_bank_closed_after_driver(self, laplace_small, driver):
+        cfg = OptimizerConfig(tau=1e-9, K=2, i_max=1, global_seed=42,
+                              warmup=4, baseline_max_steps=1)
+        driver(laplace_small, cfg)
+        self._assert_no_bank_open(laplace_small)
+
+    @pytest.mark.parametrize("driver, inner", [
+        (robust_optimize, "run_vcycle"), (baseline_optimize, "ncg_smooth")])
+    def test_bank_closed_after_raising_step(self, laplace_small, monkeypatch,
+                                            driver, inner):
+        import mgmlmc.driver as driver_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("inner optimizer failed")
+
+        monkeypatch.setattr(driver_mod, inner, boom)
+        cfg = OptimizerConfig(tau=1e-9, K=2, i_max=1, global_seed=42,
+                              warmup=4, baseline_max_steps=1)
+        with pytest.raises(RuntimeError, match="inner optimizer failed"):
+            driver(laplace_small, cfg)
+        self._assert_no_bank_open(laplace_small)
+
+    def test_banked_fields_are_read_only_draws(self, laplace_small):
+        p = laplace_small
+        s = RngStream(44, 1, 2, 3)
+        fresh_fine, fresh_coarse = p.field_pair(s, 2)
+        with p.sample_bank():
+            fine, coarse = p.field_pair(s, 2)
+            assert p.field_pair(s, 2) == (fine, coarse)
+            assert p.field(s, 2) is fine and p.field(s, 1) is coarse
+            for f in (fine, coarse):
+                with pytest.raises(ValueError):
+                    f.values[0, 0] = 0.0
+        assert np.array_equal(fine.values, fresh_fine.values)
+        assert np.array_equal(coarse.values, fresh_coarse.values)
+        assert fresh_fine.values.flags.writeable
+
+    def test_banks_do_not_nest(self, laplace_small):
+        with laplace_small.sample_bank():
+            with pytest.raises(RuntimeError):
+                with laplace_small.sample_bank():
+                    pass
 
 
 class TestConfirmationDiscipline:
