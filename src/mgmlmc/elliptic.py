@@ -3,9 +3,11 @@
 The PDE -div(k grad y) = f on the unit square with Dirichlet boundary data
 is discretized by the 5-point variable-coefficient scheme; the coefficient
 at a cell face is the arithmetic mean of the two adjacent node values.
-Systems are SPD.  The control problems solve them by a sparse direct
-factorization; :class:`DiffusionOperator` also offers diagonally
-preconditioned CG.
+Systems are SPD and banded: in the row-major order of the interior nodes
+the only nonzero diagonals are at offsets 0, 1 and m (m interior nodes per
+side).  :class:`DiffusionOperator` factors each one by LAPACK banded
+Cholesky (``dpbtrf``/``dpbtrs`` through ``scipy.linalg``) and checks every
+solve's residual against the assembled sparse matrix.
 
 Two control problems are built on top:
 
@@ -26,8 +28,8 @@ import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LevelMismatch, LinearSolveFailure
 from .grids import GAMMA, INTERIOR, GridHierarchy, LevelVector
@@ -36,6 +38,8 @@ from .random_fields import Box, CovarianceSpec, FieldSample, RngStream
 
 INTERIOR_SOURCE = "interior_source"
 GAMMA_DIRICHLET = "gamma_dirichlet"
+
+RESIDUAL_TOL = 1e-9  # relative residual every solve must reach
 
 
 @dataclass(frozen=True)
@@ -91,21 +95,17 @@ class DiffusionOperator:
 
     The matrix acts on flattened interior values (row-major over the
     (x1, x2) interior grid).  It is symmetric positive definite; ``solve``
-    therefore serves for both the forward and the adjoint equation.
+    therefore serves for both the forward and the adjoint equation.  The
+    first ``solve`` factors the operator by banded Cholesky; later solves
+    reuse the factor.
     """
 
-    def __init__(self, k: np.ndarray, h: float, *,
-                 method: str = "direct",
-                 lin_tol: float = 1e-10,
-                 max_iter: int = 20000):
+    def __init__(self, k: np.ndarray, h: float):
         n = k.shape[0]
         if k.ndim != 2 or k.shape[1] != n:
             raise ValueError("field must be a square full-node array")
         self.m = n - 2
         self.h = h
-        self.method = method
-        self.lin_tol = lin_tol
-        self.max_iter = max_iter
         kw, ke, ks, kn = _face_coefficients(k)
         self._ks_bottom = ks[:, 0].copy()
         self._k_gamma = k[1:-1, 0].copy()
@@ -113,41 +113,36 @@ class DiffusionOperator:
         inv_h2 = 1.0 / h**2
         # values in the entry order of _csc_pattern: diagonal, horizontal
         # couplings and their transposes, vertical couplings likewise
+        diag = (kw + ke + ks + kn) * inv_h2
         v_h = -ke[:-1, :].ravel() * inv_h2
-        v_v = -kn[:, :-1].ravel() * inv_h2
-        vals = np.concatenate([(kw + ke + ks + kn).ravel() * inv_h2,
-                               v_h, v_h, v_v, v_v])
+        v_v = -kn[:, :-1] * inv_h2
+        vals = np.concatenate([diag.ravel(), v_h, v_h, v_v.ravel(), v_v.ravel()])
         indices, indptr, perm = _csc_pattern(m)
         self.matrix = sp.csc_matrix((vals[perm], indices, indptr),
                                     shape=(m * m, m * m))
-        self._lu = None
-        self._precond = None
+        # upper band storage with m superdiagonals: ab[m + i - j, j] = A[i, j]
+        band = np.zeros((m + 1, m * m))
+        band[m] = diag.ravel()
+        band[m - 1].reshape(m, m)[:, 1:] = v_v  # offset 1, zero at each j = 0
+        band[0, m:] = v_h                      # offset m
+        self._band = band
+        self._factor = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A y = rhs for interior values shaped (m, m)."""
         b = np.asarray(rhs, dtype=float).ravel()
-        if self.method == "direct":
-            if self._lu is None:
-                self._lu = spla.splu(self.matrix)
-            y = self._lu.solve(b)
-        elif self.method == "cg":
-            if self._precond is None:
-                inv_diag = 1.0 / self.matrix.diagonal()
-                self._precond = spla.LinearOperator(
-                    self.matrix.shape, matvec=lambda x: inv_diag * x
-                )
-            y, info = spla.cg(self.matrix, b, rtol=self.lin_tol, atol=0.0,
-                              maxiter=self.max_iter, M=self._precond)
-            if info != 0:
+        if self._factor is None:
+            try:
+                self._factor = sla.cholesky_banded(
+                    self._band, overwrite_ab=True, check_finite=False)
+            except np.linalg.LinAlgError as exc:
                 raise LinearSolveFailure(
-                    f"CG did not reach rtol={self.lin_tol} in {self.max_iter} iters"
-                )
-        else:
-            raise ValueError(f"unknown solver method '{self.method}'")
+                    f"operator is not positive definite: {exc}") from exc
+        y = sla.cho_solve_banded((self._factor, False), b, check_finite=False)
         nb = np.linalg.norm(b)
         if nb > 0:
             res = np.linalg.norm(self.matrix @ y - b) / nb
-            if res > max(self.lin_tol, 1e-9):
+            if not res <= RESIDUAL_TOL:  # a NaN residual fails too
                 raise LinearSolveFailure(f"relative residual {res:.3e} too large")
         return y.reshape(self.m, self.m)
 

@@ -206,9 +206,12 @@ def sample_gaussian(embedding: CirculantEmbedding, stream: RngStream) -> np.ndar
     xi = rng.standard_normal((2,) + embedding.ext_shape)
     eps = xi[0] + 1j * xi[1]
     m_total = float(np.prod(embedding.ext_shape))
-    y = np.sqrt(m_total) * np.fft.ifftn(embedding.sqrt_eig * eps)
-    sl = (slice(0, embedding.n),) * embedding.dim
-    return np.ascontiguousarray(y.real[sl])
+    # ifftn axis by axis, last axis first as ifftn runs them; each axis is
+    # cut to the grid's n nodes before the next one is transformed
+    y = embedding.sqrt_eig * eps
+    for axis in reversed(range(embedding.dim)):
+        y = np.fft.ifft(y, axis=axis)[(slice(None),) * axis + (slice(0, embedding.n),)]
+    return np.ascontiguousarray((np.sqrt(m_total) * y).real)
 
 
 def lognormal_from_gaussian(

@@ -133,6 +133,18 @@ class TestSampling:
         assert np.all(f.values[:, inside] == 1.0)
         assert not np.all(f.values[:, ~inside] == 1.0)
 
+    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 17), (2, 33)])
+    def test_pruned_inverse_fft_equals_ifftn(self, dim, n):
+        # the axis-by-axis transform cut to the grid must give the same
+        # bits as a full ifftn of the extended grid, cut afterwards
+        emb = build_embedding(n, 1.0 / (n - 1), dim, SPEC)
+        for i in range(6):
+            xi = stream(i).generator().standard_normal((2,) + emb.ext_shape)
+            full = np.sqrt(float(np.prod(emb.ext_shape))) * np.fft.ifftn(
+                emb.sqrt_eig * (xi[0] + 1j * xi[1]))
+            ref = full.real[(slice(0, n),) * dim]
+            assert np.array_equal(sample_gaussian(emb, stream(i)), ref)
+
 
 class TestRestrictField:
     def test_constant(self):
