@@ -139,13 +139,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None, t0=0):
+def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None):
     """Advance ``steps`` steps from y0, checking stability before each.
 
     y0 and k hold one sample or a batch of rows; the check covers the whole
     batch and raises at the first step where any row is unstable.  When
     given, ``states[j + 1]`` and ``predictors[j]`` receive the state after
-    and the predictor of step ``t0 + j``.
+    and the predictor of step ``j``.
     """
     y = y0
     k_term = 2.0 * np.max(k, axis=-1)
@@ -155,8 +155,8 @@ def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None, t0=0):
         denom = float(np.max(np.max(np.abs(y), axis=-1) * dx + k_term))
         if denom > 0.0 and dt > dx**2 / denom:
             raise StabilityViolation(
-                f"dt={dt:.3e} exceeds the stability bound at step {t0 + j}",
-                step=t0 + j,
+                f"dt={dt:.3e} exceeds the stability bound at step {j}",
+                step=j,
             )
         yp = maccormack_predictor(y, k, dt, dx, s)
         y = maccormack_step(y, k, dt, dx, s, yp)
@@ -214,7 +214,6 @@ class BurgersProblemSpec:
     covariance: CovarianceSpec = dataclass_field(
         default_factory=lambda: CovarianceSpec(sigma2=0.1, lam=0.3, scale=1e-3)
     )
-    checkpoint_stride: int = 1
 
 
 class BurgersInitialControl(ControlProblem):
@@ -275,40 +274,6 @@ class BurgersInitialControl(ControlProblem):
         return _march(y0, k, self.dt, self.hierarchy.h(level), self.spec.s,
                       steps, **record)
 
-    def _recorded_march(self, level, y0, k, steps, t0=0):
-        states = np.empty((steps + 1,) + k.shape)
-        states[0] = y0
-        predictors = np.empty((steps,) + k.shape)
-        self._advance(level, y0, k, steps, states=states, predictors=predictors,
-                    t0=t0)
-        return states, predictors
-
-    def _forward_sweep(self, level, y0, k):
-        """Final states and the (states, predictors) blocks of the march,
-        last block first, for the reverse sweep.
-
-        With ``checkpoint_stride`` > 1 the forward pass keeps only every
-        stride-th state, and each block is marched again from its anchor
-        when the reverse sweep reaches it.
-        """
-        nsteps = self.nt - 1
-        stride = self.spec.checkpoint_stride
-        if stride <= 1:
-            states, predictors = self._recorded_march(level, y0, k, nsteps)
-            return states[-1], [(states, predictors)]
-        starts = range(0, nsteps, stride)
-        anchors = {0: y0}
-        for start in starts:
-            count = min(stride, nsteps - start)
-            anchors[start + count] = self._advance(level, anchors[start], k, count,
-                                                 t0=start)
-        blocks = (
-            self._recorded_march(level, anchors[start], k,
-                                 min(stride, nsteps - start), t0=start)
-            for start in reversed(starts)
-        )
-        return anchors[nsteps], blocks
-
     def _costs(self, u, final):
         """Per-sample tracking costs and final-time residuals of a batch."""
         r = final[:, 1:-1] - self.target(u.level).values
@@ -323,25 +288,27 @@ class BurgersInitialControl(ControlProblem):
 
     def tracking_cost_grad_batch(self, u, fields):
         nsteps = self.nt - 1
-        stride = self.spec.checkpoint_stride
-        # stored states per sample: the whole march, or the anchors plus two
-        # blocks (the one being swept while the next is re-marched)
-        rows = 2 * nsteps + 1 if stride <= 1 else nsteps // stride + 4 * stride + 4
         out = []
-        for y0, k in self._chunks(u, fields, rows):
+        # stored rows per sample: every state and every predictor
+        for y0, k in self._chunks(u, fields, rows=2 * nsteps + 1):
             out += self._cost_grad_chunk(u, y0, k)
         return out
 
     def _cost_grad_chunk(self, u, y0, k):
-        final, blocks = self._forward_sweep(u.level, y0, k)
-        costs, r = self._costs(u, final)
+        """Forward march storing states and predictors, then the reverse
+        sweep of the discrete adjoint."""
+        nsteps = self.nt - 1
+        states = np.empty((nsteps + 1,) + k.shape)
+        states[0] = y0
+        predictors = np.empty((nsteps,) + k.shape)
+        self._advance(u.level, y0, k, nsteps, states=states, predictors=predictors)
+        costs, r = self._costs(u, states[-1])
         w = np.zeros(k.shape)
         w[:, 1:-1] = r
         dx = self.hierarchy.h(u.level)
-        for states, predictors in blocks:
-            for j in range(len(predictors) - 1, -1, -1):
-                w = maccormack_step_adjoint(states[j], predictors[j], w, k,
-                                            self.dt, dx, self.spec.s)
+        for j in range(nsteps - 1, -1, -1):
+            w = maccormack_step_adjoint(states[j], predictors[j], w, k,
+                                        self.dt, dx, self.spec.s)
         return [(jt, u.with_values(row[1:-1])) for jt, row in zip(costs, w)]
 
     def state_batch(self, u, fields):

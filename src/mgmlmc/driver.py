@@ -51,7 +51,7 @@ from .mlmc import (
     mlmc_gradient,
     optimal_allocation,
     refresh_level_stats,
-    sample_states,
+    state_moments,
 )
 from .problems import ControlProblem
 from .random_fields import RngStream
@@ -222,7 +222,7 @@ def _confirmation(problem, v, stats, config, cycle, ledger):
         make_set_id(cycle, PURPOSE_CONFIRM),
     )
     return mlmc_gradient(problem, v, sets, config.K, ledger=ledger,
-                         eps_used=config.r * config.tau, workers=config.workers)
+                         workers=config.workers)
 
 
 def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
@@ -338,21 +338,8 @@ def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,
     """Plain-MC mean and variance of the state at the control's level.
 
     Fresh streams, disjoint from every optimization set; the variance is the
-    unbiased per-node sample variance.
+    unbiased per-node sample variance, zero where every sample agrees.
     """
     set_id = make_set_id(cycle, PURPOSE_STATE)
     streams = [RngStream(global_seed, set_id, u.level, i) for i in range(n_samples)]
-    total = None
-    total_sq = None
-    for state in sample_states(problem, u, streams, workers=workers):
-        if total is None:
-            total = np.zeros_like(state)
-            total_sq = np.zeros_like(state)
-        total += state
-        total_sq += state * state
-    mean = total / n_samples
-    if n_samples >= 2:
-        var = np.clip((total_sq - n_samples * mean**2) / (n_samples - 1), 0.0, None)
-    else:
-        var = np.zeros_like(mean)
-    return mean, var
+    return state_moments(problem, u, streams, workers=workers)

@@ -45,6 +45,12 @@ from .problems import ControlProblem
 # restricted fine one that the V-cycle accepts (the coherence identity).
 COHERENCE_TOL = 1e-10
 
+# Line searches: Armijo sufficient-decrease constant, the step divisor of
+# the smoother's backtracking, and the most backtracks before giving up.
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 4.0
+MAX_BACKTRACKS = 30
+
 
 @dataclass(frozen=True)
 class SmoothingSchedule:
@@ -151,8 +157,7 @@ class SmootherResult:
 
 def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
                initial=None, gradient_tol: float = 0.0,
-               armijo_c: float = 1e-4, backtrack_factor: float = 4.0,
-               max_backtracks: int = 30, explicit_gradients: bool = True,
+               explicit_gradients: bool = True,
                record_iterates: bool = False) -> SmootherResult:
     """Run NCG steps on the level objective from v.
 
@@ -213,11 +218,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
                 g = (1.0 - s) * g + s * gt
                 J = J + s * gd + 0.5 * s * s * curv
         else:
-            v, J, g, used = _nonquadratic_step(
-                objective, v, J, g, d, gd,
-                armijo_c=armijo_c, backtrack_factor=backtrack_factor,
-                max_backtracks=max_backtracks,
-            )
+            v, J, g, used = _nonquadratic_step(objective, v, J, g, d, gd)
             evals += used
         steps_taken += 1
         if record_iterates:
@@ -225,8 +226,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     return SmootherResult(v, J, g, J0, g0, evals, iterates, steps_taken)
 
 
-def _nonquadratic_step(objective, v, J, g, d, gd, *, armijo_c,
-                       backtrack_factor, max_backtracks):
+def _nonquadratic_step(objective, v, J, g, d, gd):
     """Quadratic-model trial step with stability-capped Armijo fallback."""
 
     def try_full(point):
@@ -253,33 +253,32 @@ def _nonquadratic_step(objective, v, J, g, d, gd, *, armijo_c,
             s_star = -gd / curv
             if 0.0 < s_star <= cap:
                 if abs(s_star - sigma0) <= 1e-12 * sigma0:
-                    if Jt <= J + armijo_c * sigma0 * gd:
+                    if Jt <= J + ARMIJO_C * sigma0 * gd:
                         return v + sigma0 * d, Jt, gt, used
                 else:
                     trial = try_full(v + s_star * d)
                     used += 1
-                    if trial is not None and trial[0] <= J + armijo_c * s_star * gd:
+                    if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
                         return v + s_star * d, trial[0], trial[1], used
-        if Jt <= J + armijo_c * sigma0 * gd:
+        if Jt <= J + ARMIJO_C * sigma0 * gd:
             return v + sigma0 * d, Jt, gt, used
 
-    s = sigma0 / backtrack_factor
-    for _ in range(max_backtracks):
+    s = sigma0 / BACKTRACK_FACTOR
+    for _ in range(MAX_BACKTRACKS):
         Jb = try_cost(v + s * d)
         used += 0.5
-        if Jb is not None and Jb <= J + armijo_c * s * gd:
+        if Jb is not None and Jb <= J + ARMIJO_C * s * gd:
             Jn, gn = objective.evaluate(v + s * d)
             used += 1
             return v + s * d, Jn, gn, used
-        s /= backtrack_factor
+        s /= BACKTRACK_FACTOR
     raise LineSearchFailure(
-        f"no Armijo step after {max_backtracks} backtracks (gd={gd:.3e})"
+        f"no Armijo step after {MAX_BACKTRACKS} backtracks (gd={gd:.3e})"
     )
 
 
 def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
-                                 d: LevelVector, J_v: float, g_v: LevelVector,
-                                 *, max_backtracks: int = 30):
+                                 d: LevelVector, J_v: float, g_v: LevelVector):
     """Backtrack from s = 1 until the prolonged correction gives descent.
 
     Returns ``(s, v_new, carried, backtracks)`` where ``carried`` is a
@@ -291,7 +290,7 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
         return 1.0, v, (J_v, g_v), 0
 
     def reject_to_zero():
-        return 0.0, v, (J_v, g_v), max_backtracks
+        return 0.0, v, (J_v, g_v), MAX_BACKTRACKS
 
     try:
         Jt, gt = objective.evaluate(v + d)
@@ -305,7 +304,7 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
         # the sampled problem is exactly quadratic along d
         curv = inner_product(gt - g_v, d)
         s = 0.5
-        for b in range(1, max_backtracks + 1):
+        for b in range(1, MAX_BACKTRACKS + 1):
             Js = J_v + s * gd + 0.5 * s * s * curv
             if Js < J_v:
                 gs = (1.0 - s) * g_v + s * gt
@@ -314,7 +313,7 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
         return reject_to_zero()
 
     s = 0.5
-    for b in range(1, max_backtracks + 1):
+    for b in range(1, MAX_BACKTRACKS + 1):
         try:
             Js = objective.cost(v + s * d)
         except StabilityViolation:

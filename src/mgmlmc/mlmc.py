@@ -25,6 +25,12 @@ control, many fields), warm-up results cached for the same control are
 reused, and with ``workers > 1`` contiguous chunks of streams run on a
 thread pool.  Running sums are still accumulated sample by sample in stream
 order, so the estimates do not depend on batch size or ``workers``.
+
+Every per-level reduction (gradient, warm-up statistics, state moments)
+goes through one accumulator.  Means come from plain running sums; V_l
+and the state variance come from running sums of the samples shifted by
+the level's first sample, so no sample is stored and the variance is
+exactly zero where all samples agree.
 """
 
 from __future__ import annotations
@@ -82,25 +88,29 @@ class SolveLedger:
         return out
 
 
-def equivalent_fine_solves(events, finest_level: int, kappa: float,
-                           cost_per_level=None) -> float:
+def _charge_pairs(ledger: SolveLedger | None, level: int, n: int,
+                  weight: float) -> None:
+    """Charge n coupled samples of a level: each solves at the level and,
+    for level >= 1, at level - 1."""
+    if ledger is not None:
+        ledger.add(level, n, weight)
+        if level > 0:
+            ledger.add(level - 1, n, weight)
+
+
+def equivalent_fine_solves(events, finest_level: int, kappa: float) -> float:
     """Total cost in units of one finest-level sample evaluation.
 
     ``events`` is a :class:`SolveLedger` or an iterable of
-    ``(level, n[, weight])`` tuples.  By default a level-l sample costs
-    ``2**(kappa*(l - L))`` fine-solve units; passing measured per-level
-    costs overrides the model.
+    ``(level, n[, weight])`` tuples.  A level-l sample costs
+    ``2**(kappa*(l - L))`` fine-solve units.
     """
     if isinstance(events, SolveLedger):
         events = events.events
     total = 0.0
     for ev in events:
         level, n, weight = ev if len(ev) == 3 else (*ev, 1.0)
-        if cost_per_level is not None:
-            unit = cost_per_level[level] / cost_per_level[finest_level]
-        else:
-            unit = 2.0 ** (kappa * (level - finest_level))
-        total += weight * n * unit
+        total += weight * n * 2.0 ** (kappa * (level - finest_level))
     return total
 
 
@@ -291,15 +301,80 @@ def _evaluate_level(evaluate, streams, workers: int, cached=None):
         yield cached[i] if i in cached else next(fresh)
 
 
-def sample_states(problem: ControlProblem, u: LevelVector, streams, *,
+class _LevelSums:
+    """Running sums of one level's samples, added in stream order.
+
+    ``sum_y`` and ``sum_jt`` are plain sums of the samples and of their
+    tracking-cost differences, so means do not depend on how the variance
+    is formed.  The variance uses the sums of ``y - y_first``: no sample is
+    stored, the shift keeps ``sum d^2 - (sum d)^2 / n`` from cancelling
+    when the spread is small against the mean, and nodes where every
+    sample agrees get exactly zero.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.sum_jt = 0.0
+        self.sum_y = None
+        self._first = self._sum_d = self._sum_d2 = None
+
+    def add(self, y: np.ndarray, jt: float = 0.0) -> None:
+        if self.n == 0:
+            self._first = y.copy()
+            self.sum_y = np.zeros_like(y)
+            self._sum_d = np.zeros_like(y)
+            self._sum_d2 = np.zeros_like(y)
+        self.sum_y += y
+        d = y - self._first
+        self._sum_d += d
+        d *= d
+        self._sum_d2 += d
+        self.sum_jt += jt
+        self.n += 1
+
+    def mean(self) -> np.ndarray:
+        return self.sum_y / self.n
+
+    def var(self) -> np.ndarray:
+        """Unbiased per-node sample variance; zero below two samples."""
+        n = self.n
+        if n < 2:
+            return np.zeros_like(self.sum_y)
+        return np.maximum((self._sum_d2 - self._sum_d**2 / n) / (n - 1), 0.0)
+
+    def level_variance(self, h: float) -> float:
+        """V_l: the per-node variance integrated with weight h**dim; NaN
+        below two samples, where no variance is measurable."""
+        if self.n < 2:
+            return np.nan
+        return h ** self.sum_y.ndim * float(np.sum(self.var()))
+
+
+def _telescope(problem: ControlProblem, u: LevelVector, parts):
+    """Gradient and matched cost at u from per-level ``(sum_y, sum_jt, n)``,
+    levels 0..level(u) in order: the level means are prolonged and added
+    up the hierarchy, then the regularization is added once."""
+    hier = problem.hierarchy
+    acc = None
+    cost_track = 0.0
+    for level, (sum_y, sum_jt, n) in enumerate(parts):
+        mv = hier.vector(level, sum_y / n, problem.control_role)
+        cost_track += sum_jt / n
+        acc = mv if acc is None else hier.prolong(acc) + mv
+    return acc + problem.alpha * u, cost_track + problem.regularization(u)
+
+
+def state_moments(problem: ControlProblem, u: LevelVector, streams, *,
                   workers: int = 1):
-    """Full-grid states at control u, one per stream's field on u's level,
-    yielded in stream order."""
-    return _evaluate_level(
-        lambda chunk: problem.state_batch(
-            u, (problem.field(s, u.level) for s in chunk)),
-        streams, workers,
-    )
+    """Per-node mean and unbiased variance of the full-grid states at
+    control u, one per stream's field on u's level."""
+    sums = _LevelSums()
+    for state in _evaluate_level(
+            lambda chunk: problem.state_batch(
+                u, (problem.field(s, u.level) for s in chunk)),
+            streams, workers):
+        sums.add(state)
+    return sums.mean(), sums.var()
 
 
 @dataclass(frozen=True)
@@ -309,8 +384,6 @@ class GradientEstimate:
     value: LevelVector
     cost_value: float
     stats: LevelStats
-    eps_used: float | None
-    set_ids: tuple
     prefix: dict | None = None
 
     @property
@@ -325,7 +398,6 @@ class GradientEstimate:
 def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
                   sets: MgoptSampleSets, k: int, *,
                   ledger: SolveLedger | None = None,
-                  eps_used: float | None = None,
                   prefix_counts: tuple | None = None,
                   sample_cache: dict | None = None,
                   workers: int = 1) -> GradientEstimate:
@@ -348,64 +420,41 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
     if prefix_counts is not None and len(prefix_counts) < k:
         raise LevelMismatch("prefix_counts must cover levels 0..k-1")
 
-    acc = None
-    cost_track = 0.0
-    v_hat, counts, mean_norms = [], [], []
+    level_sums = []
     prefix_data: dict = {}
     for level in range(k + 1):
         streams = sets.streams(k, level)
         n = len(streams)
-        if prefix_counts is not None and level < k and prefix_counts[level] > n:
+        snap = prefix_counts[level] if prefix_counts is not None and level < k else None
+        if snap is not None and snap > n:
             raise LevelMismatch("prefix counts exceed available samples")
 
         cached = {i: sample_cache[(level, i)] for i in range(n)
                   if sample_cache is not None and (level, i) in sample_cache}
-        hits = len(cached)
-        results = _evaluate_level(
-            lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
-            streams, workers, cached,
-        )
-        sum_y = np.zeros(hier.shape(level, problem.control_role))
-        sum_sq = np.zeros_like(sum_y)
-        sum_jt = 0.0
-        for i, (jt, yv) in enumerate(results):
-            sum_y += yv
-            sum_sq += yv * yv
-            sum_jt += jt
-            if (prefix_counts is not None and level < k
-                    and i + 1 == prefix_counts[level]):
-                prefix_data[level] = (sum_y.copy(), sum_jt)
-        mean_y = sum_y / n
-        cost_track += sum_jt / n
-        weight = hier.h(level) ** mean_y.ndim
-        if n >= 2:
-            pointwise_var = (sum_sq - n * mean_y**2) / (n - 1)
-            v_hat.append(weight * float(np.sum(np.clip(pointwise_var, 0.0, None))))
-        else:
-            v_hat.append(np.nan)
-        counts.append(n)
-        mv = hier.vector(level, mean_y, problem.control_role)
-        mean_norms.append(norm(mv))
-        acc = mv if acc is None else hier.prolong(acc) + mv
-        if ledger is not None:
-            ledger.add(level, n - hits, 1.0)
-            if level > 0:
-                ledger.add(level - 1, n - hits, 1.0)
+        sums = _LevelSums()
+        for jt, yv in _evaluate_level(
+                lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
+                streams, workers, cached):
+            sums.add(yv, jt)
+            if sums.n == snap:
+                prefix_data[level] = (sums.sum_y.copy(), sums.sum_jt)
+        level_sums.append(sums)
+        _charge_pairs(ledger, level, n - len(cached), 1.0)
 
-    grad = acc + problem.alpha * u_k
-    cost = cost_track + problem.regularization(u_k)
+    grad, cost = _telescope(problem, u_k,
+                            [(s.sum_y, s.sum_jt, s.n) for s in level_sums])
     kappa = problem.kappa_default
     stats = LevelStats(
         levels=tuple(range(k + 1)),
-        V=np.asarray(v_hat),
+        V=np.asarray([s.level_variance(hier.h(l)) for l, s in enumerate(level_sums)]),
         C=2.0 ** (kappa * np.arange(k + 1)),
-        n_used=np.asarray(counts),
-        mean_norms=np.asarray(mean_norms),
+        n_used=np.asarray([s.n for s in level_sums]),
+        mean_norms=np.asarray([norm(hier.vector(l, s.mean(), problem.control_role))
+                               for l, s in enumerate(level_sums)]),
         kappa=kappa,
     )
     return GradientEstimate(
-        value=grad, cost_value=cost, stats=stats, eps_used=eps_used,
-        set_ids=(sets.global_seed, sets._effective_set_id(k)),
+        value=grad, cost_value=cost, stats=stats,
         prefix=prefix_data if prefix_counts is not None else None,
     )
 
@@ -424,21 +473,11 @@ def subestimate_from_prefix(problem: ControlProblem, estimate: GradientEstimate,
         raise LevelMismatch("the level-k estimate kept no prefix sums")
     if u_km1.level != k_minus_1:
         raise LevelMismatch("restricted control has the wrong level")
-    hier = problem.hierarchy
-    acc = None
-    cost_track = 0.0
-    for level in range(k_minus_1 + 1):
-        n = sets.count(k_minus_1, level)
-        sum_y, sum_jt = estimate.prefix[level]
-        mv = hier.vector(level, sum_y / n, problem.control_role)
-        cost_track += sum_jt / n
-        acc = mv if acc is None else hier.prolong(acc) + mv
-    grad = acc + problem.alpha * u_km1
-    cost = cost_track + problem.regularization(u_km1)
-    return GradientEstimate(
-        value=grad, cost_value=cost, stats=estimate.stats,
-        eps_used=estimate.eps_used, set_ids=estimate.set_ids,
-    )
+    grad, cost = _telescope(problem, u_km1, [
+        (*estimate.prefix[level], sets.count(k_minus_1, level))
+        for level in range(k_minus_1 + 1)
+    ])
+    return GradientEstimate(value=grad, cost_value=cost, stats=estimate.stats)
 
 
 def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
@@ -456,10 +495,7 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
             streams, workers,
         )
         total += sum(results) / len(streams)
-        if ledger is not None:
-            ledger.add(level, len(streams), 0.5)
-            if level > 0:
-                ledger.add(level - 1, len(streams), 0.5)
+        _charge_pairs(ledger, level, len(streams), 0.5)
     return total + problem.regularization(u_k)
 
 
@@ -512,23 +548,17 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     for level in measured:
         streams = [RngStream(global_seed, set_id, level, i)
                    for i in range(warmup_n)]
-        results = list(_evaluate_level(
-            lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
-            streams, workers,
-        ))
-        if collect is not None:
-            for i, res in enumerate(results):
-                collect[(level, i)] = res
-        ys = np.stack([yv for _, yv in results])
-        weight = hier.h(level) ** (ys.ndim - 1)
-        V[level] = weight * float(np.sum(np.var(ys, axis=0, ddof=1)))
-        mean_vec = hier.vector(level, ys.mean(axis=0), problem.control_role)
-        mean_norms[level] = norm(mean_vec)
+        sums = _LevelSums()
+        for i, (jt, yv) in enumerate(_evaluate_level(
+                lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
+                streams, workers)):
+            sums.add(yv, jt)
+            if collect is not None:
+                collect[(level, i)] = (jt, yv)
+        V[level] = sums.level_variance(hier.h(level))
+        mean_norms[level] = norm(hier.vector(level, sums.mean(), problem.control_role))
         n_used[level] = warmup_n
-        if ledger is not None:
-            ledger.add(level, warmup_n, 1.0)
-            if level > 0:
-                ledger.add(level - 1, warmup_n, 1.0)
+        _charge_pairs(ledger, level, warmup_n, 1.0)
 
     fit_levels = [l for l in measured if l >= 1]
     slope = _fit_log2_decay(fit_levels, V[fit_levels]) if len(fit_levels) >= 2 else None

@@ -233,19 +233,6 @@ class TestAdjoint:
         resid = g(u1 + u2) - g(u1) - g(u2) + g(zero)
         assert norm(resid) <= 1e-10
 
-    def test_checkpointed_gradient_matches_full_storage(self):
-        hier = GridHierarchy(dim=1, n0=17, levels=2)
-        p_full = BurgersInitialControl(hier, BurgersProblemSpec(nt=101))
-        p_ckpt = BurgersInitialControl(
-            hier, BurgersProblemSpec(nt=101, checkpoint_stride=13))
-        u = p_full.control_from_function(1, lambda x: 0.2 * np.sin(np.pi * x))
-        s = RngStream(21, 3, 1, 0)
-        f = p_full.field(s, 1)
-        jt1, q1 = p_full.tracking_cost_grad(u, f)
-        jt2, q2 = p_ckpt.tracking_cost_grad(u, f)
-        assert jt1 == pytest.approx(jt2, rel=1e-14)
-        assert np.array_equal(q1.values, q2.values)
-
 
 def per_sample_reference(p, u, field):
     """One sample marched alone, the reverse sweep recomputing each

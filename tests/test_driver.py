@@ -333,6 +333,21 @@ class TestStateStatistics:
         assert np.all(var <= 1e-28)
         assert mean.shape == (17, 17)
 
+    @pytest.mark.parametrize("fixture, agreed", [
+        ("burgers_small", lambda var: var[0]),     # t = 0: the initial control
+        ("dtn_small", lambda var: var[:, 0]),      # Gamma: the boundary control
+    ], ids=["burgers-t0", "dtn-gamma"])
+    def test_variance_exactly_zero_where_samples_agree(self, request, fixture,
+                                                        agreed):
+        # every sample holds the control there: the variance must be 0, not
+        # the round-off of a cancelling one-pass formula
+        p = request.getfixturevalue(fixture)
+        u = p.zero_control(1)
+        u = u.with_values(0.2 * np.sin(np.linspace(1.0, 3.0, u.values.size)))
+        mean, var = state_statistics(p, u, 16, global_seed=23)
+        assert np.all(agreed(var) == 0.0)
+        assert var.max() > 0.0
+
     def test_stochastic_variance_positive(self, laplace_small):
         u = laplace_small.control_from_function(
             2, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))

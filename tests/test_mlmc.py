@@ -9,6 +9,7 @@ from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
     LevelStats,
+    MgoptSampleSets,
     RngStream,
     SampleAllocation,
     SolveLedger,
@@ -154,11 +155,6 @@ class TestEquivalentFineSolves:
         # kappa = 2: one sample each at K and K-1 costs 1 + 1/4
         assert equivalent_fine_solves([(2, 1), (1, 1)], 2, 2.0) == pytest.approx(1.25)
 
-    def test_measured_costs_override(self):
-        got = equivalent_fine_solves([(0, 2), (1, 1)], 1, 2.0,
-                                     cost_per_level=[3.0, 12.0])
-        assert got == pytest.approx(2 * 0.25 + 1.0)
-
     def test_reference_vcycle_magnitude(self):
         # counts from a published 5-level run: a V-cycle at q = 1/16 with two
         # evaluations per smoothing step lands near 132 equivalent solves
@@ -186,6 +182,21 @@ class TestLevelStats:
             extrapolate_finest=0)
         # identical samples: variance at the floating-point noise floor
         assert np.all(stats.V <= 1e-30)
+
+    def test_warmup_and_gradient_variance_agree_bitwise(self, laplace_small):
+        # both estimators reduce a level the same way: over the same streams
+        # and control the warm-up V equals the gradient estimate's V exactly
+        p = laplace_small
+        u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 6, 6), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 13, 4)
+        est = mlmc_gradient(p, u, sets, 2)
+        stats = estimate_level_stats(
+            p, u, 6, range(3), global_seed=13,
+            set_id=MgoptSampleSets.stream_set_id(4, True, 2),
+            extrapolate_finest=0)
+        assert np.array_equal(stats.V, est.stats.V)
+        assert np.array_equal(stats.mean_norms, est.stats.mean_norms)
 
     def test_insufficient_samples(self, laplace_small):
         with pytest.raises(InsufficientSamples):
