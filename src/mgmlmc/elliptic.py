@@ -6,8 +6,9 @@ at a cell face is the arithmetic mean of the two adjacent node values.
 Systems are SPD and banded: in the row-major order of the interior nodes
 the only nonzero diagonals are at offsets 0, 1 and m (m interior nodes per
 side).  :class:`DiffusionOperator` factors each one by LAPACK banded
-Cholesky (``dpbtrf``/``dpbtrs`` through ``scipy.linalg``) and checks every
-solve's residual against the assembled sparse matrix.
+Cholesky (``dpbtrf``/``dpbtrs`` from ``scipy.linalg.lapack``) and checks
+every solve's residual against the 5-point stencil applied from the face
+coefficients, independently of the band storage.
 
 Two control problems are built on top:
 
@@ -24,12 +25,10 @@ finite differences of the per-sample cost reproduce them to solver accuracy.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import LevelMismatch, LinearSolveFailure
 from .grids import GAMMA, INTERIOR, GridHierarchy, LevelVector
@@ -64,36 +63,10 @@ def _face_coefficients(k: np.ndarray):
     return kw, ke, ks, kn
 
 
-@functools.lru_cache(maxsize=None)
-def _csc_pattern(m: int):
-    """CSC ``indices``, ``indptr`` and the permutation taking the operator's
-    entries, listed as in :class:`DiffusionOperator`, to CSC order, for an
-    m x m interior grid.
-
-    Entries follow the order diagonal, (i, i+1) horizontal couplings and
-    their transposes, then the vertical ones; no entry repeats, so
-    ``csc_matrix((vals[perm], indices, indptr))`` equals the matrix built
-    from the triplets bit for bit.  One pattern per grid size is kept.
-    """
-    idx = np.arange(m * m).reshape(m, m)
-    r_h, c_h = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    r_v, c_v = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    rows = np.concatenate([idx.ravel(), r_h, c_h, r_v, c_v])
-    cols = np.concatenate([idx.ravel(), c_h, r_h, c_v, r_v])
-    order = sp.csc_matrix(
-        (np.arange(1, rows.size + 1, dtype=float), (rows, cols)),
-        shape=(m * m, m * m),
-    )
-    perm = order.data.astype(np.intp) - 1
-    for a in (order.indices, order.indptr, perm):
-        a.flags.writeable = False
-    return order.indices, order.indptr, perm
-
-
 class DiffusionOperator:
-    """Assembled 5-point operator for one field realization.
+    """Banded 5-point operator for one field realization.
 
-    The matrix acts on flattened interior values (row-major over the
+    The operator acts on flattened interior values (row-major over the
     (x1, x2) interior grid).  It is symmetric positive definite; ``solve``
     therefore serves for both the forward and the adjoint equation.  The
     first ``solve`` factors the operator by banded Cholesky; later solves
@@ -106,45 +79,54 @@ class DiffusionOperator:
             raise ValueError("field must be a square full-node array")
         self.m = n - 2
         self.h = h
-        kw, ke, ks, kn = _face_coefficients(k)
+        self._faces = kw, ke, ks, kn = _face_coefficients(k)
         self._ks_bottom = ks[:, 0].copy()
         self._k_gamma = k[1:-1, 0].copy()
         m = self.m
         inv_h2 = 1.0 / h**2
-        # values in the entry order of _csc_pattern: diagonal, horizontal
-        # couplings and their transposes, vertical couplings likewise
-        diag = (kw + ke + ks + kn) * inv_h2
-        v_h = -ke[:-1, :].ravel() * inv_h2
-        v_v = -kn[:, :-1] * inv_h2
-        vals = np.concatenate([diag.ravel(), v_h, v_h, v_v.ravel(), v_v.ravel()])
-        indices, indptr, perm = _csc_pattern(m)
-        self.matrix = sp.csc_matrix((vals[perm], indices, indptr),
-                                    shape=(m * m, m * m))
-        # upper band storage with m superdiagonals: ab[m + i - j, j] = A[i, j]
-        band = np.zeros((m + 1, m * m))
-        band[m] = diag.ravel()
-        band[m - 1].reshape(m, m)[:, 1:] = v_v  # offset 1, zero at each j = 0
-        band[0, m:] = v_h                      # offset m
-        self._band = band
+        # upper band storage with m superdiagonals, ab[m + r - c, c] = A[r, c],
+        # in Fortran order so that dpbtrf factors it in place; it is filled
+        # through its (i, j, band row) view, column c = i * m + j
+        ab = np.zeros((m, m, m + 1))
+        ab[:, :, m] = (kw + ke + ks + kn) * inv_h2
+        ab[:, 1:, m - 1] = -kn[:, :-1] * inv_h2  # offset 1, zero at each j = 0
+        ab[1:, :, 0] = -ke[:-1, :] * inv_h2      # offset m
+        self._band = ab.reshape(m * m, m + 1).T
         self._factor = None
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """A y for interior values shaped (m, m), by the 5-point stencil.
+
+        It reads the face coefficients, not the band, so a solve whose
+        band storage is wrong fails the residual check.
+        """
+        kw, ke, ks, kn = self._faces
+        ay = (kw + ke + ks + kn) * y
+        ay[1:, :] -= kw[1:, :] * y[:-1, :]
+        ay[:-1, :] -= ke[:-1, :] * y[1:, :]
+        ay[:, 1:] -= ks[:, 1:] * y[:, :-1]
+        ay[:, :-1] -= kn[:, :-1] * y[:, 1:]
+        ay /= self.h**2
+        return ay
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A y = rhs for interior values shaped (m, m)."""
         b = np.asarray(rhs, dtype=float).ravel()
         if self._factor is None:
-            try:
-                self._factor = sla.cholesky_banded(
-                    self._band, overwrite_ab=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
+            factor, info = lapack.dpbtrf(self._band, lower=0, overwrite_ab=1)
+            if info != 0:
                 raise LinearSolveFailure(
-                    f"operator is not positive definite: {exc}") from exc
-        y = sla.cho_solve_banded((self._factor, False), b, check_finite=False)
+                    f"operator is not positive definite (dpbtrf info {info})")
+            self._factor = factor
+        # dpbtrs reports only illegal arguments; the residual check below
+        # catches any solve that went wrong
+        y = lapack.dpbtrs(self._factor, b, lower=0)[0].reshape(self.m, self.m)
         nb = np.linalg.norm(b)
         if nb > 0:
-            res = np.linalg.norm(self.matrix @ y - b) / nb
+            res = np.linalg.norm(self.apply(y).ravel() - b) / nb
             if not res <= RESIDUAL_TOL:  # a NaN residual fails too
                 raise LinearSolveFailure(f"relative residual {res:.3e} too large")
-        return y.reshape(self.m, self.m)
+        return y
 
     # -- boundary lift for Dirichlet data on Gamma (bottom edge) -------------
 

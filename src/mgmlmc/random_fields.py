@@ -204,19 +204,22 @@ def sample_gaussian(embedding: CirculantEmbedding, stream: RngStream) -> np.ndar
     """Draw one mean-zero Gaussian field on the embedding's grid nodes."""
     rng = stream.generator()
     xi = rng.standard_normal((2,) + embedding.ext_shape)
-    eps = xi[0] + 1j * xi[1]
     m_total = float(np.prod(embedding.ext_shape))
+    # y = sqrt_eig * (xi[0] + i xi[1]), written part by part into one
+    # complex array: sqrt_eig is real, so each part is the real product a
+    # complex multiply would form, bit for bit
+    y = np.empty(embedding.ext_shape, dtype=complex)
+    np.multiply(embedding.sqrt_eig, xi[0], out=y.real)
+    np.multiply(embedding.sqrt_eig, xi[1], out=y.imag)
     # ifftn axis by axis, last axis first as ifftn runs them; each axis is
     # cut to the grid's n nodes before the next one is transformed
-    y = embedding.sqrt_eig * eps
     for axis in reversed(range(embedding.dim)):
         y = np.fft.ifft(y, axis=axis)[(slice(None),) * axis + (slice(0, embedding.n),)]
-    return np.ascontiguousarray((np.sqrt(m_total) * y).real)
+    # only the real part is scaled; the product is a new contiguous array
+    return np.multiply(y.real, np.sqrt(m_total))
 
 
-def lognormal_from_gaussian(
-    z: np.ndarray, spec: CovarianceSpec, h: float
-) -> np.ndarray:
+def lognormal_from_gaussian(z: np.ndarray, spec: CovarianceSpec) -> np.ndarray:
     """Map a Gaussian field to scale * exp(z) and apply the region override."""
     k = spec.scale * np.exp(z)
     if spec.region is not None:
@@ -235,7 +238,7 @@ def sample_lognormal(
     z = sample_gaussian(embedding, stream)
     return FieldSample(
         level=level,
-        values=lognormal_from_gaussian(z, spec, embedding.h),
+        values=lognormal_from_gaussian(z, spec),
         seed_id=stream.seed_id,
     )
 
@@ -284,7 +287,7 @@ class FieldSampler:
 
     def _finest_field(self, stream: RngStream) -> np.ndarray:
         z = sample_gaussian(self.embedding, stream)
-        return lognormal_from_gaussian(z, self.spec, self.hierarchy.h(self.hierarchy.finest))
+        return lognormal_from_gaussian(z, self.spec)
 
     def sample(self, stream: RngStream, level: int) -> FieldSample:
         """Lognormal field at ``level``, injected from the finest draw."""

@@ -62,6 +62,25 @@ class TestForwardSolver:
         y_dense = np.linalg.solve(dense_operator(k, h), rhs.ravel())
         assert np.allclose(y.ravel(), y_dense, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    def test_stencil_product_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(1)
+        h = 1.0 / (n - 1)
+        k = np.exp(0.3 * rng.standard_normal((n, n)))
+        y = rng.standard_normal((n - 2, n - 2))
+        ay = DiffusionOperator(k, h).apply(y).ravel()
+        ref = dense_operator(k, h) @ y.ravel()
+        assert np.linalg.norm(ay - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_residual_check_independent_of_band(self):
+        # a wrong band entry factors a different matrix; the stencil the
+        # residual is checked against still holds the right one
+        k = np.exp(0.3 * np.random.default_rng(2).standard_normal((17, 17)))
+        op = DiffusionOperator(k, 1.0 / 16)
+        op._band[op.m, 40] *= 2.0
+        with pytest.raises(LinearSolveFailure):
+            op.solve(np.ones((15, 15)))
+
     def test_zero_rhs(self):
         f = ones_field(0, 9)
         state = solve_diffusion(np.zeros((7, 7)), f, INTERIOR_SOURCE)

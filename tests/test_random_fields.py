@@ -133,7 +133,7 @@ class TestSampling:
         assert np.all(f.values[:, inside] == 1.0)
         assert not np.all(f.values[:, ~inside] == 1.0)
 
-    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 17), (2, 33)])
+    @pytest.mark.parametrize("dim, n", [(1, 33), (1, 65), (2, 17), (2, 33), (2, 65)])
     def test_pruned_inverse_fft_equals_ifftn(self, dim, n):
         # the axis-by-axis transform cut to the grid must give the same
         # bits as a full ifftn of the extended grid, cut afterwards
