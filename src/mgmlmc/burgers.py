@@ -188,17 +188,19 @@ def burgers_target(x: np.ndarray) -> np.ndarray:
     )
 
 
+def diffusion_bound(covariance: CovarianceSpec) -> float:
+    """Bound on the diffusion field: scale * exp(4 sigma), a four-standard-
+    deviation excursion of the log field."""
+    return covariance.scale * np.exp(4.0 * np.sqrt(covariance.sigma2))
+
+
 def suggested_time_steps(hierarchy: GridHierarchy, covariance: CovarianceSpec,
                          T: float = 1.0, *, safety: float = 4.0,
                          y_bound: float = 1.0) -> int:
-    """Time grid points so the finest level is stable with margin ``safety``.
-
-    The diffusion field is bounded by scale * exp(4 sigma), a four-standard-
-    deviation excursion of the log field.
-    """
+    """Time grid points so the finest level is stable with margin ``safety``,
+    for diffusion fields under :func:`diffusion_bound`."""
     dx = hierarchy.h(hierarchy.finest)
-    k_bound = covariance.scale * np.exp(4.0 * np.sqrt(covariance.sigma2))
-    dt_max = dx**2 / (y_bound * dx + 2.0 * k_bound)
+    dt_max = dx**2 / (y_bound * dx + 2.0 * diffusion_bound(covariance))
     return int(np.ceil(T / (dt_max / safety))) + 1
 
 
@@ -230,7 +232,8 @@ class BurgersInitialControl(ControlProblem):
         spec = spec or BurgersProblemSpec()
         super().__init__(hierarchy, spec.alpha, spec.covariance)
         self.spec = spec
-        self.nt = spec.nt or suggested_time_steps(hierarchy, spec.covariance, spec.T)
+        self.nt = (spec.nt if spec.nt is not None
+                   else suggested_time_steps(hierarchy, spec.covariance, spec.T))
         if self.nt < 2:
             raise ValueError("nt must be at least 2")
         self.dt = spec.T / (self.nt - 1)
@@ -323,14 +326,12 @@ class BurgersInitialControl(ControlProblem):
 
     def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:
         """Largest line-search step keeping the initial state inside the
-        stability bound, using a four-sigma bound on the diffusion field."""
+        stability bound for diffusion fields under :func:`diffusion_bound`."""
         dmax = float(np.max(np.abs(d.values)))
         if dmax == 0.0:
             return np.inf
         dx = self.hierarchy.h(u.level)
-        dt = self.spec.T / (self.nt - 1)
-        k_bound = self.covariance.scale * np.exp(4.0 * np.sqrt(self.covariance.sigma2))
-        y_allowed = (dx**2 / dt - 2.0 * k_bound) / dx
+        y_allowed = (dx**2 / self.dt - 2.0 * diffusion_bound(self.covariance)) / dx
         headroom = y_allowed - float(np.max(np.abs(u.values)))
         if headroom <= 0.0:
             return 1e-6

@@ -266,9 +266,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.workers is not None:
-            if args.workers < 1:
-                raise MgmlmcError("--workers must be >= 1")
             cfg.workers = args.workers
+            cfg.validate()
         override = _COMMANDS[args.command]
         if override is not None:
             cfg.mode = override

@@ -1,50 +1,24 @@
-"""Experiment configuration: sectioned key=value files.
+"""Experiment configuration: the INI schema of ``mgmlmc`` runs.
 
-The format is INI-style (parsed by :mod:`configparser`), flat and diffable::
+A config is a flat INI file, parsed by :mod:`configparser`; the README's
+"Command line" section shows one with every key.  ``KEYS`` maps each
+``[section] key`` to the :class:`ExperimentConfig` attribute it sets.  Any
+other key or section is an error, except the retired ``[run]
+deterministic``, which is ignored.
 
-    [experiment]
-    problem = laplace          ; laplace | dtn | burgers
-    mode = mgopt               ; mgopt | baseline | gradcheck | mlmc-report | field-sample
-    output_dir = out
-    global_seed = 42
-
-    [grid]
-    n0 = 17                    ; coarsest nodes per axis (boundary included)
-    K = 2                      ; finest level index; levels run 0..K
-
-    [covariance]               ; optional, problem defaults apply
-    sigma2 = 0.1
-    lambda = 0.3
-    scale = 1.0
-
-    [optimizer]
-    tau = 5e-4
-    eps1 = 0.1
-    r = 0.5
-    i_max = 20
-    q = 0.0625
-    theta = 0.5
-    warmup = 100
-    nested = true
-    alpha = 1e-6
-
-    [burgers]                  ; read only for problem = burgers
-    nt = 201
-
-    [run]
-    workers = 1
-    state_samples = 64
-
-The environment variable ``MGMLMC_SEED`` (or legacy ``MGOPT_SEED``)
-overrides ``global_seed``.  All numeric ranges are validated before any
-solve happens.
+This module holds the schema only.  Omitted settings keep the defaults of
+the objects that use them (:class:`OptimizerConfig`, the problem specs and
+their :class:`CovarianceSpec`), and those objects check the ranges.
+:func:`load_config` builds them once, so all numeric ranges are validated
+before any solve happens.  The environment variable ``MGMLMC_SEED`` (or
+legacy ``MGOPT_SEED``) overrides ``global_seed``.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .burgers import BurgersInitialControl, BurgersProblemSpec
 from .driver import OptimizerConfig
@@ -54,13 +28,17 @@ from .elliptic import (
     LaplaceProblemSpec,
     LaplaceSourceControl,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MgmlmcError
 from .grids import GridHierarchy
-from .random_fields import Box, CovarianceSpec
 
-PROBLEMS = ("laplace", "dtn", "burgers")
+# problem -> (spec, problem class, dimension, default n0)
+_PROBLEMS = {
+    "laplace": (LaplaceProblemSpec, LaplaceSourceControl, 2, 17),
+    "dtn": (DtNProblemSpec, DtNBoundaryControl, 2, 9),
+    "burgers": (BurgersProblemSpec, BurgersInitialControl, 1, 33),
+}
+PROBLEMS = tuple(_PROBLEMS)
 MODES = ("mgopt", "baseline", "gradcheck", "mlmc-report", "field-sample")
-DEFAULT_N0 = {"laplace": 17, "dtn": 9, "burgers": 33}
 
 
 @dataclass
@@ -74,93 +52,93 @@ class ExperimentConfig:
     sigma2: float | None = None
     lam: float | None = None
     scale: float | None = None
-    alpha: float = 1e-6
+    alpha: float | None = None
     tau: float = 5e-4
-    eps1: float = 0.1
-    r: float = 0.5
-    i_max: int = 20
-    q: float = 1.0 / 16.0
-    theta: float = 0.5
-    warmup: int = 100
-    nested: bool = True
-    baseline_max_steps: int = 500
-    baseline_eps1: float | None = None
+    eps1: float = OptimizerConfig.eps1
+    r: float = OptimizerConfig.r
+    i_max: int = OptimizerConfig.i_max
+    q: float = OptimizerConfig.q
+    theta: float = OptimizerConfig.theta
+    warmup: int = OptimizerConfig.warmup
+    nested: bool = OptimizerConfig.nested
+    baseline_max_steps: int = OptimizerConfig.baseline_max_steps
+    baseline_eps1: float | None = OptimizerConfig.baseline_eps1
     nt: int | None = None
-    workers: int = 1
+    workers: int = OptimizerConfig.workers
     state_samples: int = 64
 
     def validate(self) -> "ExperimentConfig":
+        """Check the CLI's own settings, then build the optimizer config
+        and the problem, whose constructors check everything else."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem '{self.problem}'")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode '{self.mode}'")
-        n0 = self.n0 if self.n0 is not None else DEFAULT_N0[self.problem]
-        if n0 < (5 if self.problem == "dtn" else 3):
-            raise ConfigError(f"n0={n0} too coarse for problem '{self.problem}'")
-        if self.K < 0:
-            raise ConfigError("K must be >= 0")
-        for name in ("tau", "eps1", "alpha", "theta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if not 0 < self.r < 1:
-            raise ConfigError("r must be in (0, 1)")
-        if not 0 < self.q < 0.5:
-            raise ConfigError("q must be in (0, 1/2)")
-        if self.i_max < 1 or self.warmup < 2:
-            raise ConfigError("i_max >= 1 and warmup >= 2 required")
-        if self.nt is not None and self.nt < 2:
-            raise ConfigError("nt must be >= 2")
-        if self.workers < 1 or self.state_samples < 2:
-            raise ConfigError("workers >= 1 and state_samples >= 2 required")
-        for name in ("sigma2", "scale", "lam"):
-            v = getattr(self, name)
-            if v is not None and (v < 0 or (name != "sigma2" and v <= 0)):
-                raise ConfigError(f"{name} out of range")
+        if self.state_samples < 2:
+            raise ConfigError("state_samples must be >= 2")
+        try:
+            optimizer_config(self)
+            build_problem(self)
+        except (ValueError, MgmlmcError) as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
-def _get(parser, section, key, cast, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            # configparser's boolean words only; anything else is an error
-            return parser.getboolean(section, key) if cast is bool else cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
+# (section, key) -> (ExperimentConfig attribute, type); configparser
+# lowercases keys, so [grid] K is looked up as "k"
+KEYS = {
+    ("experiment", "problem"): ("problem", str),
+    ("experiment", "mode"): ("mode", str),
+    ("experiment", "output_dir"): ("output_dir", str),
+    ("experiment", "global_seed"): ("global_seed", int),
+    ("grid", "n0"): ("n0", int),
+    ("grid", "k"): ("K", int),
+    ("covariance", "sigma2"): ("sigma2", float),
+    ("covariance", "lambda"): ("lam", float),
+    ("covariance", "scale"): ("scale", float),
+    ("optimizer", "alpha"): ("alpha", float),
+    ("optimizer", "tau"): ("tau", float),
+    ("optimizer", "eps1"): ("eps1", float),
+    ("optimizer", "r"): ("r", float),
+    ("optimizer", "i_max"): ("i_max", int),
+    ("optimizer", "q"): ("q", float),
+    ("optimizer", "theta"): ("theta", float),
+    ("optimizer", "warmup"): ("warmup", int),
+    ("optimizer", "nested"): ("nested", bool),
+    ("optimizer", "baseline_max_steps"): ("baseline_max_steps", int),
+    ("optimizer", "baseline_eps1"): ("baseline_eps1", float),
+    ("burgers", "nt"): ("nt", int),
+    ("run", "workers"): ("workers", int),
+    ("run", "state_samples"): ("state_samples", int),
+}
+RETIRED_KEYS = {("run", "deterministic")}  # accepted and ignored
 
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     cfg = ExperimentConfig()
-    cfg.problem = _get(parser, "experiment", "problem", str, cfg.problem).strip()
-    cfg.mode = _get(parser, "experiment", "mode", str, cfg.mode).strip()
-    cfg.output_dir = _get(parser, "experiment", "output_dir", str, cfg.output_dir).strip()
-    cfg.global_seed = _get(parser, "experiment", "global_seed", int, cfg.global_seed)
-    cfg.n0 = _get(parser, "grid", "n0", int, cfg.n0)
-    cfg.K = _get(parser, "grid", "K", int, cfg.K)
-    cfg.sigma2 = _get(parser, "covariance", "sigma2", float, cfg.sigma2)
-    cfg.lam = _get(parser, "covariance", "lambda", float, cfg.lam)
-    cfg.scale = _get(parser, "covariance", "scale", float, cfg.scale)
-    cfg.alpha = _get(parser, "optimizer", "alpha", float, cfg.alpha)
-    cfg.tau = _get(parser, "optimizer", "tau", float, cfg.tau)
-    cfg.eps1 = _get(parser, "optimizer", "eps1", float, cfg.eps1)
-    cfg.r = _get(parser, "optimizer", "r", float, cfg.r)
-    cfg.i_max = _get(parser, "optimizer", "i_max", int, cfg.i_max)
-    cfg.q = _get(parser, "optimizer", "q", float, cfg.q)
-    cfg.theta = _get(parser, "optimizer", "theta", float, cfg.theta)
-    cfg.warmup = _get(parser, "optimizer", "warmup", int, cfg.warmup)
-    cfg.nested = _get(parser, "optimizer", "nested", bool, cfg.nested)
-    cfg.baseline_max_steps = _get(parser, "optimizer", "baseline_max_steps", int,
-                                  cfg.baseline_max_steps)
-    cfg.baseline_eps1 = _get(parser, "optimizer", "baseline_eps1", float,
-                             cfg.baseline_eps1)
-    cfg.nt = _get(parser, "burgers", "nt", int, cfg.nt)
-    cfg.workers = _get(parser, "run", "workers", int, cfg.workers)
-    cfg.state_samples = _get(parser, "run", "state_samples", int, cfg.state_samples)
+    # the [DEFAULT] section comes first: its keys would reappear in every
+    # section, and none of them is in the table
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) in RETIRED_KEYS:
+                continue
+            if (section, key) not in KEYS:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            attr, cast = KEYS[section, key]
+            try:
+                # configparser's boolean words only; anything else is an error
+                value = (parser.getboolean(section, key) if cast is bool
+                         else cast(parser.get(section, key)))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            setattr(cfg, attr, value)
 
     env_seed = os.environ.get("MGMLMC_SEED") or os.environ.get("MGOPT_SEED")
     if env_seed is not None:
@@ -171,44 +149,25 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _covariance_for(cfg: ExperimentConfig) -> CovarianceSpec:
-    defaults = {
-        "laplace": dict(sigma2=0.1, lam=0.3, scale=1.0),
-        "dtn": dict(sigma2=0.1, lam=0.3, scale=1.0),
-        "burgers": dict(sigma2=0.1, lam=0.3, scale=1e-3),
-    }[cfg.problem]
-    sigma2 = cfg.sigma2 if cfg.sigma2 is not None else defaults["sigma2"]
-    lam = cfg.lam if cfg.lam is not None else defaults["lam"]
-    scale = cfg.scale if cfg.scale is not None else defaults["scale"]
-    kwargs = dict(sigma2=sigma2, lam=lam, scale=scale)
-    if cfg.problem == "dtn":
-        kwargs.update(region=Box(lo=(0.0, 0.0), hi=(1.0, 0.25)), region_value=1.0)
-    return CovarianceSpec(**kwargs)
+def _given(cfg: ExperimentConfig, *names) -> dict:
+    """Those of the named settings that the config sets."""
+    return {n: getattr(cfg, n) for n in names if getattr(cfg, n) is not None}
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate the configured problem on its hierarchy."""
-    n0 = cfg.n0 if cfg.n0 is not None else DEFAULT_N0[cfg.problem]
-    covariance = _covariance_for(cfg)
-    if cfg.problem == "burgers":
-        hierarchy = GridHierarchy(dim=1, n0=n0, levels=cfg.K + 1)
-        spec = BurgersProblemSpec(alpha=cfg.alpha, nt=cfg.nt, covariance=covariance)
-        return BurgersInitialControl(hierarchy, spec)
-    hierarchy = GridHierarchy(dim=2, n0=n0, levels=cfg.K + 1)
-    if cfg.problem == "laplace":
-        return LaplaceSourceControl(
-            hierarchy, LaplaceProblemSpec(alpha=cfg.alpha, covariance=covariance)
-        )
-    return DtNBoundaryControl(
-        hierarchy, DtNProblemSpec(alpha=cfg.alpha, covariance=covariance)
-    )
+    """Instantiate the configured problem on its hierarchy.
+
+    The problem's spec supplies every setting the config leaves unset.
+    """
+    spec_type, problem_type, dim, default_n0 = _PROBLEMS[cfg.problem]
+    spec = spec_type()
+    covariance = replace(spec.covariance, **_given(cfg, "sigma2", "lam", "scale"))
+    names = ("alpha", "nt") if cfg.problem == "burgers" else ("alpha",)
+    spec = replace(spec, covariance=covariance, **_given(cfg, *names))
+    n0 = cfg.n0 if cfg.n0 is not None else default_n0
+    return problem_type(GridHierarchy(dim=dim, n0=n0, levels=cfg.K + 1), spec)
 
 
 def optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
-    return OptimizerConfig(
-        tau=cfg.tau, K=cfg.K, eps1=cfg.eps1, r=cfg.r, i_max=cfg.i_max,
-        q=cfg.q, theta=cfg.theta, nested=cfg.nested, warmup=cfg.warmup,
-        global_seed=cfg.global_seed, workers=cfg.workers,
-        baseline_max_steps=cfg.baseline_max_steps,
-        baseline_eps1=cfg.baseline_eps1,
-    )
+    return OptimizerConfig(**{f.name: getattr(cfg, f.name)
+                              for f in fields(OptimizerConfig)})

@@ -104,6 +104,12 @@ class OptimizerConfig:
             raise ValueError("theta must be in (0, 1]")
         if self.i_max < 1 or self.baseline_max_steps < 1:
             raise ValueError("iteration budgets must be >= 1")
+        if self.warmup < 2:
+            raise ValueError("warmup must be >= 2")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.baseline_eps1 is not None and self.baseline_eps1 <= 0:
+            raise ValueError("baseline_eps1 must be > 0")
         if self.K < 0:
             raise ValueError("K must be >= 0")
 

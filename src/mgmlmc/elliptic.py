@@ -284,6 +284,8 @@ class DtNBoundaryControl(_EllipticBase):
     control_role = GAMMA
 
     def __init__(self, hierarchy, spec: DtNProblemSpec | None = None):
+        if hierarchy.n0 < 5:
+            raise ValueError("the DtN problem needs n0 >= 5")
         super().__init__(hierarchy, spec or DtNProblemSpec())
         self._targets = {}
 

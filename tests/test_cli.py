@@ -1,12 +1,22 @@
+import configparser
 import csv
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mgmlmc.cli import main
-from mgmlmc.config import build_problem, load_config, optimizer_config
+from mgmlmc.config import (
+    KEYS,
+    ExperimentConfig,
+    build_problem,
+    load_config,
+    optimizer_config,
+)
 from mgmlmc.errors import ConfigError
 
 
@@ -66,6 +76,52 @@ class TestConfigParsing:
                                 "[optimizer]\ntau = -1\n")
         with pytest.raises(ConfigError):
             load_config(cfg_file)
+
+    # each range is checked by the object that uses the value
+    @pytest.mark.parametrize("text", [
+        "[optimizer]\ntheta = 1.5\n",
+        "[optimizer]\nbaseline_max_steps = 0\n",
+        "[optimizer]\nbaseline_eps1 = -1\n",
+        "[optimizer]\nwarmup = 1\n",
+        "[run]\nworkers = 0\n",
+        "[grid]\nn0 = 2\n",
+        "[covariance]\nlambda = 0\n",
+        "[experiment]\nproblem = burgers\n[burgers]\nnt = 0\n",
+    ])
+    def test_owner_range_checks_rejected(self, tmp_path, text):
+        cfg_file = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(ConfigError):
+            load_config(cfg_file)
+
+    @pytest.mark.parametrize("text,named", [
+        ("[optimizer]\ntua = 1e-3\n", "[optimizer] tua"),
+        ("[optimiser]\ntau = 1e-3\n", "[optimiser] tau"),
+        ("[DEFAULT]\ntau = 1e-3\n", "[DEFAULT] tau"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, text, named):
+        cfg_file = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(cfg_file)
+
+    @pytest.mark.parametrize("text", [
+        "tau = 1e-3\n",  # no section header
+        "[experiment]\noutput_dir = out_%d\n",  # bad interpolation
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path / "c.ini", text))
+
+    def test_key_table_names_every_field_once(self):
+        attrs = sorted(attr for attr, _ in KEYS.values())
+        assert attrs == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_readme_example_sets_every_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read_string(example)
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == set(KEYS)
+        load_config(write_config(tmp_path / "c.ini", example))
 
     def test_misspelled_boolean_rejected(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.ini", "[optimizer]\nnested = ture\n")
@@ -199,6 +255,20 @@ class TestRunCommand:
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         cfg_file = write_config(tmp_path / "c.ini", "[optimizer]\nq = 0.9\n")
         assert main(["run", cfg_file]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_out_of_range_exits_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        text = MGOPT_CONFIG.format(out=out).replace("warmup = 30", "theta = 1.5")
+        cfg_file = write_config(tmp_path / "c.ini", text)
+        assert main(["run", cfg_file]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_workers_flag_nonzero_exit(self, tmp_path, capsys):
+        cfg_file = write_config(tmp_path / "c.ini",
+                                MGOPT_CONFIG.format(out=tmp_path / "o"))
+        assert main(["run", cfg_file, "--workers", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_workers_flag(self, tmp_path):
