@@ -42,7 +42,8 @@ print("\nsame stream twice, identical draw:", np.array_equal(z1, z2))
 # coupled pair agree exactly at shared nodes.
 hier = GridHierarchy(dim=2, n0=9, levels=3)
 sampler = FieldSampler(hier, spec)
-fine, coarse = sampler.pair(RngStream(42, 1, 0, 7), 2)
+fine = sampler.sample(RngStream(42, 1, 0, 7), 2)
+coarse = sampler.sample(RngStream(42, 1, 0, 7), 1)
 print("\n2-D pair on levels (2, 1):")
 print("  fine grid:", fine.values.shape, " coarse grid:", coarse.values.shape)
 print("  shared-node agreement:",

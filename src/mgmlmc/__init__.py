@@ -51,5 +51,4 @@ from .random_fields import (
     build_embedding,
     covariance,
     restrict_field,
-    sample_lognormal,
 )

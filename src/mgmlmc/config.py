@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.state_samples < 2:
             raise ConfigError("state_samples must be >= 2")
+        if self.nt is not None and self.problem != "burgers":
+            raise ConfigError("[burgers] nt is set, but problem is not burgers")
         try:
             optimizer_config(self)
             build_problem(self)
@@ -162,8 +164,7 @@ def build_problem(cfg: ExperimentConfig):
     spec_type, problem_type, dim, default_n0 = _PROBLEMS[cfg.problem]
     spec = spec_type()
     covariance = replace(spec.covariance, **_given(cfg, "sigma2", "lam", "scale"))
-    names = ("alpha", "nt") if cfg.problem == "burgers" else ("alpha",)
-    spec = replace(spec, covariance=covariance, **_given(cfg, *names))
+    spec = replace(spec, covariance=covariance, **_given(cfg, "alpha", "nt"))
     n0 = cfg.n0 if cfg.n0 is not None else default_n0
     return problem_type(GridHierarchy(dim=dim, n0=n0, levels=cfg.K + 1), spec)
 

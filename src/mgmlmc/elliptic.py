@@ -10,7 +10,8 @@ Cholesky (``dpbtrf``/``dpbtrs`` from ``scipy.linalg.lapack``) and checks
 every solve's residual against the 5-point stencil applied from the face
 coefficients, independently of the band storage.
 
-Two control problems are built on top:
+Two control problems are built on top, and their ``state`` methods are the
+one full-grid state solve:
 
 * :class:`LaplaceSourceControl` - the interior heat source is the control,
   the state is tracked against a target in the domain.
@@ -33,24 +34,9 @@ from scipy.linalg import lapack
 from .errors import LevelMismatch, LinearSolveFailure
 from .grids import GAMMA, INTERIOR, GridHierarchy, LevelVector
 from .problems import ControlProblem
-from .random_fields import Box, CovarianceSpec, FieldSample, RngStream
-
-INTERIOR_SOURCE = "interior_source"
-GAMMA_DIRICHLET = "gamma_dirichlet"
+from .random_fields import Box, CovarianceSpec, FieldSample
 
 RESIDUAL_TOL = 1e-9  # relative residual every solve must reach
-
-
-@dataclass(frozen=True)
-class StateField:
-    """State (or adjoint) values on all grid nodes including the boundary."""
-
-    level: int
-    values: np.ndarray = dataclass_field(repr=False)
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1, 1:-1]
 
 
 def _face_coefficients(k: np.ndarray):
@@ -154,30 +140,6 @@ class DiffusionOperator:
 
     def gamma_flux_transpose_control(self, w: np.ndarray) -> np.ndarray:
         return 3.0 * self._k_gamma * w / (2.0 * self.h)
-
-
-def solve_diffusion(rhs_or_bc, field: FieldSample,
-                    bc_mode: str = INTERIOR_SOURCE) -> StateField:
-    """Solve -div(k grad y) with the given data on the field's grid.
-
-    ``bc_mode`` selects the data interpretation: an interior source with
-    zero Dirichlet boundary (``interior_source``), or Dirichlet data on the
-    bottom edge Gamma with zero source and zero data elsewhere
-    (``gamma_dirichlet``).
-    """
-    n = field.nodes
-    h = 1.0 / (n - 1)
-    op = DiffusionOperator(field.values, h)
-    data = rhs_or_bc.values if isinstance(rhs_or_bc, LevelVector) else np.asarray(rhs_or_bc)
-    full = np.zeros((n, n))
-    if bc_mode == INTERIOR_SOURCE:
-        full[1:-1, 1:-1] = op.solve(data)
-    elif bc_mode == GAMMA_DIRICHLET:
-        full[1:-1, 1:-1] = op.solve(op.lift_gamma(data))
-        full[1:-1, 0] = data
-    else:
-        raise ValueError(f"unknown bc_mode '{bc_mode}'")
-    return StateField(level=field.level, values=full)
 
 
 def indicator_box_target(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

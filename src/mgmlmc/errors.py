@@ -33,6 +33,10 @@ class InvalidQ(MgmlmcError):
     """Sample reduction factor q outside (0, 1/2)."""
 
 
+class CoherenceViolation(MgmlmcError):
+    """A V-cycle's coarse gradient differs from the restricted fine one."""
+
+
 class LineSearchFailure(MgmlmcError):
     """Backtracking exhausted without satisfying the descent condition."""
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import LevelMismatch, LineSearchFailure, StabilityViolation
+from .errors import (CoherenceViolation, LevelMismatch, LineSearchFailure,
+                     StabilityViolation)
 from .grids import LevelVector, inner_product, norm
 from .mlmc import (
     GradientEstimate,
@@ -405,7 +406,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
     dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
     events.append({"level": k, "kind": "coherence", "value": dev})
     if dev > COHERENCE_TOL:
-        raise AssertionError(
+        raise CoherenceViolation(
             f"coarse gradient deviates from the restricted fine gradient: "
             f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
         )

@@ -16,7 +16,8 @@ take one control and many fields; by default they loop over the per-sample
 methods.
 
 Fields come from :meth:`ControlProblem.field` and
-:meth:`ControlProblem.field_pair`.  Outside a sample bank each call draws
+:meth:`ControlProblem.field_pair`, the package's one route to
+:meth:`FieldSampler.sample`.  Outside a sample bank each call draws
 afresh.  While :meth:`ControlProblem.sample_bank` is open, every level-sized
 realization is kept under ``(stream.seed_id, level)`` and later calls for
 the same stream and level return it without drawing: the optimization of
@@ -85,10 +86,12 @@ class ControlProblem:
         finally:
             self._bank = None
 
-    def _banked(self, stream: RngStream, level: int, make) -> FieldSample:
+    def _banked(self, key: tuple, make) -> FieldSample:
+        """``make()``, kept read-only under ``key`` while a bank is open."""
+        if self._bank is None:
+            return make()
         # worker threads evaluate disjoint streams, so no two of them look
         # up the same key
-        key = (stream.seed_id, level)
         sample = self._bank.get(key)
         if sample is None:
             sample = make()
@@ -97,17 +100,14 @@ class ControlProblem:
         return sample
 
     def field(self, stream: RngStream, level: int) -> FieldSample:
-        if self._bank is None:
-            return self.sampler.sample(stream, level)
-        return self._banked(stream, level,
+        return self._banked((stream.seed_id, level),
                             lambda: self.sampler.sample(stream, level))
 
     def field_pair(self, stream: RngStream, level: int):
-        if self._bank is None:
-            return self.sampler.pair(stream, level)
-        fine = self._banked(stream, level,
+        """Coupled (level, level-1) realizations from one draw of the stream."""
+        fine = self._banked((stream.seed_id, level),
                             lambda: self.sampler.sample(stream, level))
-        coarse = self._banked(stream, level - 1,
+        coarse = self._banked((stream.seed_id, level - 1),
                               lambda: restrict_field(fine, level - 1))
         return fine, coarse
 

@@ -11,11 +11,12 @@ overridden by a constant inside an axis-aligned box.
 
 Sampling is driven by counter-based Philox streams keyed on
 ``(global_seed, set_id, level, index)``: the same key always reproduces the
-same draw, distinct keys are independent.  For multilevel estimators the
-:class:`FieldSampler` draws the Gaussian field once on the finest grid of a
-hierarchy and injects it to coarser grids, so coupled samples on adjacent
-levels agree exactly at shared nodes.  The sampler draws on every call;
-keeping a cycle's draws is the job of ``ControlProblem.sample_bank``.
+same draw, distinct keys are independent.  :meth:`FieldSampler.sample` is
+the one lognormal draw: it draws the Gaussian field once on the finest grid
+of a hierarchy and injects it to coarser grids, so coupled samples on
+adjacent levels agree exactly at shared nodes.  The sampler draws on every
+call; the problems reach it through ``ControlProblem.field`` and
+``field_pair``, which keep a cycle's draws inside ``sample_bank``.
 """
 
 from __future__ import annotations
@@ -228,21 +229,6 @@ def lognormal_from_gaussian(z: np.ndarray, spec: CovarianceSpec) -> np.ndarray:
     return k
 
 
-def sample_lognormal(
-    embedding: CirculantEmbedding,
-    stream: RngStream,
-    spec: CovarianceSpec,
-    level: int,
-) -> FieldSample:
-    """One lognormal realization on the embedding's grid, tagged ``level``."""
-    z = sample_gaussian(embedding, stream)
-    return FieldSample(
-        level=level,
-        values=lognormal_from_gaussian(z, spec),
-        seed_id=stream.seed_id,
-    )
-
-
 def inject(values: np.ndarray) -> np.ndarray:
     """Pointwise injection of full-node values to the next coarser grid."""
     sl = (slice(None, None, 2),) * values.ndim
@@ -285,18 +271,10 @@ class FieldSampler:
             )
         return self._embedding
 
-    def _finest_field(self, stream: RngStream) -> np.ndarray:
-        z = sample_gaussian(self.embedding, stream)
-        return lognormal_from_gaussian(z, self.spec)
-
     def sample(self, stream: RngStream, level: int) -> FieldSample:
         """Lognormal field at ``level``, injected from the finest draw."""
-        values = self._finest_field(stream)
+        z = sample_gaussian(self.embedding, stream)
+        values = lognormal_from_gaussian(z, self.spec)
         for _ in range(self.hierarchy.finest - level):
             values = inject(values)
         return FieldSample(level=level, values=values, seed_id=stream.seed_id)
-
-    def pair(self, stream: RngStream, level: int) -> tuple:
-        """Coupled (level, level-1) realizations from a single draw."""
-        fine = self.sample(stream, level)
-        return fine, restrict_field(fine, level - 1)

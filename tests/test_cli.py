@@ -155,6 +155,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(cfg_file)
 
+    @pytest.mark.parametrize("problem,nt", [("laplace", 1), ("dtn", 201)])
+    def test_key_of_another_problem_rejected(self, tmp_path, problem, nt):
+        cfg_file = write_config(
+            tmp_path / "c.ini",
+            f"[experiment]\nproblem = {problem}\n[burgers]\nnt = {nt}\n")
+        with pytest.raises(ConfigError, match=re.escape("[burgers] nt")):
+            load_config(cfg_file)
+
     def test_burgers_config_builds(self, tmp_path):
         cfg_file = write_config(
             tmp_path / "c.ini",
@@ -251,6 +259,42 @@ class TestRunCommand:
         assert main(["run", cfg_file]) == 0
         record = json.loads((out / "run.json").read_text())
         assert record["converged"] is True
+
+    # both hierarchies end at 17 nodes per axis
+    @pytest.mark.parametrize("problem", ["dtn", "burgers"])
+    def test_run_each_problem(self, tmp_path, problem):
+        out = tmp_path / "o"
+        extra = "[burgers]\nnt = 201\n" if problem == "burgers" else ""
+        cfg_file = write_config(
+            tmp_path / "c.ini",
+            f"[experiment]\nproblem = {problem}\noutput_dir = {out}\n"
+            f"[grid]\nn0 = 9\nK = 1\n"
+            f"[optimizer]\ni_max = 1\nwarmup = 8\n"
+            f"[run]\nstate_samples = 4\n{extra}")
+        assert main(["run", cfg_file]) == 0
+        assert len(read_csv(out / "report.csv")) == 2  # header + one cycle
+        control = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1)
+        mean = np.loadtxt(out / "mean_state.csv", delimiter=",", skiprows=1)
+        var = np.loadtxt(out / "var_state.csv", delimiter=",", skiprows=1)
+        assert control.shape == (17,) and control[0] == control[-1] == 0.0
+        if problem == "dtn":
+            # the state's column on Gamma (x2 = 0) is the Dirichlet control
+            assert np.array_equal(mean[:, 0], control)
+            assert np.all(var[:, 0] == 0.0)
+        else:
+            # space-time state: its first time level is the initial control
+            assert mean.shape == (201, 17)
+            assert np.array_equal(mean[0], control)
+            assert np.all(var[0] == 0.0)
+
+    def test_coherence_failure_exits_with_partial_report(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr("mgmlmc.mgopt.COHERENCE_TOL", -1.0)
+        out = tmp_path / "o"
+        cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=out))
+        assert main(["run", cfg_file]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert len(read_csv(out / "report.csv")) == 1  # the header only
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         cfg_file = write_config(tmp_path / "c.ini", "[optimizer]\nq = 0.9\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mgmlmc import (
+    GAMMA,
     DtNBoundaryControl,
     GridHierarchy,
     LaplaceSourceControl,
@@ -9,12 +10,7 @@ from mgmlmc import (
     inner_product,
     norm,
 )
-from mgmlmc.elliptic import (
-    GAMMA_DIRICHLET,
-    INTERIOR_SOURCE,
-    DiffusionOperator,
-    solve_diffusion,
-)
+from mgmlmc.elliptic import DiffusionOperator
 from mgmlmc.errors import LevelMismatch, LinearSolveFailure
 from mgmlmc.random_fields import FieldSample
 
@@ -83,8 +79,9 @@ class TestForwardSolver:
 
     def test_zero_rhs(self):
         f = ones_field(0, 9)
-        state = solve_diffusion(np.zeros((7, 7)), f, INTERIOR_SOURCE)
-        assert np.all(state.values == 0.0)
+        hier = GridHierarchy(dim=2, n0=9, levels=1)
+        state = LaplaceSourceControl(hier).state(hier.zeros(0), f)
+        assert np.all(state == 0.0)
 
     def test_manufactured_solution_order_two(self):
         # -div(grad y) = 2 pi^2 sin(pi x1) sin(pi x2), exact y known
@@ -94,9 +91,9 @@ class TestForwardSolver:
             x = hier.interior_coords(0)
             x1, x2 = np.meshgrid(x, x, indexing="ij")
             rhs = 2 * np.pi**2 * np.sin(np.pi * x1) * np.sin(np.pi * x2)
-            state = solve_diffusion(rhs, ones_field(0, n), INTERIOR_SOURCE)
+            state = LaplaceSourceControl(hier).state(hier.vector(0, rhs), ones_field(0, n))
             exact = np.sin(np.pi * x1) * np.sin(np.pi * x2)
-            errors.append(np.max(np.abs(state.interior - exact)))
+            errors.append(np.max(np.abs(state[1:-1, 1:-1] - exact)))
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
             assert order == pytest.approx(2.0, abs=0.1)
@@ -108,13 +105,14 @@ class TestForwardSolver:
         hier = GridHierarchy(dim=2, n0=n, levels=1)
         u = np.sin(np.pi * hier.interior_coords(0))
         f = ones_field(0, n)
-        state = solve_diffusion(u, f, GAMMA_DIRICHLET)
-        assert state.interior.min() >= 0.0
-        assert state.interior.max() <= 1.0
+        state = DtNBoundaryControl(hier).state(hier.vector(0, u, GAMMA), f)
+        interior = state[1:-1, 1:-1]
+        assert interior.min() >= 0.0
+        assert interior.max() <= 1.0
         op = DiffusionOperator(f.values, hier.h(0))
         dense = np.linalg.solve(dense_operator(f.values, hier.h(0)),
                                 op.lift_gamma(u).ravel())
-        assert np.allclose(state.interior.ravel(), dense, rtol=1e-9, atol=1e-12)
+        assert np.allclose(interior.ravel(), dense, rtol=1e-9, atol=1e-12)
 
     def test_indefinite_operator_raises(self):
         # a negative coefficient makes the operator indefinite, so the
@@ -137,8 +135,9 @@ class TestForwardSolver:
         x = hier.interior_coords(0)
         x1, x2 = np.meshgrid(x, x, indexing="ij")
         rhs = np.sin(np.pi * x1) * np.sin(np.pi * x2) + x1 * x2
-        state = solve_diffusion(rhs, ones_field(0, n), INTERIOR_SOURCE)
-        assert np.allclose(state.interior, state.interior.T, atol=1e-10)
+        state = LaplaceSourceControl(hier).state(hier.vector(0, rhs), ones_field(0, n))
+        interior = state[1:-1, 1:-1]
+        assert np.allclose(interior, interior.T, atol=1e-10)
 
 
 def fd_check(problem, u, stream, rng, directions=5, eps=1e-5):

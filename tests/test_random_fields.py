@@ -11,7 +11,6 @@ from mgmlmc import (
     build_embedding,
     covariance,
     restrict_field,
-    sample_lognormal,
 )
 from mgmlmc.errors import LevelMismatch
 from mgmlmc.random_fields import sample_gaussian
@@ -86,37 +85,37 @@ class TestEmbedding:
 
 class TestSampling:
     def test_determinism(self):
-        emb = build_embedding(17, 1.0 / 16, 1, SPEC)
-        f1 = sample_lognormal(emb, stream(3), SPEC, level=0)
-        f2 = sample_lognormal(emb, stream(3), SPEC, level=0)
+        fs = FieldSampler(GridHierarchy(1, n0=17, levels=1), SPEC)
+        f1 = fs.sample(stream(3), 0)
+        f2 = fs.sample(stream(3), 0)
         assert np.array_equal(f1.values, f2.values)
 
     def test_distinct_streams_differ(self):
-        emb = build_embedding(17, 1.0 / 16, 1, SPEC)
-        f1 = sample_lognormal(emb, stream(3), SPEC, level=0)
-        f2 = sample_lognormal(emb, stream(4), SPEC, level=0)
+        fs = FieldSampler(GridHierarchy(1, n0=17, levels=1), SPEC)
+        f1 = fs.sample(stream(3), 0)
+        f2 = fs.sample(stream(4), 0)
         assert not np.array_equal(f1.values, f2.values)
 
     def test_zero_variance_constant_field(self):
         spec = CovarianceSpec(sigma2=0.0, lam=0.3, scale=1e-3)
-        emb = build_embedding(9, 1.0 / 8, 1, spec)
-        f = sample_lognormal(emb, stream(), spec, level=0)
+        fs = FieldSampler(GridHierarchy(1, n0=9, levels=1), spec)
+        f = fs.sample(stream(), 0)
         assert np.all(f.values == 1e-3)
 
     def test_positivity(self):
-        emb = build_embedding(33, 1.0 / 32, 1, SPEC)
+        fs = FieldSampler(GridHierarchy(1, n0=33, levels=1), SPEC)
         for i in range(10):
-            f = sample_lognormal(emb, stream(i), SPEC, level=0)
+            f = fs.sample(stream(i), 0)
             assert np.all(f.values > 0.0)
 
     def test_log_mean_clt_bound(self):
         # empirical mean of log(values/scale) at a node is within
         # 4 sigma / sqrt(n) of zero
         n_samples = 10000
-        emb = build_embedding(9, 1.0 / 8, 1, SPEC)
+        fs = FieldSampler(GridHierarchy(1, n0=9, levels=1), SPEC)
         vals = np.empty(n_samples)
         for i in range(n_samples):
-            f = sample_lognormal(emb, stream(i, set_id=21), SPEC, level=0)
+            f = fs.sample(stream(i, set_id=21), 0)
             vals[i] = np.log(f.values[4])
         bound = 4.0 * np.sqrt(SPEC.sigma2 / n_samples)
         assert abs(vals.mean()) <= bound
@@ -126,8 +125,8 @@ class TestSampling:
             sigma2=0.1, lam=0.3,
             region=Box(lo=(0.0, 0.0), hi=(1.0, 0.25)), region_value=1.0,
         )
-        emb = build_embedding(9, 1.0 / 8, 2, spec)
-        f = sample_lognormal(emb, stream(), spec, level=0)
+        fs = FieldSampler(GridHierarchy(2, n0=9, levels=1), spec)
+        f = fs.sample(stream(), 0)
         x = np.linspace(0.0, 1.0, 9)
         inside = x <= 0.25
         assert np.all(f.values[:, inside] == 1.0)
@@ -168,7 +167,8 @@ class TestFieldSampler:
     def test_pair_shares_draw(self):
         hier = GridHierarchy(dim=2, n0=5, levels=3)
         fs = FieldSampler(hier, SPEC)
-        fine, coarse = fs.pair(stream(5), 2)
+        fine = fs.sample(stream(5), 2)
+        coarse = restrict_field(fine, 1)
         assert coarse.level == 1
         assert np.array_equal(fine.values[::2, ::2], coarse.values)
         assert fine.seed_id == coarse.seed_id
@@ -179,8 +179,8 @@ class TestFieldSampler:
         hier = GridHierarchy(dim=1, n0=5, levels=4)
         fs = FieldSampler(hier, SPEC)
         s = stream(9)
-        _, coarse_of_2 = fs.pair(s, 2)
-        fine_of_1, _ = fs.pair(s, 1)
+        coarse_of_2 = restrict_field(fs.sample(s, 2), 1)
+        fine_of_1 = fs.sample(s, 1)
         assert np.array_equal(coarse_of_2.values, fine_of_1.values)
 
     def test_statistics_at_injected_level(self):
