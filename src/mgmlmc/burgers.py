@@ -17,13 +17,20 @@ linearized about the stored states and predictors, so the result is the
 gradient of the discrete per-sample cost to machine precision.  A
 forward-mode (tangent) sweep is provided for dot-product verification.
 
-A level's samples are marched together: the step functions act on the
-last axis, so an ``(n_samples, nodes)`` array advances all samples of one
-control in a single call per time step, with one stability check for the
-whole batch.  Each row goes through exactly the elementwise operations of
-a single-sample march, so batched results equal per-sample ones bit for
-bit.  Batches are split into chunks whose stored states and predictors
-stay under ``BATCH_BYTES``.
+A level's samples are marched together as a ``(nodes, n_samples)`` array,
+so every spatial slice is contiguous, with one stability check per time
+step for the whole batch.  The forward march is one loop over
+preallocated buffers: its coefficients are formed once before the loop,
+and each step writes its predictor and new state in place.  The adjoint
+sweep forms the state-dependent coefficients of ``ADJOINT_BLOCK`` steps at
+once, so each step runs only the multiply-adds on the adjoint variable.
+The per-step functions (:func:`maccormack_predictor`,
+:func:`maccormack_step`, :func:`maccormack_step_adjoint`,
+:func:`maccormack_step_tangent`) are the reference: every element of the
+fused loops goes through their operations in their order, so the loops
+reproduce them bit for bit and batched results equal per-sample ones.
+Batches are split into chunks whose stored states and predictors stay
+under ``BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ from .random_fields import CovarianceSpec, FieldSample
 # 33-node samples over 201 time points, while one full-scale sample (513
 # nodes, 10001 steps) alone stores about 82 MB.
 BATCH_BYTES = 2_500_000
+
+# Time steps whose adjoint coefficients are formed at once.  The four
+# coefficient blocks add at most 4 * ADJOINT_BLOCK / nsteps of a chunk's
+# stored states and predictors on top of BATCH_BYTES.
+ADJOINT_BLOCK = 64
 
 
 def stability_bound(y: np.ndarray, k: np.ndarray, dx: float) -> float:
@@ -142,29 +154,124 @@ class Trajectory:
 def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None):
     """Advance ``steps`` steps from y0, checking stability before each.
 
-    y0 and k hold one sample or a batch of rows; the check covers the whole
-    batch and raises at the first step where any row is unstable.  When
-    given, ``states[j + 1]`` and ``predictors[j]`` receive the state after
-    and the predictor of step ``j``.
+    y0 and k hold space on their first axis and one sample or a batch of
+    samples on the second, so every slice below is contiguous.  The check
+    covers the whole batch and raises at the first step where any sample
+    is unstable.  When given, ``states[j + 1]`` and ``predictors[j]``
+    receive the state after and the predictor of step ``j``; without them
+    the march cycles through two state buffers and one predictor buffer.
+    Every element goes through the operations of
+    :func:`maccormack_predictor` and :func:`maccormack_step` in their order.
     """
+    if states is None:
+        states = np.zeros((2,) + np.shape(y0))
+    if predictors is None:
+        predictors = np.zeros((1,) + np.shape(y0))
+    # endpoints held at zero: only interiors are written below
+    states[1:, 0] = states[1:, -1] = 0.0
+    predictors[:, 0] = predictors[:, -1] = 0.0
+    c, dx2, half_s = dt / dx, dx**2, 0.5 * s
+    r = (dt / dx**2 * k)[1:-1]
+    k_term = 2.0 * np.max(k, axis=0)
+    k_max = float(np.max(k_term))
+    psi = np.empty(np.shape(y0))
+    t1, t2 = np.empty(r.shape), np.empty(r.shape)
     y = y0
-    k_term = 2.0 * np.max(k, axis=-1)
     for j in range(steps):
-        # stability_bound per row; the smallest bound has the largest
-        # denominator, so one division decides for the whole batch
-        denom = float(np.max(np.max(np.abs(y), axis=-1) * dx + k_term))
-        if denom > 0.0 and dt > dx**2 / denom:
-            raise StabilityViolation(
-                f"dt={dt:.3e} exceeds the stability bound at step {j}",
-                step=j,
-            )
-        yp = maccormack_predictor(y, k, dt, dx, s)
-        y = maccormack_step(y, k, dt, dx, s, yp)
-        if states is not None:
-            states[j + 1] = y
-        if predictors is not None:
-            predictors[j] = yp
+        # max|y| dx + max k_term is no smaller than any sample's
+        # denominator (rounding is monotone): while it passes, all pass
+        bound = float(np.abs(y, out=psi).max()) * dx + k_max
+        if bound > 0.0 and dt > dx2 / bound:
+            # stability_bound per sample; the smallest bound has the
+            # largest denominator, so one division decides for the batch
+            denom = float(np.max(np.max(np.abs(y), axis=0) * dx + k_term))
+            if denom > 0.0 and dt > dx2 / denom:
+                raise StabilityViolation(
+                    f"dt={dt:.3e} exceeds the stability bound at step {j}",
+                    step=j,
+                )
+        yp = predictors[j % len(predictors)]
+        yn = states[(j + 1) % len(states)]
+        y_in, yp_in = y[1:-1], yp[1:-1]
+        # predictor: y + c (psi+ - psi) + r (y+ - 2 y + y-)
+        np.multiply(y, half_s, out=psi)
+        psi *= y
+        np.subtract(psi[2:], psi[1:-1], out=t1)
+        t1 *= c
+        t1 += y_in
+        np.multiply(y_in, 2.0, out=t2)
+        np.subtract(y[2:], t2, out=t2)
+        t2 += y[:-2]
+        t2 *= r
+        np.add(t1, t2, out=yp_in)
+        # corrector: (y + yp + c (psip - psip-) + r (yp+ - 2 yp + yp-)) / 2
+        np.multiply(yp, half_s, out=psi)
+        psi *= yp
+        np.subtract(psi[1:-1], psi[:-2], out=t1)
+        t1 *= c
+        np.add(y_in, yp_in, out=t2)
+        t1 += t2
+        np.multiply(yp_in, 2.0, out=t2)
+        np.subtract(yp[2:], t2, out=t2)
+        t2 += yp[:-2]
+        t2 *= r
+        t1 += t2
+        np.multiply(t1, 0.5, out=yn[1:-1])
+        y = yn
     return y
+
+
+def _sweep_adjoint(states, predictors, w, k, dt, dx, s):
+    """Reverse sweep of the discrete adjoint over all recorded steps.
+
+    Arrays are laid out as in :func:`_march`; ``states[j]`` and
+    ``predictors[j]`` are the state before and the predictor of step ``j``.
+    w is pulled back from the last step to the first and returned.  The
+    coefficients of :func:`maccormack_step_adjoint` that depend on the state
+    are formed ADJOINT_BLOCK steps at a time, so each step runs only the
+    multiply-adds on w, in that function's order for every element.
+    """
+    nsteps = predictors.shape[0]
+    c = dt / dx
+    cs, half_cs, neg_half_cs = c * s, 0.5 * c * s, -0.5 * c * s
+    r = dt / dx**2 * k
+    r_in, r_next, r_prev = r[1:-1], r[2:], r[:-2]
+    half_r_next, half_r_prev, two_r = 0.5 * r_next, 0.5 * r_prev, 2.0 * r_in
+    # b's coefficients on w and w+ (A, B); a's on b and b- (D, E)
+    block = (min(ADJOINT_BLOCK, nsteps),) + r_in.shape
+    A, B, D, E = (np.empty(block) for _ in range(4))
+    w = w.copy()
+    a, b = np.zeros_like(w), np.zeros_like(w)
+    b_in, t = b[1:-1], np.empty(r_in.shape)
+    for hi in range(nsteps, 0, -ADJOINT_BLOCK):
+        lo = max(0, hi - ADJOINT_BLOCK)
+        yp, y = predictors[lo:hi, 1:-1], states[lo:hi, 1:-1]
+        Ab, Bb, Db, Eb = A[:hi - lo], B[:hi - lo], D[:hi - lo], E[:hi - lo]
+        np.multiply(yp, half_cs, out=Ab)  # 0.5 + 0.5 c s yp - r
+        Ab += 0.5
+        Ab -= r_in
+        np.multiply(yp, neg_half_cs, out=Bb)  # -0.5 c s yp + 0.5 r+
+        Bb += half_r_next
+        np.multiply(y, cs, out=Eb)  # c s y + r-
+        np.subtract(1.0, Eb, out=Db)  # 1 - c s y - 2 r
+        Db -= two_r
+        Eb += r_prev
+        for i in range(hi - lo - 1, -1, -1):
+            w_in, a_in = w[1:-1], a[1:-1]
+            np.multiply(w_in, Ab[i], out=b_in)
+            np.multiply(w[2:], Bb[i], out=t)
+            b_in += t
+            np.multiply(w[:-2], half_r_prev, out=t)
+            b_in += t
+            np.multiply(w_in, 0.5, out=a_in)
+            np.multiply(b_in, Db[i], out=t)
+            a_in += t
+            np.multiply(b[:-2], Eb[i], out=t)
+            a_in += t
+            np.multiply(b[2:], r_next, out=t)
+            a_in += t
+            w, a = a, w
+    return w
 
 
 def solve_forward(u: LevelVector, field: FieldSample, nt: int, T: float,
@@ -261,16 +368,17 @@ class BurgersInitialControl(ControlProblem):
     # -- per-level batches ---------------------------------------------------
 
     def _chunks(self, u, fields, rows):
-        """(initial states, diffusion fields) of the batch, stacked in chunks
-        that store at most BATCH_BYTES at ``rows`` stored states per sample."""
+        """(initial states, diffusion fields) of the batch, in chunks that
+        store at most BATCH_BYTES at ``rows`` stored states per sample; each
+        is a ``(nodes, samples)`` array, the layout of :func:`_march`."""
         fields = list(fields)
         for f in fields:
             self._check(u, f)
         size = max(1, BATCH_BYTES // (rows * self.hierarchy.nodes(u.level) * 8))
         for start in range(0, len(fields), size):
-            k = np.stack([f.values for f in fields[start:start + size]])
+            k = np.stack([f.values for f in fields[start:start + size]], axis=1)
             y0 = np.zeros(k.shape)
-            y0[:, 1:-1] = u.values
+            y0[1:-1] = u.values[:, None]
             yield y0, k
 
     def _advance(self, level, y0, k, steps, **record):
@@ -278,8 +386,9 @@ class BurgersInitialControl(ControlProblem):
                       steps, **record)
 
     def _costs(self, u, final):
-        """Per-sample tracking costs and final-time residuals of a batch."""
-        r = final[:, 1:-1] - self.target(u.level).values
+        """Per-sample tracking costs and final-time residuals of a batch,
+        one contiguous row per sample."""
+        r = np.ascontiguousarray(final[1:-1].T) - self.target(u.level).values
         return [0.5 * u.h * float(np.vdot(row, row)) for row in r], r
 
     def tracking_cost_batch(self, u, fields):
@@ -307,12 +416,11 @@ class BurgersInitialControl(ControlProblem):
         self._advance(u.level, y0, k, nsteps, states=states, predictors=predictors)
         costs, r = self._costs(u, states[-1])
         w = np.zeros(k.shape)
-        w[:, 1:-1] = r
-        dx = self.hierarchy.h(u.level)
-        for j in range(nsteps - 1, -1, -1):
-            w = maccormack_step_adjoint(states[j], predictors[j], w, k,
-                                        self.dt, dx, self.spec.s)
-        return [(jt, u.with_values(row[1:-1])) for jt, row in zip(costs, w)]
+        w[1:-1] = r.T
+        w = _sweep_adjoint(states, predictors, w, k, self.dt,
+                           self.hierarchy.h(u.level), self.spec.s)
+        grads = w[1:-1].T.copy()  # one contiguous row per sample
+        return [(jt, u.with_values(g)) for jt, g in zip(costs, grads)]
 
     def state_batch(self, u, fields):
         for y0, k in self._chunks(u, fields, rows=self.nt):
@@ -320,8 +428,8 @@ class BurgersInitialControl(ControlProblem):
             states[0] = y0
             self._advance(u.level, y0, k, self.nt - 1, states=states)
             # copies, so no yielded state keeps the whole chunk alive
-            for i in range(k.shape[0]):
-                yield states[:, i].copy()
+            for i in range(k.shape[1]):
+                yield states[:, :, i].copy()
             del states  # before the next chunk is marched
 
     def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:

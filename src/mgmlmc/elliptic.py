@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import LevelMismatch, LinearSolveFailure
 from .grids import GAMMA, INTERIOR, GridHierarchy, LevelVector
@@ -37,6 +36,14 @@ from .problems import ControlProblem
 from .random_fields import Box, CovarianceSpec, FieldSample
 
 RESIDUAL_TOL = 1e-9  # relative residual every solve must reach
+
+
+def _lapack():
+    """``scipy.linalg.lapack``, imported on first use: the import takes
+    about 0.3 s, which a process that solves no elliptic problem skips."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _face_coefficients(k: np.ndarray):
@@ -98,6 +105,7 @@ class DiffusionOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A y = rhs for interior values shaped (m, m)."""
         b = np.asarray(rhs, dtype=float).ravel()
+        lapack = _lapack()
         if self._factor is None:
             factor, info = lapack.dpbtrf(self._band, lower=0, overwrite_ab=1)
             if info != 0:
@@ -190,6 +198,7 @@ class _EllipticBase(ControlProblem):
             raise LevelMismatch("elliptic problems need a 2-D hierarchy")
         super().__init__(hierarchy, spec.alpha, spec.covariance)
         self.spec = spec
+        _lapack()  # import during set-up, not in the first solve
 
     def _operator(self, field: FieldSample) -> DiffusionOperator:
         return DiffusionOperator(field.values, self.hierarchy.h(field.level))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,10 @@ from mgmlmc import (
     norm,
 )
 from mgmlmc.burgers import (
+    ADJOINT_BLOCK,
     Trajectory,
+    _march,
+    _sweep_adjoint,
     maccormack_predictor,
     maccormack_step,
     maccormack_step_adjoint,
@@ -329,3 +337,102 @@ class TestBatchedEvaluation:
                          p.state_batch):
             assert failing_step([stable, slow, stable], evaluate) == steps["slow"]
             assert failing_step([stable, slow, fast], evaluate) == steps["fast"]
+
+
+def random_batch(rng, batch, n, amp=0.3):
+    """States with zero ends and lognormal fields, ``(batch, nodes)``."""
+    y = np.zeros((batch, n))
+    y[:, 1:-1] = rng.uniform(-amp, amp, (batch, n - 2))
+    k = 1e-3 * np.exp(0.5 * rng.standard_normal((batch, n)))
+    return y, k
+
+
+class TestFusedKernels:
+    """The fused march and the blocked adjoint sweep against the per-step
+    reference functions, bit for bit.  The fused loops take
+    ``(nodes, samples)`` arrays; the reference acts on ``(samples, nodes)``."""
+
+    dt, s = 2e-3, -1.0
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_march_equals_reference_steps(self, batch):
+        rng = np.random.default_rng(40 + batch)
+        n, nsteps = 17, 75
+        dx = 1.0 / (n - 1)
+        y0, k = random_batch(rng, batch, n)
+        want_states, want_pred = [y0], []
+        for _ in range(nsteps):
+            yp = maccormack_predictor(want_states[-1], k, self.dt, dx, self.s)
+            want_pred.append(yp)
+            want_states.append(maccormack_step(want_states[-1], k, self.dt, dx,
+                                               self.s))
+        states = np.empty((nsteps + 1, n, batch))
+        states[0] = y0.T
+        predictors = np.empty((nsteps, n, batch))
+        final = _march(y0.T.copy(), k.T.copy(), self.dt, dx, self.s, nsteps,
+                       states=states, predictors=predictors)
+        assert np.array_equal(states, np.transpose(want_states, (0, 2, 1)))
+        assert np.array_equal(predictors, np.transpose(want_pred, (0, 2, 1)))
+        assert np.array_equal(final, want_states[-1].T)
+        # without records the march cycles through its own buffers
+        bare = _march(y0.T.copy(), k.T.copy(), self.dt, dx, self.s, nsteps)
+        assert np.array_equal(bare, want_states[-1].T)
+
+    @pytest.mark.parametrize("nsteps", [ADJOINT_BLOCK // 3, 2 * ADJOINT_BLOCK + 22])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_adjoint_sweep_equals_reference_steps(self, nsteps, batch):
+        assert nsteps % ADJOINT_BLOCK != 0
+        rng = np.random.default_rng(50 + nsteps + batch)
+        n = 33
+        dx = 1.0 / (n - 1)
+        states = rng.uniform(-0.3, 0.3, (nsteps + 1, batch, n))
+        predictors = rng.uniform(-0.3, 0.3, (nsteps, batch, n))
+        _, k = random_batch(rng, batch, n)
+        w = np.zeros((batch, n))
+        w[:, 1:-1] = rng.standard_normal((batch, n - 2))
+        want = w
+        for j in range(nsteps - 1, -1, -1):
+            want = maccormack_step_adjoint(states[j], predictors[j], want, k,
+                                           self.dt, dx, self.s)
+        got = _sweep_adjoint(np.transpose(states, (0, 2, 1)).copy(),
+                             np.transpose(predictors, (0, 2, 1)).copy(),
+                             w.T.copy(), k.T.copy(), self.dt, dx, self.s)
+        assert np.array_equal(got, want.T)
+
+    def test_batch_bound_trips_without_an_unstable_sample(self):
+        # the sample with the largest |y| has a small k, another the largest
+        # k: the batch-wide bound max|y| dx + 2 max k fails while every
+        # sample's own bound holds, so the exact check runs and passes
+        n = 17
+        dx = 1.0 / (n - 1)
+        y = np.zeros((2, n))
+        y[0, 1:-1] = np.sin(np.pi * np.linspace(0, 1, n))[1:-1]
+        y[1, 1:-1] = 0.01
+        k = np.vstack([np.full(n, 1e-3), np.full(n, 2e-2)])
+        dt = 0.05
+        assert dt > dx**2 / (np.max(np.abs(y)) * dx + 2.0 * np.max(k))
+        assert all(dt <= stability_bound(yi, ki, dx) for yi, ki in zip(y, k))
+        final = _march(y.T.copy(), k.T.copy(), dt, dx, self.s, 1)
+        assert np.array_equal(final, maccormack_step(y, k, dt, dx, self.s).T)
+
+
+@pytest.mark.parametrize("ini, loaded", [("burgers_desk.ini", False),
+                                         ("laplace_desk.ini", True)])
+def test_scipy_linalg_imported_only_by_elliptic_setup(ini, loaded):
+    # scipy.linalg takes about 0.3 s to import; a Burgers run never needs
+    # it, and an elliptic problem imports it while it is built, so the
+    # import counts as set-up rather than as the first solve
+    import mgmlmc
+
+    path = Path(__file__).resolve().parents[1] / "demos" / ini
+    code = ("import sys\n"
+            "from mgmlmc.config import build_problem, load_config\n"
+            f"build_problem(load_config({str(path)!r}))\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(mgmlmc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(loaded)]
