@@ -17,7 +17,7 @@ linearized about the stored states and predictors, so the result is the
 gradient of the discrete per-sample cost to machine precision.  A
 forward-mode (tangent) sweep is provided for dot-product verification.
 
-A level's samples are marched together as a ``(nodes, n_samples)`` array,
+A grid's samples are marched together as a ``(nodes, n_samples)`` array,
 so every spatial slice is contiguous, with one stability check per time
 step for the whole batch.  The forward march is one loop over
 preallocated buffers: its coefficients are formed once before the loop,
@@ -365,7 +365,7 @@ class BurgersInitialControl(ControlProblem):
     def tracking_cost_grad(self, u, field):
         return self.tracking_cost_grad_batch(u, [field])[0]
 
-    # -- per-level batches ---------------------------------------------------
+    # -- per-grid batches ----------------------------------------------------
 
     def _chunks(self, u, fields, rows):
         """(initial states, diffusion fields) of the batch, in chunks that

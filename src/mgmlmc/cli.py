@@ -59,12 +59,13 @@ def _fmt(value) -> str:
 
 
 def _write_matrix_csv(path: Path, array: np.ndarray) -> None:
+    """The bytes ``csv.writer`` makes of ``_fmt`` over the rows: no value
+    needs quoting, and lines end in ``\\r\\n``."""
     array = np.atleast_2d(np.asarray(array, dtype=float))
+    lines = [",".join(f"c{j}" for j in range(array.shape[1]))]
+    lines += [",".join([_FLOAT_FMT % v for v in row]) for row in array.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(array.shape[1])])
-        for row in array:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def control_to_grid(problem, u: LevelVector) -> np.ndarray:

@@ -205,25 +205,3 @@ class GridHierarchy:
         if v.level <= 0:
             raise LevelMismatch("cannot restrict below level 0")
         return self.vector(v.level - 1, _restrict_values(v.values), v.role)
-
-    def prolong_to(self, v: LevelVector, target_level: int) -> LevelVector:
-        self._check_level(target_level)
-        if target_level < v.level:
-            raise LevelMismatch("prolong_to expects target_level >= v.level")
-        while v.level < target_level:
-            v = self.prolong(v)
-        return v
-
-    def restrict_to(self, v: LevelVector, target_level: int) -> LevelVector:
-        self._check_level(target_level)
-        if target_level > v.level:
-            raise LevelMismatch("restrict_to expects target_level <= v.level")
-        while v.level > target_level:
-            v = self.restrict(v)
-        return v
-
-    def transfer(self, v: LevelVector, target_level: int) -> LevelVector:
-        """Composition of single-level maps; identity when target == source."""
-        if target_level >= v.level:
-            return self.prolong_to(v, target_level)
-        return self.restrict_to(v, target_level)

@@ -19,12 +19,16 @@ Sample counts per level follow the variance-optimal allocation
 
 and coarser optimization levels retain a fraction q^(K-k) of the samples.
 
-All estimators evaluate a level's samples through one per-level evaluator:
-the fields of the level's streams go to the problem's batch methods (one
-control, many fields), warm-up results cached for the same control are
-reused, and with ``workers > 1`` contiguous chunks of streams run on a
-thread pool.  Running sums are still accumulated sample by sample in stream
-order, so the estimates do not depend on batch size or ``workers``.
+All estimators (gradient, cost, warm-up statistics, state moments) evaluate
+their samples through one sweep over grids, finest first.  Grid g gets one
+call of the problem's batch methods (one control, many fields) at u_g: the
+coarse members of level g+1's pairs, then level g's own samples.  An
+estimate at level k thus makes k+1 batch calls instead of one per level
+and one per coarse member set (2k+1).  Warm-up results cached for the same
+control are reused, and with ``workers > 1`` contiguous chunks of a grid's
+fields run on a thread pool.  Running sums are still accumulated sample by
+sample in stream order, so the estimates do not depend on batch size or
+``workers``.
 
 Every per-level reduction (gradient, warm-up statistics, state moments)
 goes through one accumulator.  Means come from plain running sums; V_l
@@ -233,72 +237,84 @@ def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
     return u_at
 
 
-def _level_fields(problem, streams, level):
-    """Fields of a level's coupled samples: the fine members, drawn lazily,
-    and the list their coarse partners join as they are drawn.
+def _in_chunks(evaluate, n: int, workers: int):
+    """Results of ``evaluate(positions)`` over positions 0..n-1, in order.
 
-    Drawing lazily lets the per-sample batch defaults solve each sample
-    right after its draw instead of holding every field first.
+    With ``workers > 1`` the positions are split into contiguous chunks,
+    one per worker, evaluated on a thread pool and concatenated in order,
+    so results do not depend on ``workers``.
     """
-    coarse = []
-
-    def fine():
-        for stream in streams:
-            if level == 0:
-                yield problem.field(stream, 0)
-            else:
-                f_fine, f_coarse = problem.field_pair(stream, level)
-                coarse.append(f_coarse)
-                yield f_fine
-
-    return fine(), coarse
+    if n == 0:
+        return iter(())
+    if workers <= 1:
+        return iter(evaluate(range(n)))
+    size = math.ceil(n / workers)
+    chunks = [range(j, min(j + size, n)) for j in range(0, n, size)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda chunk: list(evaluate(chunk)), chunks))
+    return itertools.chain.from_iterable(parts)
 
 
-def _coupled_gradients(problem, u_at, streams, level):
-    """(tracking-cost difference, Y_l values) for each stream, in order."""
-    fine, coarse = _level_fields(problem, streams, level)
-    res_f = problem.tracking_cost_grad_batch(u_at[level], fine)
-    if level == 0:
-        return [(jt, q.values) for jt, q in res_f]
-    res_c = problem.tracking_cost_grad_batch(u_at[level - 1], coarse)
-    prolong = problem.hierarchy.prolong
-    return [(jt_f - jt_c, (q_f - prolong(q_c)).values)
-            for (jt_f, q_f), (jt_c, q_c) in zip(res_f, res_c)]
+def _grid_sweep(problem, u_at, streams, evaluate, combine, *, workers=1,
+                cached=None, ledger=None, weight=1.0):
+    """Per-sample values of every level's streams, one batch per grid.
 
+    ``streams`` maps the contiguous levels lo..top to their streams.  A
+    level-lo sample is one field on grid lo; a sample of a level l > lo is
+    a pair, its fine member on grid l and its coarse member on grid l-1.
+    The grids are swept finest first, and grid g gets one
+    ``evaluate(u_at[g], fields)`` call (one per chunk with ``workers > 1``):
+    the coarse members of level g+1's pairs, drawn with those pairs, then
+    level g's own fields, drawn lazily.  Worker threads draw disjoint
+    streams, so no two of them look up the same bank key.
 
-def _coupled_costs(problem, u_at, streams, level):
-    """Tracking-cost differences for each stream, in order."""
-    fine, coarse = _level_fields(problem, streams, level)
-    res_f = problem.tracking_cost_batch(u_at[level], fine)
-    if level == 0:
-        return res_f
-    res_c = problem.tracking_cost_batch(u_at[level - 1], coarse)
-    return [jt_f - jt_c for jt_f, jt_c in zip(res_f, res_c)]
-
-
-def _evaluate_level(evaluate, streams, workers: int, cached=None):
-    """Per-sample results of one level's streams, yielded in stream order.
-
-    ``evaluate(streams)`` returns an iterable of the results of a list of
-    streams, in order.  Indices found in ``cached`` (index -> result) are
-    taken from it and not evaluated.  With ``workers > 1`` the remaining
-    streams are split into contiguous chunks, one per worker, evaluated on
-    a thread pool and concatenated in order, so results do not depend on
-    ``workers``.
+    Yields ``(level, index, combine(fine, coarse))``, coarse None on level
+    lo, level by level from the top and in stream order within a level.
+    Indices found in ``cached`` ((level, index) -> value) are yielded from
+    it, and neither member of their pair is evaluated.  The ledger is
+    charged, in level order, for the uncached pairs of every level whose
+    pairs were all evaluated, also when a later one fails.
     """
     cached = cached or {}
-    todo = [i for i in range(len(streams)) if i not in cached]
-    if workers <= 1:
-        fresh = iter(evaluate([streams[i] for i in todo]))
-    else:
-        size = max(1, math.ceil(len(todo) / workers))
-        chunks = [todo[j:j + size] for j in range(0, len(todo), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda idx: list(evaluate([streams[i] for i in idx])), chunks))
-        fresh = itertools.chain.from_iterable(parts)
-    for i in range(len(streams)):
-        yield cached[i] if i in cached else next(fresh)
+    lo, top = min(streams), max(streams)
+    fresh_n = {l: sum((l, i) not in cached for i in range(len(ss)))
+               for l, ss in streams.items()}
+    done = []
+    pairs = []  # (fine result, coarse field) of level g+1's uncached indices
+
+    def in_order(level, values):
+        for i in range(len(streams[level])):
+            key = (level, i)
+            yield level, i, cached[key] if key in cached else next(values)
+        done.append(level)
+
+    try:
+        for g in range(top, lo - 1, -1):
+            own = [i for i in range(len(streams[g])) if (g, i) not in cached]
+            coarse = {}
+
+            def draw(p, g=g, own=own, coarse=coarse, above=pairs):
+                if p < len(above):
+                    return above[p][1]
+                i = own[p - len(above)]
+                if g == lo:
+                    return problem.field(streams[g][i], g)
+                fine, coarse[i] = problem.field_pair(streams[g][i], g)
+                return fine
+
+            results = _in_chunks(
+                lambda chunk, g=g, draw=draw: evaluate(u_at[g], map(draw, chunk)),
+                len(pairs) + len(own), workers)
+            if g < top:
+                yield from in_order(g + 1, (combine(fine, next(results))
+                                            for fine, _ in pairs))
+            if g == lo:
+                yield from in_order(g, (combine(r, None) for r in results))
+            else:
+                pairs = [(next(results), coarse.pop(i)) for i in own]
+    finally:
+        for level in sorted(done):
+            _charge_pairs(ledger, level, fresh_n[level], weight)
 
 
 class _LevelSums:
@@ -364,15 +380,28 @@ def _telescope(problem: ControlProblem, u: LevelVector, parts):
     return acc + problem.alpha * u, cost_track + problem.regularization(u)
 
 
+def _gradient_sweep(problem: ControlProblem, u_at, streams, **options):
+    """:func:`_grid_sweep` of the (tracking-cost difference, Y_l values) of
+    each sample, from its members' (T, Q) results."""
+    prolong = problem.hierarchy.prolong
+
+    def combine(fine, coarse):
+        if coarse is None:
+            return fine[0], fine[1].values
+        return fine[0] - coarse[0], (fine[1] - prolong(coarse[1])).values
+
+    return _grid_sweep(problem, u_at, streams, problem.tracking_cost_grad_batch,
+                       combine, **options)
+
+
 def state_moments(problem: ControlProblem, u: LevelVector, streams, *,
                   workers: int = 1):
     """Per-node mean and unbiased variance of the full-grid states at
     control u, one per stream's field on u's level."""
     sums = _LevelSums()
-    for state in _evaluate_level(
-            lambda chunk: problem.state_batch(
-                u, (problem.field(s, u.level) for s in chunk)),
-            streams, workers):
+    for _, _, state in _grid_sweep(
+            problem, {u.level: u}, {u.level: streams}, problem.state_batch,
+            lambda fine, coarse: fine, workers=workers):
         sums.add(state)
     return sums.mean(), sums.var()
 
@@ -417,29 +446,22 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
     hier = problem.hierarchy
     u_at = _restriction_chain(problem, u_k)
+    streams = {level: sets.streams(k, level) for level in range(k + 1)}
     if prefix_counts is not None and len(prefix_counts) < k:
         raise LevelMismatch("prefix_counts must cover levels 0..k-1")
+    snaps = dict(enumerate(prefix_counts[:k])) if prefix_counts is not None else {}
+    if any(n > len(streams[level]) for level, n in snaps.items()):
+        raise LevelMismatch("prefix counts exceed available samples")
 
-    level_sums = []
+    level_sums = [_LevelSums() for _ in range(k + 1)]
     prefix_data: dict = {}
-    for level in range(k + 1):
-        streams = sets.streams(k, level)
-        n = len(streams)
-        snap = prefix_counts[level] if prefix_counts is not None and level < k else None
-        if snap is not None and snap > n:
-            raise LevelMismatch("prefix counts exceed available samples")
-
-        cached = {i: sample_cache[(level, i)] for i in range(n)
-                  if sample_cache is not None and (level, i) in sample_cache}
-        sums = _LevelSums()
-        for jt, yv in _evaluate_level(
-                lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
-                streams, workers, cached):
-            sums.add(yv, jt)
-            if sums.n == snap:
-                prefix_data[level] = (sums.sum_y.copy(), sums.sum_jt)
-        level_sums.append(sums)
-        _charge_pairs(ledger, level, n - len(cached), 1.0)
+    for level, _, (jt, yv) in _gradient_sweep(
+            problem, u_at, streams, workers=workers, cached=sample_cache,
+            ledger=ledger):
+        sums = level_sums[level]
+        sums.add(yv, jt)
+        if sums.n == snaps.get(level):
+            prefix_data[level] = (sums.sum_y.copy(), sums.sum_jt)
 
     grad, cost = _telescope(problem, u_k,
                             [(s.sum_y, s.sum_jt, s.n) for s in level_sums])
@@ -487,15 +509,16 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
     if u_k.level != k:
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
     u_at = _restriction_chain(problem, u_k)
+    streams = {level: sets.streams(k, level) for level in range(k + 1)}
+    diffs = {level: [] for level in streams}
+    for level, _, jt in _grid_sweep(
+            problem, u_at, streams, problem.tracking_cost_batch,
+            lambda fine, coarse: fine if coarse is None else fine - coarse,
+            workers=workers, ledger=ledger, weight=0.5):
+        diffs[level].append(jt)
     total = 0.0
     for level in range(k + 1):
-        streams = sets.streams(k, level)
-        results = _evaluate_level(
-            lambda chunk: _coupled_costs(problem, u_at, chunk, level),
-            streams, workers,
-        )
-        total += sum(results) / len(streams)
-        _charge_pairs(ledger, level, len(streams), 0.5)
+        total += sum(diffs[level]) / len(streams[level])
     return total + problem.regularization(u_k)
 
 
@@ -542,23 +565,22 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     n_extrapolated = min(max(extrapolate_finest, 0), max(len(levels) - 2, 0))
     measured = levels[: len(levels) - n_extrapolated]
 
+    streams = {level: [RngStream(global_seed, set_id, level, i)
+                       for i in range(warmup_n)] for level in measured}
+    level_sums = {level: _LevelSums() for level in measured}
+    for level, i, (jt, yv) in _gradient_sweep(
+            problem, u_at, streams, workers=workers, ledger=ledger):
+        level_sums[level].add(yv, jt)
+        if collect is not None:
+            collect[(level, i)] = (jt, yv)
+
     V = np.zeros(len(levels))
     mean_norms = np.zeros(len(levels))
     n_used = np.zeros(len(levels), dtype=int)
-    for level in measured:
-        streams = [RngStream(global_seed, set_id, level, i)
-                   for i in range(warmup_n)]
-        sums = _LevelSums()
-        for i, (jt, yv) in enumerate(_evaluate_level(
-                lambda chunk: _coupled_gradients(problem, u_at, chunk, level),
-                streams, workers)):
-            sums.add(yv, jt)
-            if collect is not None:
-                collect[(level, i)] = (jt, yv)
+    for level, sums in level_sums.items():
         V[level] = sums.level_variance(hier.h(level))
         mean_norms[level] = norm(hier.vector(level, sums.mean(), problem.control_role))
         n_used[level] = warmup_n
-        _charge_pairs(ledger, level, warmup_n, 1.0)
 
     fit_levels = [l for l in measured if l >= 1]
     slope = _fit_log2_decay(fit_levels, V[fit_levels]) if len(fit_levels) >= 2 else None

@@ -11,9 +11,9 @@ discrete gradient Q(u; omega) with respect to the control; the multilevel
 estimators only ever consume (T, Q) pairs and add the deterministic
 regularization part themselves.
 
-The estimators evaluate a level's samples through the batch methods, which
-take one control and many fields; by default they loop over the per-sample
-methods.
+The estimators evaluate each grid's samples through the batch methods,
+which take one control and many fields; by default they loop over the
+per-sample methods.
 
 Fields come from :meth:`ControlProblem.field` and
 :meth:`ControlProblem.field_pair`, the package's one route to
@@ -124,7 +124,7 @@ class ControlProblem:
         """Full-grid state (boundary included) for reporting/figures."""
         raise NotImplementedError
 
-    # -- per-level batches: one control, many fields ----------------------------
+    # -- per-grid batches: one control, many fields -----------------------------
     #
     # ``fields`` is any iterable of realizations on the control's level,
     # consumed once; results come in the same order and equal the per-sample

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgmlmc.cli import main
+from mgmlmc.cli import _fmt, _write_matrix_csv, main
 from mgmlmc.config import (
     KEYS,
     ExperimentConfig,
@@ -171,6 +171,31 @@ class TestConfigParsing:
         problem = build_problem(load_config(cfg_file))
         assert problem.name == "burgers" and problem.nt == 101
         assert problem.covariance.scale == pytest.approx(1e-3)
+
+
+def csv_writer_matrix(path, array):
+    """The matrix CSV as ``csv.writer`` writes ``_fmt`` of every value."""
+    array = np.atleast_2d(np.asarray(array, dtype=float))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(array.shape[1])])
+        for row in array:
+            writer.writerow([_fmt(v) for v in row])
+
+
+class TestMatrixCsv:
+    @pytest.mark.parametrize("array", [
+        np.array([[np.nan, np.inf, -np.inf, -0.0],
+                  [5e-324, 1e300, 3.0, -7.0],
+                  [0.1, 1.0 / 3.0, -2.5e-17, 0.0]]),
+        np.array([1.0, -0.0, np.nan, 5e-324, 1e300, 0.1]),
+    ], ids=["2d", "1d"])
+    def test_bytes_equal_csv_writer(self, tmp_path, array):
+        _write_matrix_csv(tmp_path / "fast.csv", array)
+        csv_writer_matrix(tmp_path / "ref.csv", array)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "ref.csv").read_bytes()
+        assert fast.count(b"\r\n") == np.atleast_2d(array).shape[0] + 1
 
 
 class TestFieldSampleCommand:

@@ -197,30 +197,8 @@ class TestAdjointness:
 
 
 class TestComposition:
-    def test_identity_when_same_level(self):
-        h = GridHierarchy(dim=2, n0=5, levels=3)
-        v = h.vector(1, np.random.default_rng(0).standard_normal(h.shape(1)))
-        assert h.transfer(v, 1) is v
-
-    def test_composition_matches_stepwise(self):
-        h = GridHierarchy(dim=1, n0=5, levels=4)
-        rng = np.random.default_rng(3)
-        v = h.vector(0, rng.standard_normal(h.shape(0)))
-        direct = h.prolong_to(v, 3)
-        stepwise = h.prolong(h.prolong(h.prolong(v)))
-        assert np.array_equal(direct.values, stepwise.values)
-
-    def test_composed_adjoint(self):
-        h = GridHierarchy(dim=2, n0=5, levels=4)
-        rng = np.random.default_rng(11)
-        uc = h.vector(0, rng.standard_normal(h.shape(0)))
-        uf = h.vector(3, rng.standard_normal(h.shape(3)))
-        lhs = inner_product(h.prolong_to(uc, 3), uf)
-        rhs = inner_product(uc, h.restrict_to(uf, 0))
-        assert abs(lhs - rhs) <= 1e-12 * norm(uc) * norm(uf)
-
     def test_restrict_prolong_constant_round_trip(self):
         h = GridHierarchy(dim=1, n0=9, levels=3)
         v = h.vector(2, np.ones(h.shape(2)))
-        back = h.restrict_to(v, 0)
+        back = h.restrict(h.restrict(v))
         assert np.allclose(back.values, 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from mgmlmc.errors import InsufficientSamples, InvalidQ, LevelMismatch
 from mgmlmc.mlmc import (
     PURPOSE_OPT,
     PURPOSE_USER,
+    _LevelSums,
+    _telescope,
     make_set_id,
     predicted_gradient_cost,
     refresh_level_stats,
@@ -215,13 +218,14 @@ class TestLevelStats:
 
         import mgmlmc.mlmc as mlmc_mod
 
-        def fake_coupled(problem, u_at, streams, level):
+        def fake_sweep(problem, u_at, streams, **options):
             # pointwise sd 2^-l -> integrated V_l ~ 4^-l
-            return [(0.0, 2.0 ** (-level)
-                     * s.generator().standard_normal(hier.shape(level)))
-                    for s in streams]
+            for level, level_streams in streams.items():
+                for i, s in enumerate(level_streams):
+                    yield level, i, (0.0, 2.0 ** (-level)
+                                     * s.generator().standard_normal(hier.shape(level)))
 
-        monkeypatch.setattr(mlmc_mod, "_coupled_gradients", fake_coupled)
+        monkeypatch.setattr(mlmc_mod, "_gradient_sweep", fake_sweep)
         stats = estimate_level_stats(
             SyntheticProblem(), hier.zeros(4), 400, range(5),
             global_seed=3, set_id=4, extrapolate_finest=0)
@@ -421,3 +425,212 @@ class TestMlmcGradient:
         sets = build_sample_sets(2, alloc, 0.25, True, 3, 4)
         with pytest.raises(LevelMismatch):
             mlmc_gradient(p, p.zero_control(1), sets, 2)
+
+
+def restrictions(p, u):
+    u_at = {u.level: u}
+    for level in range(u.level - 1, -1, -1):
+        u_at[level] = p.hierarchy.restrict(u_at[level + 1])
+    return u_at
+
+
+def per_sample_estimate(p, u, streams, *, cost_only=False, cache=None,
+                        snaps=None):
+    """Level by level, each sample's fields drawn and evaluated alone.
+
+    Returns the level sums, the per-sample values, the prefix sums after
+    ``snaps[level]`` samples and the ledger events of the uncached pairs.
+    """
+    u_at = restrictions(p, u)
+    cache, snaps = cache or {}, snaps or {}
+    evaluate = p.tracking_cost if cost_only else p.tracking_cost_grad
+    weight = 0.5 if cost_only else 1.0
+    sums, values, prefix, led = [], {}, {}, SolveLedger()
+    for level in sorted(streams):
+        s, fresh = _LevelSums(), 0
+        for i, stream in enumerate(streams[level]):
+            if (level, i) in cache:
+                value = cache[(level, i)]
+            else:
+                fresh += 1
+                if level == 0:
+                    value = evaluate(u_at[0], p.field(stream, 0))
+                else:
+                    f_fine, f_coarse = p.field_pair(stream, level)
+                    fine = evaluate(u_at[level], f_fine)
+                    coarse = evaluate(u_at[level - 1], f_coarse)
+                    value = (fine - coarse if cost_only else
+                             (fine[0] - coarse[0], fine[1] - p.hierarchy.prolong(coarse[1])))
+                if not cost_only:
+                    value = (value[0], value[1].values)
+            values[(level, i)] = value
+            if not cost_only:
+                s.add(value[1], value[0])
+                if s.n == snaps.get(level):
+                    prefix[level] = (s.sum_y.copy(), s.sum_jt)
+        sums.append(s)
+        led.add(level, fresh, weight)
+        if level > 0:
+            led.add(level - 1, fresh, weight)
+    return sums, values, prefix, led.events
+
+
+def count_batches(monkeypatch, cls, name):
+    """Wrap ``cls.name`` to record the number of fields of each call."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, u, fields):
+        fields = list(fields)
+        calls.append((u.level, len(fields)))
+        return original(self, u, fields)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestGridSweep:
+    """One batch per grid, with results equal to a per-sample loop."""
+
+    @pytest.fixture(params=["laplace_small", "burgers_small"])
+    def problem(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def control(p, level):
+        if p.hierarchy.dim == 1:
+            return p.control_from_function(level, lambda x: 0.2 * np.sin(np.pi * x))
+        return p.control_from_function(level, lambda a, b: np.sin(np.pi * a) * b)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+    def test_gradient_equals_per_sample_loop(self, problem, workers, cached):
+        p = problem
+        u = self.control(p, 2)
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 43, 4)
+        streams = {level: sets.streams(2, level) for level in range(3)}
+        snaps = dict(enumerate(sets.counts[1]))
+        cache = None
+        if cached:
+            # values unlike any evaluation, so a reused entry shows in the sums
+            _, values, _, _ = per_sample_estimate(p, u, streams)
+            cache = {key: (values[key][0] + 1.0, values[key][1] + 1.0)
+                     for key in [(0, 1), (0, 4), (1, 0), (1, 2), (1, 4), (2, 1)]}
+        sums, _, prefix, events = per_sample_estimate(p, u, streams, cache=cache,
+                                                      snaps=snaps)
+        grad, cost = _telescope(p, u, [(s.sum_y, s.sum_jt, s.n) for s in sums])
+
+        led = SolveLedger()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the worker threads often
+        try:
+            est = mlmc_gradient(p, u, sets, 2, ledger=led, prefix_counts=sets.counts[1],
+                                sample_cache=cache, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(est.value.values, grad.values)
+        assert est.cost_value == cost
+        assert np.array_equal(est.stats.V, [s.level_variance(p.hierarchy.h(l))
+                                            for l, s in enumerate(sums)])
+        assert list(est.stats.n_used) == [7, 5, 3]
+        assert sorted(est.prefix) == sorted(prefix)
+        for level, (sum_y, sum_jt) in prefix.items():
+            assert np.array_equal(est.prefix[level][0], sum_y)
+            assert est.prefix[level][1] == sum_jt
+        assert led.events == events
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cost_equals_per_sample_loop(self, problem, workers):
+        p = problem
+        u = self.control(p, 2)
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 4, 2), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 47, 4)
+        streams = {level: sets.streams(2, level) for level in range(3)}
+        _, values, _, events = per_sample_estimate(p, u, streams, cost_only=True)
+        total = 0.0
+        for level in range(3):
+            n = len(streams[level])
+            total += sum(values[(level, i)] for i in range(n)) / n
+        led = SolveLedger()
+        cost = mlmc_cost(p, u, sets, 2, ledger=led, workers=workers)
+        assert cost == total + p.regularization(u)
+        assert led.events == events
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_level_stats_equal_per_sample_loop(self, problem, workers):
+        p = problem
+        u = self.control(p, 2)
+        streams = {level: [RngStream(13, 4, level, i) for i in range(6)]
+                   for level in range(2)}
+        sums, values, _, events = per_sample_estimate(p, u, streams)
+        led, collect = SolveLedger(), {}
+        stats = estimate_level_stats(p, u, 6, range(3), global_seed=13, set_id=4,
+                                     extrapolate_finest=1, ledger=led,
+                                     collect=collect, workers=workers)
+        hier = p.hierarchy
+        for level, s in enumerate(sums):
+            assert stats.V[level] == s.level_variance(hier.h(level))
+            assert stats.mean_norms[level] == norm(
+                hier.vector(level, s.mean(), p.control_role))
+        assert list(stats.n_used) == [6, 6, 0]
+        assert sorted(collect) == sorted(values)
+        for key, (jt, y) in values.items():
+            assert collect[key][0] == jt and np.array_equal(collect[key][1], y)
+        assert led.events == events
+
+    def test_one_batch_per_grid(self, burgers_small, monkeypatch):
+        from mgmlmc import BurgersInitialControl
+        from mgmlmc.mlmc import state_moments
+
+        p = burgers_small
+        grads = count_batches(monkeypatch, BurgersInitialControl,
+                              "tracking_cost_grad_batch")
+        costs = count_batches(monkeypatch, BurgersInitialControl,
+                              "tracking_cost_batch")
+        states = count_batches(monkeypatch, BurgersInitialControl, "state_batch")
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 53, 4)
+        for k in range(3):
+            u = self.control(p, k)
+            grads.clear()
+            mlmc_gradient(p, u, sets, k)
+            n = sets.counts[k]
+            # grid g: the coarse members of level g+1's pairs, then level g
+            expected = [(g, n[g] + (n[g + 1] if g < k else 0))
+                        for g in range(k, -1, -1)]
+            assert grads == expected
+            costs.clear()
+            mlmc_cost(p, u, sets, k)
+            assert costs == expected
+
+        grads.clear()
+        estimate_level_stats(p, self.control(p, 2), 4, range(3), global_seed=3,
+                             set_id=4, extrapolate_finest=1)
+        assert grads == [(1, 4), (0, 8)]
+        u = self.control(p, 2)
+        state_moments(p, u, [RngStream(3, 4, 2, i) for i in range(5)])
+        assert states == [(2, 5)]
+
+    def test_failed_grid_charges_only_completed_levels(self, burgers_small,
+                                                       monkeypatch):
+        from mgmlmc import BurgersInitialControl
+        from mgmlmc.errors import StabilityViolation
+
+        p = burgers_small
+        original = BurgersInitialControl.tracking_cost_grad_batch
+
+        def fails_on_grid_0(self, u, fields):
+            if u.level == 0:
+                raise StabilityViolation("unstable", step=1)
+            return original(self, u, fields)
+
+        monkeypatch.setattr(BurgersInitialControl, "tracking_cost_grad_batch",
+                            fails_on_grid_0)
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 59, 4)
+        led = SolveLedger()
+        with pytest.raises(StabilityViolation):
+            mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led)
+        # level 2's pairs ended on grid 1; level 1's needed grid 0
+        assert led.events == [(2, 3, 1.0), (1, 3, 1.0)]
