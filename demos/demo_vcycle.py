@@ -13,7 +13,9 @@ from mgmlmc import (
     LaplaceSourceControl,
     SampleAllocation,
     SmoothingSchedule,
+    SolveLedger,
     build_sample_sets,
+    equivalent_fine_solves,
     run_vcycle,
 )
 
@@ -31,11 +33,13 @@ print("sample counts per optimization level:")
 for k in range(K, -1, -1):
     print(f"  k={k}: {sets.counts[k]}")
 
-v_new, report = run_vcycle(problem, v, sets, schedule)
+ledger = SolveLedger()
+v_new, report = run_vcycle(problem, v, sets, schedule, ledger=ledger)
+solves = equivalent_fine_solves(ledger, K, problem.kappa_default)
 
 print(f"\ncycle summary: J {report.J0:.4e} -> {report.J:.4e}   "
       f"|g| {report.g0_norm:.4e} -> {report.g_norm:.4e}")
-print(f"equivalent fine-grid solves: {report.solves:.1f}   "
+print(f"equivalent fine-grid solves: {solves:.1f}   "
       f"line-search backtracks: {report.backtracks}")
 
 print("\nevent log:")

@@ -12,6 +12,9 @@ Artifacts land in the configured output directory:
 
 Re-running with the same config and seed reproduces ``report.csv``
 bit-for-bit except for the time column.
+
+Exit status: 0 for a converged run or a passed gradient check, 1 for a run
+that stopped unconverged or a failed gradient check, 2 for an error.
 """
 
 from __future__ import annotations
@@ -186,10 +189,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     with open(outdir / "run.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    g = ("unconfirmed" if report.final_g_norm is None
+         else f"{report.final_g_norm:.3e}")
     print(f"{cfg.mode}: status={report.status} cycles={len(report.rows)} "
-          f"solves={report.total_solves:.2f} "
-          f"final |g|={report.final_g_norm if report.final_g_norm is not None else float('nan'):.3e}")
-    return 0
+          f"solves={report.total_solves:.2f} final |g|={g}")
+    return 0 if report.converged else 1
 
 
 def cmd_gradcheck(cfg: ExperimentConfig) -> int:
@@ -245,10 +249,10 @@ def cmd_field_sample(cfg: ExperimentConfig) -> int:
 
 
 _COMMANDS = {
-    "run": None,  # honors cfg.mode
-    "gradcheck": "gradcheck",
-    "mlmc-report": "mlmc-report",
-    "field-sample": "field-sample",
+    "run": cmd_run,
+    "gradcheck": cmd_gradcheck,
+    "mlmc-report": cmd_mlmc_report,
+    "field-sample": cmd_field_sample,
 }
 
 
@@ -269,16 +273,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.workers = args.workers
             cfg.validate()
-        override = _COMMANDS[args.command]
-        if override is not None:
-            cfg.mode = override
-        if cfg.mode == "gradcheck":
-            return cmd_gradcheck(cfg)
-        if cfg.mode == "mlmc-report":
-            return cmd_mlmc_report(cfg)
-        if cfg.mode == "field-sample":
-            return cmd_field_sample(cfg)
-        return cmd_run(cfg)
+        return _COMMANDS[args.command](cfg)
     except MgmlmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

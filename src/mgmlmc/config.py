@@ -3,15 +3,14 @@
 A config is a flat INI file, parsed by :mod:`configparser`; the README's
 "Command line" section shows one with every key.  ``KEYS`` maps each
 ``[section] key`` to the :class:`ExperimentConfig` attribute it sets.  Any
-other key or section is an error, except the retired ``[run]
-deterministic``, which is ignored.
+other key or section is an error.
 
 This module holds the schema only.  Omitted settings keep the defaults of
 the objects that use them (:class:`OptimizerConfig`, the problem specs and
 their :class:`CovarianceSpec`), and those objects check the ranges.
 :func:`load_config` builds them once, so all numeric ranges are validated
-before any solve happens.  The environment variable ``MGMLMC_SEED`` (or
-legacy ``MGOPT_SEED``) overrides ``global_seed``.
+before any solve happens.  The environment variable ``MGMLMC_SEED``
+overrides ``global_seed``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ _PROBLEMS = {
     "burgers": (BurgersProblemSpec, BurgersInitialControl, 1, 33),
 }
 PROBLEMS = tuple(_PROBLEMS)
-MODES = ("mgopt", "baseline", "gradcheck", "mlmc-report", "field-sample")
+MODES = ("mgopt", "baseline")
 
 
 @dataclass
@@ -113,7 +112,6 @@ KEYS = {
     ("run", "workers"): ("workers", int),
     ("run", "state_samples"): ("state_samples", int),
 }
-RETIRED_KEYS = {("run", "deterministic")}  # accepted and ignored
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -129,8 +127,6 @@ def load_config(path: str) -> ExperimentConfig:
     # section, and none of them is in the table
     for section in (parser.default_section, *parser.sections()):
         for key in parser[section]:
-            if (section, key) in RETIRED_KEYS:
-                continue
             if (section, key) not in KEYS:
                 raise ConfigError(f"unknown key [{section}] {key}")
             attr, cast = KEYS[section, key]
@@ -142,8 +138,8 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
             setattr(cfg, attr, value)
 
-    env_seed = os.environ.get("MGMLMC_SEED") or os.environ.get("MGOPT_SEED")
-    if env_seed is not None:
+    env_seed = os.environ.get("MGMLMC_SEED")
+    if env_seed:  # set and not empty
         try:
             cfg.global_seed = int(env_seed)
         except ValueError as exc:

@@ -157,15 +157,8 @@ class RunReport:
         return sum(r.solves for r in self.rows)
 
     @property
-    def total_time(self) -> float:
-        return sum(r.time for r in self.rows)
-
-    @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-    def totals(self) -> dict:
-        return {"solves": self.total_solves, "time": self.total_time}
 
 
 class _CyclePlan(NamedTuple):

@@ -291,12 +291,6 @@ class DtNBoundaryControl(_EllipticBase):
         q = op.gamma_flux_transpose_control(w) + op.lift_gamma_transpose(p)
         return jt, u.with_values(q)
 
-    def flux_sample(self, u: LevelVector, field: FieldSample) -> np.ndarray:
-        """Achieved flux k dy/dn on Gamma for one realization."""
-        self._check(u, field)
-        op = self._operator(field)
-        return self._flux(u, op)[1]
-
     def state(self, u, field):
         self._check(u, field)
         op = self._operator(field)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-import numpy as np
-
 from .errors import (CoherenceViolation, LevelMismatch, LineSearchFailure,
                      StabilityViolation)
 from .grids import LevelVector, inner_product, norm
@@ -35,7 +33,6 @@ from .mlmc import (
     GradientEstimate,
     MgoptSampleSets,
     SolveLedger,
-    equivalent_fine_solves,
     mlmc_cost,
     mlmc_gradient,
     subestimate_from_prefix,
@@ -106,7 +103,7 @@ class LevelObjective:
         self.tau = tau
         self.ledger = ledger
         self.workers = workers
-        self.quadratic = getattr(problem, "is_quadratic", False)
+        self.quadratic = problem.is_quadratic
         self.last_estimate: GradientEstimate | None = None
 
     def _shift(self, u: LevelVector, jhat: float, ghat: LevelVector):
@@ -132,10 +129,6 @@ class LevelObjective:
                       ledger=self.ledger, workers=self.workers)
         return j if self.tau is None else j - inner_product(self.tau, u)
 
-    def step_cap(self, u: LevelVector, d: LevelVector) -> float:
-        cap = getattr(self.problem, "initial_step_cap", None)
-        return cap(u, d) if cap is not None else np.inf
-
 
 def dai_yuan_beta(g: LevelVector, g_prev: LevelVector, d_prev: LevelVector) -> float:
     denom = inner_product(d_prev, g - g_prev)
@@ -151,7 +144,6 @@ class SmootherResult:
     g: LevelVector | None
     J_initial: float | None
     g_initial: LevelVector | None
-    evaluations: float
     iterates: list
     steps_taken: int = 0
 
@@ -174,11 +166,9 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     recomputed one agree to solver accuracy.
     """
     if steps == 0 and initial is None:
-        return SmootherResult(v, None, None, None, None, 0, [])
-    evals = 0.0
+        return SmootherResult(v, None, None, None, None, [])
     if initial is None:
         J, g = objective.evaluate(v)
-        evals += 1
     else:
         J, g = initial
     J0, g0 = J, g
@@ -200,7 +190,6 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
 
         if objective.quadratic:
             Jt, gt = objective.evaluate(v + d)
-            evals += 1
             curv = inner_product(gt - g, d)
             if curv <= 0.0:
                 if Jt < J:
@@ -214,17 +203,15 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
             v = v + s * d
             if explicit_gradients:
                 J, g = objective.evaluate(v)
-                evals += 1
             else:
                 g = (1.0 - s) * g + s * gt
                 J = J + s * gd + 0.5 * s * s * curv
         else:
-            v, J, g, used = _nonquadratic_step(objective, v, J, g, d, gd)
-            evals += used
+            v, J, g = _nonquadratic_step(objective, v, J, g, d, gd)
         steps_taken += 1
         if record_iterates:
             iterates.append((v, J, g))
-    return SmootherResult(v, J, g, J0, g0, evals, iterates, steps_taken)
+    return SmootherResult(v, J, g, J0, g0, iterates, steps_taken)
 
 
 def _nonquadratic_step(objective, v, J, g, d, gd):
@@ -242,11 +229,9 @@ def _nonquadratic_step(objective, v, J, g, d, gd):
         except StabilityViolation:
             return None
 
-    used = 0
-    cap = objective.step_cap(v, d)
+    cap = objective.problem.initial_step_cap(v, d)
     sigma0 = min(1.0, cap)
     probe = try_full(v + sigma0 * d)
-    used += 1
     if probe is not None:
         Jt, gt = probe
         curv = inner_product(gt - g, d) / sigma0
@@ -255,23 +240,20 @@ def _nonquadratic_step(objective, v, J, g, d, gd):
             if 0.0 < s_star <= cap:
                 if abs(s_star - sigma0) <= 1e-12 * sigma0:
                     if Jt <= J + ARMIJO_C * sigma0 * gd:
-                        return v + sigma0 * d, Jt, gt, used
+                        return v + sigma0 * d, Jt, gt
                 else:
                     trial = try_full(v + s_star * d)
-                    used += 1
                     if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
-                        return v + s_star * d, trial[0], trial[1], used
+                        return v + s_star * d, trial[0], trial[1]
         if Jt <= J + ARMIJO_C * sigma0 * gd:
-            return v + sigma0 * d, Jt, gt, used
+            return v + sigma0 * d, Jt, gt
 
     s = sigma0 / BACKTRACK_FACTOR
     for _ in range(MAX_BACKTRACKS):
         Jb = try_cost(v + s * d)
-        used += 0.5
         if Jb is not None and Jb <= J + ARMIJO_C * s * gd:
             Jn, gn = objective.evaluate(v + s * d)
-            used += 1
-            return v + s * d, Jn, gn, used
+            return v + s * d, Jn, gn
         s /= BACKTRACK_FACTOR
     raise LineSearchFailure(
         f"no Armijo step after {MAX_BACKTRACKS} backtracks (gd={gd:.3e})"
@@ -333,7 +315,6 @@ class VCycleReport:
     J: float
     g0_norm: float
     g_norm: float
-    solves: float
     backtracks: int = 0
     events: list = dataclass_field(default_factory=list)
     level_stats: object = None  # sample statistics of the last top-level estimate
@@ -344,13 +325,14 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
            ledger: SolveLedger | None = None,
            workers: int = 1, events: list | None = None,
            initial_sample_cache: dict | None = None):
-    """One V-cycle at level k; returns (v', (J, g) at v', events).
+    """One V-cycle at level k; returns (v', (J, g) at v').
 
     Entered from the top as ``vcycle(problem, v_K, None, K, ...)``; the
-    sample sets stay fixed throughout.  ``initial_sample_cache`` holds
-    sample values precomputed at the entry point v (e.g. by warm-up
-    estimation on the same streams); it is consulted only by the entry
-    evaluation when no presmoothing moves the point.
+    sample sets stay fixed throughout.  Diagnostic records are appended to
+    ``events``.  ``initial_sample_cache`` holds sample values precomputed
+    at the entry point v (e.g. by warm-up estimation on the same streams);
+    it is consulted only by the entry evaluation when no presmoothing
+    moves the point.
     """
     if v.level != k:
         raise LevelMismatch(f"iterate on level {v.level}, expected {k}")
@@ -368,7 +350,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
                 "start": (res.J_initial, norm(res.g_initial)),
                 "end": (res.J, norm(res.g)),
             })
-        return res.v, (res.J, res.g), events
+        return res.v, (res.J, res.g)
 
     hier = problem.hierarchy
     nu = schedule.nu[k]
@@ -411,7 +393,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
             f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
         )
 
-    v_coarse_new, _, _ = vcycle(
+    v_coarse_new, _ = vcycle(
         problem, v_coarse, tau_coarse, k - 1, sets, schedule,
         ledger=ledger, workers=workers, events=events,
     )
@@ -439,33 +421,32 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
         events.append({
             "level": k, "kind": "level_stats", "stats": obj.last_estimate.stats,
         })
-    return res.v, final_pair, events
+    return res.v, final_pair
 
 
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
                ledger: SolveLedger | None = None, workers: int = 1,
                initial_sample_cache: dict | None = None) -> tuple:
-    """Top-level V-cycle call; returns (v', VCycleReport)."""
+    """Top-level V-cycle call; returns (v', VCycleReport).
+
+    The cycle's sample evaluations are charged to ``ledger``.
+    """
     K = v.level
-    cycle_ledger = SolveLedger()
     events: list = []
-    v_new, final_pair, events = vcycle(
+    v_new, final_pair = vcycle(
         problem, v, None, K, sets, schedule,
-        ledger=cycle_ledger, workers=workers, events=events,
+        ledger=ledger, workers=workers, events=events,
         initial_sample_cache=initial_sample_cache,
     )
     start = next(e for e in events if e["kind"] == "summary" and e["level"] == K)
     backtracks = sum(e["backtracks"] for e in events if e["kind"] == "linesearch")
-    solves = equivalent_fine_solves(cycle_ledger, K, problem.kappa_default)
-    if ledger is not None:
-        ledger.merge(cycle_ledger)
     top_stats = [e["stats"] for e in events
                  if e["kind"] == "level_stats" and e["level"] == K]
     report = VCycleReport(
         J0=start["start"][0], J=final_pair[0],
         g0_norm=start["start"][1], g_norm=norm(final_pair[1]),
-        solves=solves, backtracks=backtracks, events=events,
+        backtracks=backtracks, events=events,
         level_stats=top_stats[-1] if top_stats else None,
     )
     return v_new, report

@@ -52,9 +52,9 @@ from .problems import ControlProblem
 from .random_fields import RngStream
 
 # Purposes carving up the stream id space; combined with the cycle index
-# they keep warmup, optimization and confirmation sample sets disjoint.
+# they keep optimization, confirmation and state sample sets disjoint.
+# The values are part of every stream key, so they stay as they are.
 PURPOSE_OPT = 0
-PURPOSE_WARMUP = 1
 PURPOSE_CONFIRM = 2
 PURPOSE_STATE = 3
 PURPOSE_USER = 4
@@ -81,15 +81,6 @@ class SolveLedger:
     def add(self, level: int, n: int, weight: float = 1.0) -> None:
         if n > 0:
             self.events.append((level, n, weight))
-
-    def merge(self, other: "SolveLedger") -> None:
-        self.events.extend(other.events)
-
-    def sample_counts(self) -> dict:
-        out: dict = {}
-        for level, n, weight in self.events:
-            out[level] = out.get(level, 0.0) + n * weight
-        return out
 
 
 def _charge_pairs(ledger: SolveLedger | None, level: int, n: int,
@@ -629,16 +620,3 @@ def refresh_level_stats(stats: LevelStats, sample_stats: LevelStats,
         rho=stats.rho,
     )
 
-
-def predicted_gradient_cost(sets: MgoptSampleSets, k: int, kappa: float) -> float:
-    """Model cost of one gradient evaluation at level k, in fine-solve units.
-
-    Each level-l coupled sample solves at levels l and l-1.
-    """
-    total = 0.0
-    for level in range(k + 1):
-        n = sets.count(k, level)
-        total += n * 2.0 ** (kappa * (level - sets.K))
-        if level > 0:
-            total += n * 2.0 ** (kappa * (level - 1 - sets.K))
-    return total

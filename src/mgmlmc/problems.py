@@ -157,7 +157,9 @@ class ControlProblem:
         _, q = self.tracking_cost_grad(u, field)
         return self.alpha * u + q
 
-    def cost_and_gradient_sample(self, u: LevelVector, stream: RngStream):
-        field = self.field(stream, u.level)
-        jt, q = self.tracking_cost_grad(u, field)
-        return jt + self.regularization(u), self.alpha * u + q
+    # -- line search ------------------------------------------------------------
+
+    def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:
+        """Largest step along d from u that the nonquadratic line search may
+        try first; unbounded unless the problem has a stability limit."""
+        return np.inf

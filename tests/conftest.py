@@ -43,3 +43,15 @@ def unit_direction(rng, template):
     from mgmlmc import norm
 
     return d * (1.0 / norm(d))
+
+
+def predicted_gradient_cost(sets, k, kappa):
+    """Model cost of one gradient evaluation at level k, in fine-solve units
+    (oracle): each level-l coupled sample solves at levels l and l-1."""
+    total = 0.0
+    for level in range(k + 1):
+        n = sets.count(k, level)
+        total += n * 2.0 ** (kappa * (level - sets.K))
+        if level > 0:
+            total += n * 2.0 ** (kappa * (level - 1 - sets.K))
+    return total

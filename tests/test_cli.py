@@ -134,19 +134,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))
 
-    def test_removed_deterministic_key_still_loads(self, tmp_path):
-        text = MGOPT_CONFIG.format(out=tmp_path / "o") + "deterministic = true\n"
-        cfg = load_config(write_config(tmp_path / "c.ini", text))
-        assert cfg.state_samples == 8
-        assert not hasattr(cfg, "deterministic")
-
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=tmp_path / "o"))
         monkeypatch.setenv("MGMLMC_SEED", "1234")
         assert load_config(cfg_file).global_seed == 1234
-        monkeypatch.delenv("MGMLMC_SEED")
-        monkeypatch.setenv("MGOPT_SEED", "777")
-        assert load_config(cfg_file).global_seed == 777
 
     def test_dtn_needs_five_nodes(self, tmp_path):
         cfg_file = write_config(
@@ -218,7 +209,7 @@ class TestGradcheckCommand:
     def test_each_problem_passes(self, tmp_path, capsys, problem, n0, extra):
         cfg_file = write_config(
             tmp_path / "c.ini",
-            f"[experiment]\nproblem = {problem}\nmode = gradcheck\n"
+            f"[experiment]\nproblem = {problem}\n"
             f"output_dir = {tmp_path / 'o'}\nglobal_seed = 5\n"
             f"[grid]\nn0 = {n0}\nK = 1\n{extra}")
         assert main(["gradcheck", cfg_file]) == 0
@@ -296,7 +287,9 @@ class TestRunCommand:
             f"[grid]\nn0 = 9\nK = 1\n"
             f"[optimizer]\ni_max = 1\nwarmup = 8\n"
             f"[run]\nstate_samples = 4\n{extra}")
-        assert main(["run", cfg_file]) == 0
+        status = main(["run", cfg_file])
+        converged = json.loads((out / "run.json").read_text())["converged"]
+        assert status == (0 if converged else 1)
         assert len(read_csv(out / "report.csv")) == 2  # header + one cycle
         control = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1)
         mean = np.loadtxt(out / "mean_state.csv", delimiter=",", skiprows=1)
@@ -311,6 +304,29 @@ class TestRunCommand:
             assert mean.shape == (201, 17)
             assert np.array_equal(mean[0], control)
             assert np.all(var[0] == 0.0)
+
+    @pytest.mark.parametrize("mode", ["mgopt", "baseline"])
+    def test_unconverged_run_exits_1(self, tmp_path, capsys, mode):
+        # no gradient norm reaches tau = 1e-12 in one cycle or one NCG step
+        out = tmp_path / "o"
+        text = (MGOPT_CONFIG.format(out=out)
+                .replace("mode = mgopt", f"mode = {mode}")
+                .replace("tau = 2e-3", "tau = 1e-12")
+                .replace("i_max = 8", "i_max = 1\nbaseline_max_steps = 1"))
+        assert main(["run", write_config(tmp_path / "c.ini", text)]) == 1
+        assert "final |g|=unconfirmed" in capsys.readouterr().out
+        record = json.loads((out / "run.json").read_text())
+        assert record["converged"] is False
+        assert record["final_gradient_norm"] is None
+
+    # the subcommand picks the command; mode picks only the run's driver
+    @pytest.mark.parametrize("mode", ["gradcheck", "mlmc-report", "field-sample"])
+    def test_command_as_mode_rejected(self, tmp_path, capsys, mode):
+        out = tmp_path / "o"
+        text = MGOPT_CONFIG.format(out=out).replace("mode = mgopt", f"mode = {mode}")
+        assert main(["run", write_config(tmp_path / "c.ini", text)]) == 2
+        assert "error: unknown mode" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coherence_failure_exits_with_partial_report(self, tmp_path, capsys,
                                                          monkeypatch):

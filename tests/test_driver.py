@@ -25,10 +25,11 @@ from mgmlmc.mlmc import (
     build_sample_sets,
     equivalent_fine_solves,
     make_set_id,
-    predicted_gradient_cost,
 )
 from mgmlmc.problems import ControlProblem
 from mgmlmc.random_fields import CovarianceSpec, FieldSampler, RngStream
+
+from conftest import predicted_gradient_cost
 
 
 class TestRmseSchedule:
@@ -106,7 +107,6 @@ class TestRobustOptimize:
         _, report = robust_optimize(laplace_small, cfg)
         assert report.total_solves == pytest.approx(
             sum(r.solves for r in report.rows))
-        assert report.totals()["solves"] == report.total_solves
 
     def test_row_sink_called_per_cycle(self, laplace_small):
         rows = []

@@ -209,14 +209,6 @@ class TestLaplaceProblem:
             # direct quadrature oracle of the discontinuous target
             assert val == pytest.approx(0.125, abs=3 * h)
 
-    def test_cost_gradient_consistency(self, laplace_small):
-        p = laplace_small
-        s = RngStream(42, 3, 1, 2)
-        u = p.control_from_function(1, lambda a, b: np.cos(np.pi * a) * b)
-        j, g = p.cost_and_gradient_sample(u, s)
-        assert j == pytest.approx(p.cost_sample(u, s), rel=1e-14)
-        assert norm(g - p.gradient_sample(u, s)) == 0.0
-
     def test_level_mismatch_raises(self, laplace_small):
         p = laplace_small
         u = p.zero_control(1)
@@ -259,7 +251,8 @@ class TestDtNProblem:
         s = RngStream(42, 3, 1, 5)
         u = p.control_from_function(1, lambda x: 0.2 * np.sin(np.pi * x))
         field = p.field(s, 1)
-        flux = p.flux_sample(u, field)
+        op = DiffusionOperator(field.values, p.hierarchy.h(1))
+        flux = op.gamma_flux(u.values, op.solve(op.lift_gamma(u.values)))
         from mgmlmc.elliptic import DtNProblemSpec
 
         p2 = DtNBoundaryControl(

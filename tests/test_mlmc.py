@@ -31,13 +31,12 @@ from mgmlmc.mlmc import (
     _LevelSums,
     _telescope,
     make_set_id,
-    predicted_gradient_cost,
     refresh_level_stats,
     subestimate_from_prefix,
 )
 from mgmlmc.random_fields import CovarianceSpec
 
-from conftest import unit_direction
+from conftest import predicted_gradient_cost, unit_direction
 
 
 def stats_from(V, C):
@@ -345,7 +344,9 @@ class TestMlmcGradient:
         sets = build_sample_sets(2, alloc, 0.25, True, 31, 4)
         led = SolveLedger()
         mlmc_gradient(p, u, sets, 2, ledger=led)
-        counts = led.sample_counts()
+        counts = {}
+        for level, n, weight in led.events:
+            counts[level] = counts.get(level, 0.0) + n * weight
         # level 2 appears 2 times as a pair fine member; level 1 as pair
         # coarse member (2) plus its own fine member (3), etc.
         assert counts[2] == 2
