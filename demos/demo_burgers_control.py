@@ -33,9 +33,9 @@ print(f"stability: dt = {dt:.2e} <= bound {bound:.2e} "
       f"(margin {bound / dt:.1f}x)")
 
 u0 = problem.control_from_function(2, lambda x: 0.2 * np.sin(np.pi * x))
-traj = problem.solve_forward(u0, field)
-print(f"forward trajectory: {traj.states.shape}, "
-      f"max |y| = {np.abs(traj.states).max():.3f}")
+states = problem.state(u0, field)
+print(f"forward trajectory: {states.shape}, "
+      f"max |y| = {np.abs(states).max():.3f}")
 
 print("\noptimizing the initial condition toward the final-time target...")
 config = OptimizerConfig(tau=5e-3, K=2, eps1=0.1, i_max=6,
@@ -50,7 +50,7 @@ z = problem.target(2)
 residuals = []
 for i in range(32):
     f = problem.field(RngStream(5, 7, 2, i), 2)
-    yT = problem.solve_forward(u_opt, f).final[1:-1]
+    yT = problem.state(u_opt, f)[-1][1:-1]
     residuals.append(yT - z.values)
 mean_resid = np.mean(residuals, axis=0)
 print(f"\nmean final-time tracking residual: "

@@ -53,4 +53,4 @@ est = mlmc_gradient(problem, u, sets, 3, ledger=ledger)
 print(f"\nestimated |gradient| at the zero control: {norm(est.value):.4e}")
 print(f"matched cost estimate:                    {est.cost_value:.4e}")
 print(f"equivalent fine-grid solves spent:        "
-      f"{equivalent_fine_solves(ledger, 3, problem.kappa_default):.1f}")
+      f"{equivalent_fine_solves(ledger.events, 3, problem.kappa_default):.1f}")

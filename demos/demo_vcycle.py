@@ -35,7 +35,7 @@ for k in range(K, -1, -1):
 
 ledger = SolveLedger()
 v_new, report = run_vcycle(problem, v, sets, schedule, ledger=ledger)
-solves = equivalent_fine_solves(ledger, K, problem.kappa_default)
+solves = equivalent_fine_solves(ledger.events, K, problem.kappa_default)
 
 print(f"\ncycle summary: J {report.J0:.4e} -> {report.J:.4e}   "
       f"|g| {report.g0_norm:.4e} -> {report.g_norm:.4e}")

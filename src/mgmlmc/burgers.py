@@ -19,7 +19,9 @@ forward-mode (tangent) sweep is provided for dot-product verification.
 
 A grid's samples are marched together as a ``(nodes, n_samples)`` array,
 so every spatial slice is contiguous, with one stability check per time
-step for the whole batch.  The forward march is one loop over
+step for the whole batch.  This batch march is the only forward solve:
+the per-sample ``state``, ``tracking_cost`` and ``tracking_cost_grad`` run
+it on a batch of one.  The forward march is one loop over
 preallocated buffers: its coefficients are formed once before the loop,
 and each step writes its predictor and new state in place.  The adjoint
 sweep forms the state-dependent coefficients of ``ADJOINT_BLOCK`` steps at
@@ -136,19 +138,6 @@ def maccormack_step_adjoint(y, yp, w, k, dt, dx, s):
         + b[..., 2:] * r[..., 2:]
     )
     return a
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Full space-time history of one forward solve."""
-
-    level: int
-    dt: float
-    states: np.ndarray = dataclass_field(repr=False)  # (nt, nodes)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _march(y0, k, dt, dx, s, steps, *, states=None, predictors=None):
@@ -274,20 +263,6 @@ def _sweep_adjoint(states, predictors, w, k, dt, dx, s):
     return w
 
 
-def solve_forward(u: LevelVector, field: FieldSample, nt: int, T: float,
-                  s: float) -> Trajectory:
-    """Forward solve storing all nt states; raises on instability."""
-    if u.level != field.level:
-        raise LevelMismatch("control and field must live on the same level")
-    n = field.nodes
-    dx = 1.0 / (n - 1)
-    dt = T / (nt - 1)
-    states = np.zeros((nt, n))
-    states[0, 1:-1] = u.values
-    _march(states[0], field.values, dt, dx, s, nt - 1, states=states)
-    return Trajectory(level=u.level, dt=dt, states=states)
-
-
 def burgers_target(x: np.ndarray) -> np.ndarray:
     """Final-time target: a raised-cosine bump supported on [2/5, 4/5]."""
     return np.where(
@@ -350,14 +325,6 @@ class BurgersInitialControl(ControlProblem):
         if level not in self._targets:
             self._targets[level] = self.hierarchy.from_function(level, self.spec.target)
         return self._targets[level]
-
-    def _check(self, u: LevelVector, field: FieldSample):
-        if u.level != field.level or u.role != INTERIOR:
-            raise LevelMismatch("control and field must share an interior level")
-
-    def solve_forward(self, u: LevelVector, field: FieldSample) -> Trajectory:
-        self._check(u, field)
-        return solve_forward(u, field, self.nt, self.spec.T, self.spec.s)
 
     def tracking_cost(self, u, field):
         return self.tracking_cost_batch(u, [field])[0]
@@ -445,20 +412,22 @@ class BurgersInitialControl(ControlProblem):
             return 1e-6
         return headroom / dmax
 
-    def final_state_tangent(self, traj: Trajectory, du: LevelVector,
+    def final_state_tangent(self, states: np.ndarray, du: LevelVector,
                             field: FieldSample) -> np.ndarray:
-        """Forward-mode derivative of the final state along du."""
+        """Forward-mode derivative along du of the final state of the
+        history ``states`` (as returned by :meth:`state`)."""
         k = field.values
-        dx = self.hierarchy.h(traj.level)
-        dt = traj.dt
+        dx = self.hierarchy.h(du.level)
+        dt = self.dt
         s = self.spec.s
         dy = np.zeros(field.nodes)
         dy[1:-1] = du.values
-        for j in range(traj.states.shape[0] - 1):
-            yj = traj.states[j]
+        for j in range(states.shape[0] - 1):
+            yj = states[j]
             yp = maccormack_predictor(yj, k, dt, dx, s)
             dy = maccormack_step_tangent(yj, yp, dy, k, dt, dx, s)
         return dy
 
     def state(self, u, field):
-        return self.solve_forward(u, field).states
+        """All nt states, shaped (nt, nodes); one batch of one sample."""
+        return next(self.state_batch(u, [field]))

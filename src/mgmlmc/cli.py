@@ -43,7 +43,6 @@ from .grids import GAMMA, LevelVector, norm
 from .mlmc import (
     PURPOSE_USER,
     SampleAllocation,
-    SolveLedger,
     build_sample_sets,
     estimate_level_stats,
     make_set_id,
@@ -210,14 +209,15 @@ def cmd_gradcheck(cfg: ExperimentConfig) -> int:
 
 def cmd_mlmc_report(cfg: ExperimentConfig) -> int:
     problem = build_problem(cfg)
-    ledger = SolveLedger()
     u = problem.zero_control(cfg.K)
+    # every level measured, and the counts sized for the confirmation
+    # budget r * tau, the finest accuracy a run asks for
     stats = estimate_level_stats(
         problem, u, cfg.warmup, range(cfg.K + 1),
         global_seed=cfg.global_seed, set_id=make_set_id(0, PURPOSE_USER),
-        ledger=ledger, workers=cfg.workers,
+        extrapolate_finest=0, workers=cfg.workers,
     )
-    alloc = optimal_allocation(stats, cfg.eps1, cfg.theta)
+    alloc = optimal_allocation(stats, cfg.r * cfg.tau, cfg.theta)
     lines = [["level", "V", "C", "n", "phi", "kappa", "rho"]]
     for level in stats.levels:
         lines.append([

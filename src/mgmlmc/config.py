@@ -61,7 +61,6 @@ class ExperimentConfig:
     warmup: int = OptimizerConfig.warmup
     nested: bool = OptimizerConfig.nested
     baseline_max_steps: int = OptimizerConfig.baseline_max_steps
-    baseline_eps1: float | None = OptimizerConfig.baseline_eps1
     nt: int | None = None
     workers: int = OptimizerConfig.workers
     state_samples: int = 64
@@ -107,7 +106,6 @@ KEYS = {
     ("optimizer", "warmup"): ("warmup", int),
     ("optimizer", "nested"): ("nested", bool),
     ("optimizer", "baseline_max_steps"): ("baseline_max_steps", int),
-    ("optimizer", "baseline_eps1"): ("baseline_eps1", float),
     ("burgers", "nt"): ("nt", int),
     ("run", "workers"): ("workers", int),
     ("run", "state_samples"): ("state_samples", int),

@@ -89,7 +89,6 @@ class OptimizerConfig:
     global_seed: int = 0
     workers: int = 1
     baseline_max_steps: int = 500
-    baseline_eps1: float | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -108,8 +107,6 @@ class OptimizerConfig:
             raise ValueError("warmup must be >= 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.baseline_eps1 is not None and self.baseline_eps1 <= 0:
-            raise ValueError("baseline_eps1 must be > 0")
         if self.K < 0:
             raise ValueError("K must be >= 0")
 
@@ -325,8 +322,7 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
     def next_eps(eps, row):
         return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)
 
-    eps1 = config.baseline_eps1 if config.baseline_eps1 is not None else config.eps1
-    return _adaptive_loop(problem, config, eps=eps1,
+    return _adaptive_loop(problem, config, eps=config.eps1,
                           max_cycles=config.baseline_max_steps,
                           status="max_steps", step=step, next_eps=next_eps,
                           row_sink=row_sink)

@@ -219,25 +219,19 @@ class LaplaceSourceControl(_EllipticBase):
             self._targets[level] = self.hierarchy.from_function(level, self.spec.target)
         return self._targets[level]
 
-    def _check(self, u: LevelVector, field: FieldSample):
-        if u.level != field.level or u.role != INTERIOR:
-            raise LevelMismatch("control and field must share an interior level")
+    def _residual(self, u, field):
+        """(operator, state residual, tracking cost) of one realization."""
+        self._check(u, field)
+        op = self._operator(field)
+        r = op.solve(u.values) - self.target(u.level).values
+        return op, r, 0.5 * u.h**2 * float(np.vdot(r, r))
 
     def tracking_cost(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
-        y = op.solve(u.values)
-        r = y - self.target(u.level).values
-        return 0.5 * u.h**2 * float(np.vdot(r, r))
+        return self._residual(u, field)[2]
 
     def tracking_cost_grad(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
-        y = op.solve(u.values)
-        r = y - self.target(u.level).values
-        jt = 0.5 * u.h**2 * float(np.vdot(r, r))
-        p = op.solve(r)
-        return jt, u.with_values(p)
+        op, r, jt = self._residual(u, field)
+        return jt, u.with_values(op.solve(r))
 
     def state(self, u, field):
         self._check(u, field)
@@ -266,27 +260,20 @@ class DtNBoundaryControl(_EllipticBase):
             self._targets[level] = np.asarray(self.spec.target_flux(x), dtype=float)
         return self._targets[level]
 
-    def _check(self, u: LevelVector, field: FieldSample):
-        if u.level != field.level or u.role != GAMMA:
-            raise LevelMismatch("control must be a gamma vector on the field level")
-
-    def _flux(self, u, op):
+    def _residual(self, u, field):
+        """(operator, flux residual on Gamma, tracking cost) of one
+        realization."""
+        self._check(u, field)
+        op = self._operator(field)
         y = op.solve(op.lift_gamma(u.values))
-        return y, op.gamma_flux(u.values, y)
+        w = op.gamma_flux(u.values, y) - self.target_flux(u.level)
+        return op, w, 0.5 * u.h * float(np.vdot(w, w))
 
     def tracking_cost(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
-        _, f = self._flux(u, op)
-        w = f - self.target_flux(u.level)
-        return 0.5 * u.h * float(np.vdot(w, w))
+        return self._residual(u, field)[2]
 
     def tracking_cost_grad(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
-        _, f = self._flux(u, op)
-        w = f - self.target_flux(u.level)
-        jt = 0.5 * u.h * float(np.vdot(w, w))
+        op, w, jt = self._residual(u, field)
         p = op.solve(op.gamma_flux_transpose_state(w))
         q = op.gamma_flux_transpose_control(w) + op.lift_gamma_transpose(p)
         return jt, u.with_values(q)

@@ -16,10 +16,12 @@ The prolonged coarse update is applied through a backtracking line search
 sets stay fixed for the whole cycle.
 
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
-mix.  On fixed-sample quadratic problems it performs the exact line search
-from one extra gradient evaluation and propagates gradients by affine
-combination, which makes it step-for-step equivalent to classical CG on
-the sampled optimality system.
+mix and one line-search step for every problem: a secant step from a trial
+gradient, evaluated afresh and checked by Armijo, with backtracking as the
+fallback.  On fixed-sample quadratic problems the secant step is the exact
+line search.  The ``explicit_gradients=False`` reference instead
+propagates gradients by affine combination there, which makes it
+step-for-step equivalent to classical CG on the sampled optimality system.
 """
 
 from __future__ import annotations
@@ -157,13 +159,13 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     ``initial`` may carry an already-evaluated (J, g) pair at v.  The result
     always holds a valid (J, g) at the final point.
 
-    On quadratic objectives the line search is exact from one extra gradient
-    at v + d (secant step), and the gradient at the accepted point is the
-    affine combination (1-s) g(v) + s g(v+d).  With ``explicit_gradients``
-    (the default) that gradient is recomputed by a fresh evaluation instead,
-    so every smoothing step costs two gradient evaluations uniformly across
-    the quadratic and nonquadratic problems; the affine value and the
-    recomputed one agree to solver accuracy.
+    Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
+    which costs two gradient evaluations unless its Armijo fallback runs.
+    With ``explicit_gradients=False`` a quadratic objective takes the
+    classical CG step instead: one gradient at v + d gives the exact step s,
+    and the gradient at v + s d is the affine combination
+    (1-s) g(v) + s g(v+d).  The affine value and the evaluated one agree to
+    solver accuracy.
     """
     if steps == 0 and initial is None:
         return SmootherResult(v, None, None, None, None, [])
@@ -188,7 +190,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
             gd = inner_product(g, d)
         g_prev, d_prev = g, d
 
-        if objective.quadratic:
+        if objective.quadratic and not explicit_gradients:
             Jt, gt = objective.evaluate(v + d)
             curv = inner_product(gt - g, d)
             if curv <= 0.0:
@@ -201,21 +203,24 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
                 break
             s = -gd / curv
             v = v + s * d
-            if explicit_gradients:
-                J, g = objective.evaluate(v)
-            else:
-                g = (1.0 - s) * g + s * gt
-                J = J + s * gd + 0.5 * s * s * curv
+            g = (1.0 - s) * g + s * gt
+            J = J + s * gd + 0.5 * s * s * curv
         else:
-            v, J, g = _nonquadratic_step(objective, v, J, g, d, gd)
+            v, J, g = _line_search_step(objective, v, J, g, d, gd)
         steps_taken += 1
         if record_iterates:
             iterates.append((v, J, g))
     return SmootherResult(v, J, g, J0, g0, iterates, steps_taken)
 
 
-def _nonquadratic_step(objective, v, J, g, d, gd):
-    """Quadratic-model trial step with stability-capped Armijo fallback."""
+def _line_search_step(objective, v, J, g, d, gd):
+    """Quadratic-model trial step with stability-capped Armijo fallback.
+
+    It evaluates at v + sigma0 d, with sigma0 = min(1, the problem's step
+    cap), and then at the secant minimizer v + s* d.  On a positive-definite
+    quadratic with no cap, sigma0 = 1 and s* is the exact minimizer along d,
+    which satisfies the Armijo condition.
+    """
 
     def try_full(point):
         try:

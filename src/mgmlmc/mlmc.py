@@ -96,15 +96,12 @@ def _charge_pairs(ledger: SolveLedger | None, level: int, n: int,
 def equivalent_fine_solves(events, finest_level: int, kappa: float) -> float:
     """Total cost in units of one finest-level sample evaluation.
 
-    ``events`` is a :class:`SolveLedger` or an iterable of
-    ``(level, n[, weight])`` tuples.  A level-l sample costs
+    ``events`` are ``(level, n, weight)`` triples, as in
+    :attr:`SolveLedger.events`.  A level-l sample costs
     ``2**(kappa*(l - L))`` fine-solve units.
     """
-    if isinstance(events, SolveLedger):
-        events = events.events
     total = 0.0
-    for ev in events:
-        level, n, weight = ev if len(ev) == 3 else (*ev, 1.0)
+    for level, n, weight in events:
         total += weight * n * 2.0 ** (kappa * (level - finest_level))
     return total
 

@@ -31,6 +31,7 @@ import contextlib
 
 import numpy as np
 
+from .errors import LevelMismatch
 from .grids import INTERIOR, GridHierarchy, LevelVector, inner_product
 from .random_fields import (
     CovarianceSpec,
@@ -110,6 +111,12 @@ class ControlProblem:
         coarse = self._banked((stream.seed_id, level - 1),
                               lambda: restrict_field(fine, level - 1))
         return fine, coarse
+
+    def _check(self, u: LevelVector, field: FieldSample):
+        """Raise unless u is a control vector on the field's level."""
+        if u.level != field.level or u.role != self.control_role:
+            raise LevelMismatch(
+                f"control must be a {self.control_role} vector on the field level")
 
     # -- per-sample cost pieces (subclass responsibility) ---------------------
 

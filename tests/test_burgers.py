@@ -16,14 +16,12 @@ from mgmlmc import (
 )
 from mgmlmc.burgers import (
     ADJOINT_BLOCK,
-    Trajectory,
     _march,
     _sweep_adjoint,
     maccormack_predictor,
     maccormack_step,
     maccormack_step_adjoint,
     maccormack_step_tangent,
-    solve_forward,
     stability_bound,
     suggested_time_steps,
 )
@@ -131,16 +129,16 @@ class TestForwardSolver:
         p = burgers_small
         u = p.zero_control(2)
         f = p.field(RngStream(3, 3, 2, 0), 2)
-        traj = p.solve_forward(u, f)
-        assert np.all(traj.states == 0.0)
+        states = p.state(u, f)
+        assert np.all(states == 0.0)
 
     def test_boundary_columns_zero(self, burgers_small):
         p = burgers_small
         u = p.control_from_function(2, lambda x: 0.2 * np.sin(np.pi * x))
         f = p.field(RngStream(3, 3, 2, 1), 2)
-        traj = p.solve_forward(u, f)
-        assert np.all(traj.states[:, 0] == 0.0)
-        assert np.all(traj.states[:, -1] == 0.0)
+        states = p.state(u, f)
+        assert np.all(states[:, 0] == 0.0)
+        assert np.all(states[:, -1] == 0.0)
 
     def test_norm_does_not_grow(self):
         # zero boundaries, diffusion dissipates: ||y(T)|| <= ||u|| (1 + tol)
@@ -148,8 +146,8 @@ class TestForwardSolver:
         p = BurgersInitialControl(hier, BurgersProblemSpec(nt=801))
         u = p.control_from_function(0, lambda x: 0.25 * np.sin(np.pi * x))
         f = p.field(RngStream(3, 3, 0, 2), 0)
-        traj = p.solve_forward(u, f)
-        assert np.linalg.norm(traj.final) <= np.linalg.norm(traj.states[0]) * (1 + 1e-10)
+        states = p.state(u, f)
+        assert np.linalg.norm(states[-1]) <= np.linalg.norm(states[0]) * (1 + 1e-10)
 
     def test_stability_violation_reports_step(self):
         hier = GridHierarchy(dim=1, n0=17, levels=1)
@@ -157,7 +155,7 @@ class TestForwardSolver:
         u = p.control_from_function(0, lambda x: 0.5 * np.sin(np.pi * x))
         f = p.field(RngStream(3, 3, 0, 0), 0)
         with pytest.raises(StabilityViolation) as err:
-            p.solve_forward(u, f)
+            p.state(u, f)
         assert err.value.step == 0
 
     def test_suggested_time_steps_full_scale(self):
@@ -175,18 +173,18 @@ class TestAdjoint:
         rng = np.random.default_rng(12)
         u = p.control_from_function(2, lambda x: 0.15 * np.sin(np.pi * x))
         f = p.field(RngStream(3, 3, 2, 4), 2)
-        traj = p.solve_forward(u, f)
+        states = p.state(u, f)
         for _ in range(3):
             du = unit_direction(rng, u)
             w = rng.standard_normal(p.hierarchy.nodes(2))
             w[0] = w[-1] = 0.0
-            dyT = p.final_state_tangent(traj, du, f)
+            dyT = p.final_state_tangent(states, du, f)
             # adjoint sweep of w back to t=0
             k, dx = f.values, p.hierarchy.h(2)
-            dt = traj.dt
+            dt = p.dt
             a = w.copy()
-            for j in range(traj.states.shape[0] - 2, -1, -1):
-                yj = traj.states[j]
+            for j in range(states.shape[0] - 2, -1, -1):
+                yj = states[j]
                 yp = maccormack_predictor(yj, k, dt, dx, p.spec.s)
                 a = maccormack_step_adjoint(yj, yp, a, k, dt, dx, p.spec.s)
             lhs = float(np.vdot(dyT, w))
@@ -215,7 +213,7 @@ class TestAdjoint:
         p = BurgersInitialControl(hier, BurgersProblemSpec(nt=101))
         u = p.control_from_function(0, lambda x: 0.2 * np.sin(np.pi * x))
         f = p.field(RngStream(9, 3, 0, 0), 0)
-        final = p.solve_forward(u, f).final[1:-1].copy()
+        final = p.state(u, f)[-1][1:-1].copy()
         p2 = BurgersInitialControl(
             hier,
             BurgersProblemSpec(nt=101, target=lambda x: np.interp(
@@ -330,7 +328,7 @@ class TestBatchedEvaluation:
         steps = {}
         for name, f in (("slow", slow), ("fast", fast)):
             with pytest.raises(StabilityViolation) as err:
-                p.solve_forward(u, f)
+                p.state(u, f)
             steps[name] = err.value.step
         assert 0 < steps["fast"] < steps["slow"]
         for evaluate in (p.tracking_cost_batch, p.tracking_cost_grad_batch,

@@ -81,7 +81,6 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text", [
         "[optimizer]\ntheta = 1.5\n",
         "[optimizer]\nbaseline_max_steps = 0\n",
-        "[optimizer]\nbaseline_eps1 = -1\n",
         "[optimizer]\nwarmup = 1\n",
         "[run]\nworkers = 0\n",
         "[grid]\nn0 = 2\n",
@@ -225,6 +224,17 @@ class TestMlmcReportCommand:
         assert rows[0] == ["level", "V", "C", "n", "phi", "kappa", "rho"]
         assert len(rows) == 4  # header + levels 0..2
         assert float(rows[1][1]) > 0  # measured variance at level 0
+
+    def test_every_level_measured_at_the_confirmation_budget(self, tmp_path,
+                                                            capsys):
+        # K = 2 as in the desk configs: the rates need levels 1 and 2
+        # measured, and counts sized for r * tau are well above one
+        cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=tmp_path / "o"))
+        assert main(["mlmc-report", cfg_file]) == 0
+        rows = read_csv(tmp_path / "o" / "mlmc_report.csv")
+        level0 = dict(zip(rows[0], rows[1]))
+        assert level0["phi"] != "" and level0["rho"] != ""
+        assert int(level0["n"]) > 1
 
 
 class TestRunCommand:

@@ -167,7 +167,7 @@ class TestBaselineOptimize:
 
     def test_step_budget_ends_the_run(self, laplace_small):
         # tau is out of reach; the NCG steps run out before the phases do
-        cfg = OptimizerConfig(tau=1e-9, K=2, baseline_eps1=3e-3,
+        cfg = OptimizerConfig(tau=1e-9, K=2, eps1=3e-3,
                               global_seed=18, warmup=10, baseline_max_steps=3)
         u, report = baseline_optimize(laplace_small, cfg)
         assert report.status == "max_steps"

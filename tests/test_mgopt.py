@@ -122,6 +122,26 @@ class TestNcgSmoother:
                 assert beta == pytest.approx(alt, rel=1e-6)
             d_prev = -g_j + beta * d_prev
 
+    def test_step_costs_two_gradients_and_lands_on_secant_step(self, laplace_small):
+        # each step evaluates the gradient at v + d and again at v + s* d,
+        # s* = -<g,d> / <g(v+d) - g, d>, with no cost-only evaluation
+        p = laplace_small
+        sets = small_sets(p, 2, (10, 4, 2))
+        v = p.zero_control(2)
+        one_gradient = SolveLedger()
+        J, g = LevelObjective(p, sets, 2, ledger=one_gradient).evaluate(v)
+        steps = 3
+        ledger = SolveLedger()
+        res = ncg_smooth(LevelObjective(p, sets, 2, ledger=ledger), v, steps,
+                         initial=(J, g), record_iterates=True)
+        assert res.steps_taken == steps
+        assert ledger.events == one_gradient.events * (2 * steps)
+        assert all(weight == 1.0 for _, _, weight in ledger.events)
+        d = -g  # the first direction
+        _, g_trial = LevelObjective(p, sets, 2).evaluate(v + d)
+        s_star = -inner_product(g, d) / inner_product(g_trial - g, d)
+        assert np.array_equal(res.iterates[1][0].values, (v + s_star * d).values)
+
     def test_reduces_gradient(self, laplace_small):
         p = laplace_small
         sets = small_sets(p, 2, (10, 4, 2))

@@ -151,11 +151,11 @@ class TestSampleSets:
 
 class TestEquivalentFineSolves:
     def test_single_fine_sample(self):
-        assert equivalent_fine_solves([(2, 1)], 2, 2.0) == 1.0
+        assert equivalent_fine_solves([(2, 1, 1.0)], 2, 2.0) == 1.0
 
     def test_pair_adjacent_levels(self):
         # kappa = 2: one sample each at K and K-1 costs 1 + 1/4
-        assert equivalent_fine_solves([(2, 1), (1, 1)], 2, 2.0) == pytest.approx(1.25)
+        assert equivalent_fine_solves([(2, 1, 1.0), (1, 1, 1.0)], 2, 2.0) == pytest.approx(1.25)
 
     def test_reference_vcycle_magnitude(self):
         # counts from a published 5-level run: a V-cycle at q = 1/16 with two
@@ -171,7 +171,7 @@ class TestEquivalentFineSolves:
         led = SolveLedger()
         led.add(2, 3, 1.0)
         led.add(1, 4, 0.5)
-        assert equivalent_fine_solves(led, 2, 2.0) == pytest.approx(3 + 0.5)
+        assert equivalent_fine_solves(led.events, 2, 2.0) == pytest.approx(3 + 0.5)
 
 
 class TestLevelStats:
