@@ -20,15 +20,14 @@ Sample counts per level follow the variance-optimal allocation
 and coarser optimization levels retain a fraction q^(K-k) of the samples.
 
 All estimators (gradient, cost, warm-up statistics, state moments) evaluate
-their samples through one sweep over grids, finest first.  Grid g gets one
-call of the problem's batch methods (one control, many fields) at u_g: the
-coarse members of level g+1's pairs, then level g's own samples.  An
-estimate at level k thus makes k+1 batch calls instead of one per level
-and one per coarse member set (2k+1).  Warm-up results cached for the same
-control are reused, and with ``workers > 1`` contiguous chunks of a grid's
-fields run on a thread pool.  Running sums are still accumulated sample by
-sample in stream order, so the estimates do not depend on batch size or
-``workers``.
+their samples through one sweep.  The uncached samples of an estimate (a
+field on the lowest level, a (fine, coarse) pair on each level above) go
+to one call of the problem's batch methods with the controls u_l of every
+level, so a level-k estimate makes one batch call instead of one per grid
+(k+1).  Warm-up results cached for the same control are reused, and with
+``workers > 1`` contiguous chunks of whole samples run on a thread pool.
+Running sums are still accumulated sample by sample in stream order, so
+the estimates do not depend on batch size or ``workers``.
 
 Every per-level reduction (gradient, warm-up statistics, state moments)
 goes through one accumulator.  Means come from plain running sums; V_l
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -225,19 +225,19 @@ def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
     return u_at
 
 
-def _in_chunks(evaluate, n: int, workers: int):
-    """Results of ``evaluate(positions)`` over positions 0..n-1, in order.
+def _in_chunks(evaluate, units: list, workers: int):
+    """Results of ``evaluate(units)``, in order.
 
-    With ``workers > 1`` the positions are split into contiguous chunks,
-    one per worker, evaluated on a thread pool and concatenated in order,
-    so results do not depend on ``workers``.
+    With ``workers > 1`` the units are split into contiguous chunks, one
+    per worker, evaluated on a thread pool and concatenated in order, so
+    results do not depend on ``workers``.
     """
-    if n == 0:
+    if not units:
         return iter(())
     if workers <= 1:
-        return iter(evaluate(range(n)))
-    size = math.ceil(n / workers)
-    chunks = [range(j, min(j + size, n)) for j in range(0, n, size)]
+        return iter(evaluate(units))
+    size = math.ceil(len(units) / workers)
+    chunks = [units[j:j + size] for j in range(0, len(units), size)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda chunk: list(evaluate(chunk)), chunks))
     return itertools.chain.from_iterable(parts)
@@ -245,64 +245,50 @@ def _in_chunks(evaluate, n: int, workers: int):
 
 def _grid_sweep(problem, u_at, streams, evaluate, combine, *, workers=1,
                 cached=None, ledger=None, weight=1.0):
-    """Per-sample values of every level's streams, one batch per grid.
+    """Per-sample values of every level's streams, one batch per estimate.
 
     ``streams`` maps the contiguous levels lo..top to their streams.  A
-    level-lo sample is one field on grid lo; a sample of a level l > lo is
-    a pair, its fine member on grid l and its coarse member on grid l-1.
-    The grids are swept finest first, and grid g gets one
-    ``evaluate(u_at[g], fields)`` call (one per chunk with ``workers > 1``):
-    the coarse members of level g+1's pairs, drawn with those pairs, then
-    level g's own fields, drawn lazily.  Worker threads draw disjoint
-    streams, so no two of them look up the same bank key.
+    unit is one sample: on level lo one field, on a level l > lo a pair,
+    its fine member on grid l followed by its coarse member on grid l-1.
+    The uncached units, level by level from the top and in stream order,
+    go to one ``evaluate(u_at, fields)`` call; with ``workers > 1`` each
+    worker gets one contiguous chunk of whole units, so a pair never
+    straddles two threads.  Fields are drawn lazily as the batch takes
+    them, and worker threads draw disjoint streams, so no two of them look
+    up the same bank key.
 
     Yields ``(level, index, combine(fine, coarse))``, coarse None on level
     lo, level by level from the top and in stream order within a level.
     Indices found in ``cached`` ((level, index) -> value) are yielded from
-    it, and neither member of their pair is evaluated.  The ledger is
-    charged, in level order, for the uncached pairs of every level whose
-    pairs were all evaluated, also when a later one fails.
+    it, and neither member of their pair is evaluated.  Once every value
+    has been yielded, the ledger is charged, in level order, for each
+    level's uncached pairs; a failed estimate charges no level.
     """
     cached = cached or {}
     lo, top = min(streams), max(streams)
-    fresh_n = {l: sum((l, i) not in cached for i in range(len(ss)))
-               for l, ss in streams.items()}
-    done = []
-    pairs = []  # (fine result, coarse field) of level g+1's uncached indices
+    levels = range(top, lo - 1, -1)
+    units = [(level, i) for level in levels for i in range(len(streams[level]))
+             if (level, i) not in cached]
 
-    def in_order(level, values):
-        for i in range(len(streams[level])):
-            key = (level, i)
-            yield level, i, cached[key] if key in cached else next(values)
-        done.append(level)
-
-    try:
-        for g in range(top, lo - 1, -1):
-            own = [i for i in range(len(streams[g])) if (g, i) not in cached]
-            coarse = {}
-
-            def draw(p, g=g, own=own, coarse=coarse, above=pairs):
-                if p < len(above):
-                    return above[p][1]
-                i = own[p - len(above)]
-                if g == lo:
-                    return problem.field(streams[g][i], g)
-                fine, coarse[i] = problem.field_pair(streams[g][i], g)
-                return fine
-
-            results = _in_chunks(
-                lambda chunk, g=g, draw=draw: evaluate(u_at[g], map(draw, chunk)),
-                len(pairs) + len(own), workers)
-            if g < top:
-                yield from in_order(g + 1, (combine(fine, next(results))
-                                            for fine, _ in pairs))
-            if g == lo:
-                yield from in_order(g, (combine(r, None) for r in results))
+    def fields(chunk):
+        for level, i in chunk:
+            if level == lo:
+                yield problem.field(streams[level][i], level)
             else:
-                pairs = [(next(results), coarse.pop(i)) for i in own]
-    finally:
-        for level in sorted(done):
-            _charge_pairs(ledger, level, fresh_n[level], weight)
+                yield from problem.field_pair(streams[level][i], level)
+
+    results = _in_chunks(lambda chunk: evaluate(u_at, fields(chunk)), units,
+                         workers)
+    for level in levels:
+        for i in range(len(streams[level])):
+            if (level, i) in cached:
+                yield level, i, cached[(level, i)]
+            else:
+                fine = next(results)
+                yield level, i, combine(fine, None if level == lo else next(results))
+    fresh = Counter(level for level, _ in units)
+    for level in reversed(levels):
+        _charge_pairs(ledger, level, fresh[level], weight)
 
 
 class _LevelSums:

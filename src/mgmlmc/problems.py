@@ -11,9 +11,9 @@ discrete gradient Q(u; omega) with respect to the control; the multilevel
 estimators only ever consume (T, Q) pairs and add the deterministic
 regularization part themselves.
 
-The estimators evaluate each grid's samples through the batch methods,
-which take one control and many fields; by default they loop over the
-per-sample methods.
+The estimators evaluate all samples of an estimate through the batch
+methods, which take the estimate's controls by level and many fields on
+mixed levels; by default they loop over the per-sample methods.
 
 Fields come from :meth:`ControlProblem.field` and
 :meth:`ControlProblem.field_pair`, the package's one route to
@@ -131,24 +131,26 @@ class ControlProblem:
         """Full-grid state (boundary included) for reporting/figures."""
         raise NotImplementedError
 
-    # -- per-grid batches: one control, many fields -----------------------------
+    # -- batches: many fields, each on its own level ---------------------------
     #
-    # ``fields`` is any iterable of realizations on the control's level,
-    # consumed once; results come in the same order and equal the per-sample
-    # results bit for bit.  The defaults loop over the per-sample methods;
-    # problems that can evaluate many samples in one pass override them.
+    # ``u_at`` maps levels to controls and ``fields`` is any iterable of
+    # realizations, consumed once; each field is evaluated at the control
+    # of its level.  Results come in the same order and equal the
+    # per-sample results bit for bit.  The defaults loop over the
+    # per-sample methods; problems that can evaluate many samples in one
+    # pass override them.
 
-    def tracking_cost_batch(self, u: LevelVector, fields) -> list:
-        return [self.tracking_cost(u, f) for f in fields]
+    def tracking_cost_batch(self, u_at: dict, fields) -> list:
+        return [self.tracking_cost(u_at[f.level], f) for f in fields]
 
-    def tracking_cost_grad_batch(self, u: LevelVector, fields) -> list:
+    def tracking_cost_grad_batch(self, u_at: dict, fields) -> list:
         """[(T(u; omega), Q(u; omega))] for each realization."""
-        return [self.tracking_cost_grad(u, f) for f in fields]
+        return [self.tracking_cost_grad(u_at[f.level], f) for f in fields]
 
-    def state_batch(self, u: LevelVector, fields):
+    def state_batch(self, u_at: dict, fields):
         """States for each realization, yielded one at a time: they are
         large, and callers reduce them as they come."""
-        return (self.state(u, f) for f in fields)
+        return (self.state(u_at[f.level], f) for f in fields)
 
     # -- assembled per-sample cost/gradient ------------------------------------
 

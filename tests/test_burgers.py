@@ -16,6 +16,7 @@ from mgmlmc import (
 )
 from mgmlmc.burgers import (
     ADJOINT_BLOCK,
+    Layout,
     _march,
     _sweep_adjoint,
     maccormack_predictor,
@@ -259,22 +260,40 @@ def per_sample_reference(p, u, field):
 
 
 class TestBatchedEvaluation:
+    @staticmethod
+    def check_batch(p, u_at, fields):
+        grads = p.tracking_cost_grad_batch(u_at, fields)
+        costs = p.tracking_cost_batch(u_at, fields)
+        states = list(p.state_batch(u_at, fields))
+        assert len(grads) == len(costs) == len(states) == len(fields)
+        for f, (jt, q), cost, state in zip(fields, grads, costs, states):
+            u = u_at[f.level]
+            jt_ref, q_ref, states_ref = per_sample_reference(p, u, f)
+            assert jt == jt_ref and cost == jt_ref
+            assert q.level == f.level
+            assert np.array_equal(q.values, q_ref)
+            assert np.array_equal(state, states_ref)
+            assert np.array_equal(state, p.state(u, f))
+
     @pytest.mark.parametrize("level", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_batch_equals_per_sample(self, burgers_small, level, n):
         p = burgers_small
         u = p.control_from_function(level, lambda x: 0.2 * np.sin(np.pi * x))
         fields = [p.field(RngStream(31, 3, level, i), level) for i in range(n)]
-        grads = p.tracking_cost_grad_batch(u, fields)
-        costs = p.tracking_cost_batch(u, fields)
-        states = list(p.state_batch(u, fields))
-        assert len(grads) == len(costs) == len(states) == n
-        for f, (jt, q), cost, state in zip(fields, grads, costs, states):
-            jt_ref, q_ref, states_ref = per_sample_reference(p, u, f)
-            assert jt == jt_ref and cost == jt_ref
-            assert np.array_equal(q.values, q_ref)
-            assert np.array_equal(state, states_ref)
-            assert np.array_equal(state, p.state(u, f))
+        self.check_batch(p, {level: u}, fields)
+
+    # laid out as an estimate lays them out: (fine, coarse) pairs from the
+    # top, then the lowest level's own fields
+    @pytest.mark.parametrize("levels", [(2, 1, 1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0)],
+                             ids=["3-grids", "2-grids"])
+    def test_mixed_batch_equals_per_sample(self, burgers_small, levels):
+        p = burgers_small
+        u_at = {level: p.control_from_function(level, lambda x: 0.2 * np.sin(np.pi * x))
+                for level in range(3)}
+        fields = [p.field(RngStream(31, 3, level, i), level)
+                  for i, level in enumerate(levels)]
+        self.check_batch(p, u_at, fields)
 
     def test_mlmc_gradient_independent_of_workers_and_chunks(
             self, burgers_small, monkeypatch):
@@ -309,109 +328,160 @@ class TestBatchedEvaluation:
     def test_unstable_member_raises_at_earliest_step(self):
         # anti-diffusion grows |y| until the bound, set by the boundary node's
         # positive coefficient, drops below dt: stable at first, then not
-        hier = GridHierarchy(dim=1, n0=17, levels=1)
+        hier = GridHierarchy(dim=1, n0=17, levels=2)
         p = BurgersInitialControl(hier, BurgersProblemSpec(nt=201))
-        u = p.control_from_function(0, lambda x: 0.1 * np.sin(np.pi * x))
+        u_at = {level: p.control_from_function(level,
+                                               lambda x: 0.1 * np.sin(np.pi * x))
+                for level in range(2)}
 
-        def anti_diffusive(c):
-            k = np.full(17, -c)
-            k[0] = 0.3
-            return FieldSample(level=0, values=k)
+        def anti_diffusive(c, level=0):
+            k = np.full(hier.nodes(level), -c)
+            k[0] = 0.3 * 4.0**-level  # the same share of the bound per level
+            return FieldSample(level=level, values=k)
 
         def failing_step(fields, evaluate):
             with pytest.raises(StabilityViolation) as err:
-                list(evaluate(u, fields))
+                list(evaluate(u_at, fields))
             return err.value.step
 
         stable = p.field(RngStream(3, 3, 0, 0), 0)
+        # stable alone, but 2 max k dt/dx^2 = 0.9: with it in a batch the
+        # batch-wide bound trips long before any member is unstable
+        stiff = FieldSample(level=1, values=np.full(33, 0.9 * 32**-2 / (2 * p.dt)))
+        p.state(u_at[1], stiff)
         slow, fast = anti_diffusive(0.05), anti_diffusive(0.1)
+        fine = anti_diffusive(0.05, level=1)
         steps = {}
-        for name, f in (("slow", slow), ("fast", fast)):
+        for name, f in (("slow", slow), ("fast", fast), ("fine", fine)):
             with pytest.raises(StabilityViolation) as err:
-                p.state(u, f)
+                p.state(u_at[f.level], f)
             steps[name] = err.value.step
         assert 0 < steps["fast"] < steps["slow"]
+        assert 0 < steps["fine"] < steps["slow"]
         for evaluate in (p.tracking_cost_batch, p.tracking_cost_grad_batch,
                          p.state_batch):
             assert failing_step([stable, slow, stable], evaluate) == steps["slow"]
             assert failing_step([stable, slow, fast], evaluate) == steps["fast"]
+            # mixed grids: only the coarse member goes unstable, and the
+            # batch fails at that member's own step
+            assert failing_step([stiff, slow, stiff, stable],
+                                evaluate) == steps["slow"]
+            first = min(steps["fine"], steps["slow"])
+            assert failing_step([fine, slow], evaluate) == first
+            assert failing_step([slow, fine], evaluate) == first
 
 
-def random_batch(rng, batch, n, amp=0.3):
-    """States with zero ends and lognormal fields, ``(batch, nodes)``."""
-    y = np.zeros((batch, n))
-    y[:, 1:-1] = rng.uniform(-amp, amp, (batch, n - 2))
-    k = 1e-3 * np.exp(0.5 * rng.standard_normal((batch, n)))
-    return y, k
+def random_samples(rng, sizes, amp=0.3):
+    """States with zero ends and lognormal fields, one array per sample."""
+    ys, ks = [], []
+    for n in sizes:
+        y = np.zeros(n)
+        y[1:-1] = rng.uniform(-amp, amp, n - 2)
+        ys.append(y)
+        ks.append(1e-3 * np.exp(0.5 * rng.standard_normal(n)))
+    return ys, ks
+
+
+def unit_layout(sizes):
+    """Samples of the given node counts on [0, 1], laid end to end."""
+    return Layout(sizes, [1.0 / (n - 1) for n in sizes])
+
+
+# every grid of a three-level hierarchy, the 65-node one with one sample
+MIXED = (65, 33, 17, 33, 17, 17, 33, 17)
 
 
 class TestFusedKernels:
     """The fused march and the blocked adjoint sweep against the per-step
-    reference functions, bit for bit.  The fused loops take
-    ``(nodes, samples)`` arrays; the reference acts on ``(samples, nodes)``."""
+    reference functions, bit for bit.  The fused loops take the samples
+    laid end to end as one flat array; the reference acts on one sample."""
 
     dt, s = 2e-3, -1.0
 
-    @pytest.mark.parametrize("batch", [1, 2, 7])
-    def test_march_equals_reference_steps(self, batch):
-        rng = np.random.default_rng(40 + batch)
-        n, nsteps = 17, 75
-        dx = 1.0 / (n - 1)
-        y0, k = random_batch(rng, batch, n)
-        want_states, want_pred = [y0], []
-        for _ in range(nsteps):
-            yp = maccormack_predictor(want_states[-1], k, self.dt, dx, self.s)
-            want_pred.append(yp)
-            want_states.append(maccormack_step(want_states[-1], k, self.dt, dx,
-                                               self.s))
-        states = np.empty((nsteps + 1, n, batch))
-        states[0] = y0.T
-        predictors = np.empty((nsteps, n, batch))
-        final = _march(y0.T.copy(), k.T.copy(), self.dt, dx, self.s, nsteps,
+    @pytest.mark.parametrize("sizes", [(17,), (17, 17), (17,) * 7, MIXED],
+                             ids=["1", "2", "7", "mixed"])
+    def test_march_equals_reference_steps(self, sizes):
+        rng = np.random.default_rng(40 + len(sizes))
+        nsteps = 75
+        layout = unit_layout(sizes)
+        ys, ks = random_samples(rng, sizes)
+        want_states, want_pred = [], []
+        for y, k, dx in zip(ys, ks, layout.dx):
+            states, preds = [y], []
+            for _ in range(nsteps):
+                preds.append(maccormack_predictor(states[-1], k, self.dt, dx, self.s))
+                states.append(maccormack_step(states[-1], k, self.dt, dx, self.s))
+            want_states.append(states)
+            want_pred.append(preds)
+        want_states = np.concatenate(want_states, axis=1)
+        want_pred = np.concatenate(want_pred, axis=1)
+        y0, k = np.concatenate(ys), np.concatenate(ks)
+        states = np.empty((nsteps + 1,) + y0.shape)
+        states[0] = y0
+        predictors = np.empty((nsteps,) + y0.shape)
+        final = _march(y0, k, self.dt, layout, self.s, nsteps,
                        states=states, predictors=predictors)
-        assert np.array_equal(states, np.transpose(want_states, (0, 2, 1)))
-        assert np.array_equal(predictors, np.transpose(want_pred, (0, 2, 1)))
-        assert np.array_equal(final, want_states[-1].T)
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(predictors, want_pred)
+        assert np.array_equal(final, want_states[-1])
         # without records the march cycles through its own buffers
-        bare = _march(y0.T.copy(), k.T.copy(), self.dt, dx, self.s, nsteps)
-        assert np.array_equal(bare, want_states[-1].T)
+        bare = _march(y0, k, self.dt, layout, self.s, nsteps)
+        assert np.array_equal(bare, want_states[-1])
 
-    @pytest.mark.parametrize("nsteps", [ADJOINT_BLOCK // 3, 2 * ADJOINT_BLOCK + 22])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_adjoint_sweep_equals_reference_steps(self, nsteps, batch):
+    # within one block, and over 2 and 10 blocks with a partial one
+    @pytest.mark.parametrize("nsteps", [5, 21, 150])
+    @pytest.mark.parametrize("sizes", [(33,), (33, 33, 33), MIXED],
+                             ids=["1", "3", "mixed"])
+    def test_adjoint_sweep_equals_reference_steps(self, nsteps, sizes):
         assert nsteps % ADJOINT_BLOCK != 0
-        rng = np.random.default_rng(50 + nsteps + batch)
-        n = 33
-        dx = 1.0 / (n - 1)
-        states = rng.uniform(-0.3, 0.3, (nsteps + 1, batch, n))
-        predictors = rng.uniform(-0.3, 0.3, (nsteps, batch, n))
-        _, k = random_batch(rng, batch, n)
-        w = np.zeros((batch, n))
-        w[:, 1:-1] = rng.standard_normal((batch, n - 2))
-        want = w
-        for j in range(nsteps - 1, -1, -1):
-            want = maccormack_step_adjoint(states[j], predictors[j], want, k,
-                                           self.dt, dx, self.s)
-        got = _sweep_adjoint(np.transpose(states, (0, 2, 1)).copy(),
-                             np.transpose(predictors, (0, 2, 1)).copy(),
-                             w.T.copy(), k.T.copy(), self.dt, dx, self.s)
-        assert np.array_equal(got, want.T)
+        rng = np.random.default_rng(50 + nsteps + len(sizes))
+        layout = unit_layout(sizes)
+        # states and predictors are random at the endpoints too: the
+        # reference never reads them there, so neither may the sweep
+        states = [rng.uniform(-0.3, 0.3, (nsteps + 1, n)) for n in sizes]
+        predictors = [rng.uniform(-0.3, 0.3, (nsteps, n)) for n in sizes]
+        _, ks = random_samples(rng, sizes)
+        ws = []
+        for n in sizes:
+            w = np.zeros(n)
+            w[1:-1] = rng.standard_normal(n - 2)
+            ws.append(w)
+        want = []
+        for st, pr, w, k, dx in zip(states, predictors, ws, ks, layout.dx):
+            for j in range(nsteps - 1, -1, -1):
+                w = maccormack_step_adjoint(st[j], pr[j], w, k, self.dt, dx, self.s)
+            want.append(w)
+        got = _sweep_adjoint(np.concatenate(states, axis=1),
+                             np.concatenate(predictors, axis=1),
+                             np.concatenate(ws), np.concatenate(ks),
+                             self.dt, layout, self.s)
+        assert np.array_equal(got, np.concatenate(want))
 
     def test_batch_bound_trips_without_an_unstable_sample(self):
-        # the sample with the largest |y| has a small k, another the largest
-        # k: the batch-wide bound max|y| dx + 2 max k fails while every
+        # the sample with the largest |y| dt/dx has a small k, another the
+        # largest k dt/dx^2: the batch-wide bound fails while every
         # sample's own bound holds, so the exact check runs and passes
-        n = 17
-        dx = 1.0 / (n - 1)
-        y = np.zeros((2, n))
-        y[0, 1:-1] = np.sin(np.pi * np.linspace(0, 1, n))[1:-1]
-        y[1, 1:-1] = 0.01
-        k = np.vstack([np.full(n, 1e-3), np.full(n, 2e-2)])
-        dt = 0.05
-        assert dt > dx**2 / (np.max(np.abs(y)) * dx + 2.0 * np.max(k))
-        assert all(dt <= stability_bound(yi, ki, dx) for yi, ki in zip(y, k))
-        final = _march(y.T.copy(), k.T.copy(), dt, dx, self.s, 1)
-        assert np.array_equal(final, maccormack_step(y, k, dt, dx, self.s).T)
+        cases = [((17, 17), (1.0, 0.01), (1e-3, 2e-2), 0.05),
+                 # the 17-node sample's own bound would fail at the 33-node
+                 # sample's spacing
+                 ((33, 17), (0.01, 2.0), (2e-2, 1e-3), 0.02)]
+        for sizes, amps, kvals, dt in cases:
+            layout = unit_layout(sizes)
+            ys = [np.zeros(n) for n in sizes]
+            for y, amp in zip(ys, amps):
+                y[1:-1] = amp * np.sin(np.pi * np.linspace(0, 1, len(y)))[1:-1]
+            ks = [np.full(n, kval) for n, kval in zip(sizes, kvals)]
+            batch_bound = (
+                max(np.max(np.abs(y)) * dt / dx for y, dx in zip(ys, layout.dx))
+                + max(2.0 * np.max(k) * dt / dx**2 for k, dx in zip(ks, layout.dx)))
+            assert batch_bound > 1.0
+            assert all(dt <= stability_bound(y, k, dx)
+                       for y, k, dx in zip(ys, ks, layout.dx))
+            final = _march(np.concatenate(ys), np.concatenate(ks), dt, layout,
+                           self.s, 1)
+            want = [maccormack_step(y, k, dt, dx, self.s)
+                    for y, k, dx in zip(ys, ks, layout.dx)]
+            assert np.array_equal(final, np.concatenate(want))
 
 
 @pytest.mark.parametrize("ini, loaded", [("burgers_desk.ini", False),

@@ -476,22 +476,42 @@ def per_sample_estimate(p, u, streams, *, cost_only=False, cache=None,
     return sums, values, prefix, led.events
 
 
-def count_batches(monkeypatch, cls, name):
-    """Wrap ``cls.name`` to record the number of fields of each call."""
+def record_batches(monkeypatch, cls, name):
+    """Wrap ``cls.name`` to record the fields of each call."""
     calls = []
     original = getattr(cls, name)
 
-    def counted(self, u, fields):
+    def recorded(self, u_at, fields):
         fields = list(fields)
-        calls.append((u.level, len(fields)))
-        return original(self, u, fields)
+        calls.append(fields)
+        return original(self, u_at, fields)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(cls, name, recorded)
     return calls
 
 
+def unit_fields(p, streams):
+    """An estimate's fields in unit order: each level's (fine, coarse) pairs
+    from the top, in stream order, then the lowest level's own fields."""
+    lo, top = min(streams), max(streams)
+    fields = []
+    for level in range(top, lo - 1, -1):
+        for stream in streams[level]:
+            if level == lo:
+                fields.append(p.field(stream, level))
+            else:
+                fields += p.field_pair(stream, level)
+    return fields
+
+
+def same_fields(got, want):
+    return (len(got) == len(want)
+            and all(a.level == b.level and np.array_equal(a.values, b.values)
+                    for a, b in zip(got, want)))
+
+
 class TestGridSweep:
-    """One batch per grid, with results equal to a per-sample loop."""
+    """One batch per estimate, with results equal to a per-sample loop."""
 
     @pytest.fixture(params=["laplace_small", "burgers_small"])
     def problem(self, request):
@@ -580,58 +600,62 @@ class TestGridSweep:
             assert collect[key][0] == jt and np.array_equal(collect[key][1], y)
         assert led.events == events
 
-    def test_one_batch_per_grid(self, burgers_small, monkeypatch):
+    def test_one_batch_per_estimate(self, burgers_small, monkeypatch):
         from mgmlmc import BurgersInitialControl
         from mgmlmc.mlmc import state_moments
 
         p = burgers_small
-        grads = count_batches(monkeypatch, BurgersInitialControl,
-                              "tracking_cost_grad_batch")
-        costs = count_batches(monkeypatch, BurgersInitialControl,
-                              "tracking_cost_batch")
-        states = count_batches(monkeypatch, BurgersInitialControl, "state_batch")
+        grads = record_batches(monkeypatch, BurgersInitialControl,
+                               "tracking_cost_grad_batch")
+        costs = record_batches(monkeypatch, BurgersInitialControl,
+                               "tracking_cost_batch")
+        states = record_batches(monkeypatch, BurgersInitialControl, "state_batch")
         alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 53, 4)
         for k in range(3):
             u = self.control(p, k)
+            want = unit_fields(p, {level: sets.streams(k, level)
+                                   for level in range(k + 1)})
             grads.clear()
             mlmc_gradient(p, u, sets, k)
-            n = sets.counts[k]
-            # grid g: the coarse members of level g+1's pairs, then level g
-            expected = [(g, n[g] + (n[g + 1] if g < k else 0))
-                        for g in range(k, -1, -1)]
-            assert grads == expected
+            assert len(grads) == 1 and same_fields(grads[0], want)
             costs.clear()
             mlmc_cost(p, u, sets, k)
-            assert costs == expected
+            assert len(costs) == 1 and same_fields(costs[0], want)
 
         grads.clear()
         estimate_level_stats(p, self.control(p, 2), 4, range(3), global_seed=3,
                              set_id=4, extrapolate_finest=1)
-        assert grads == [(1, 4), (0, 8)]
+        want = unit_fields(p, {level: [RngStream(3, 4, level, i) for i in range(4)]
+                               for level in range(2)})
+        assert len(grads) == 1 and same_fields(grads[0], want)
         u = self.control(p, 2)
-        state_moments(p, u, [RngStream(3, 4, 2, i) for i in range(5)])
-        assert states == [(2, 5)]
+        streams = [RngStream(3, 4, 2, i) for i in range(5)]
+        state_moments(p, u, streams)
+        assert len(states) == 1 and same_fields(states[0], unit_fields(p, {2: streams}))
 
-    def test_failed_grid_charges_only_completed_levels(self, burgers_small,
-                                                       monkeypatch):
+    def test_failed_estimate_charges_no_level(self, burgers_small, monkeypatch):
         from mgmlmc import BurgersInitialControl
         from mgmlmc.errors import StabilityViolation
 
         p = burgers_small
         original = BurgersInitialControl.tracking_cost_grad_batch
 
-        def fails_on_grid_0(self, u, fields):
-            if u.level == 0:
+        def fails_on_grid_2(self, u_at, fields):
+            fields = list(fields)
+            if any(f.level == 2 for f in fields):
                 raise StabilityViolation("unstable", step=1)
-            return original(self, u, fields)
+            return original(self, u_at, fields)
 
         monkeypatch.setattr(BurgersInitialControl, "tracking_cost_grad_batch",
-                            fails_on_grid_0)
+                            fails_on_grid_2)
         alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 59, 4)
-        led = SolveLedger()
-        with pytest.raises(StabilityViolation):
-            mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led)
-        # level 2's pairs ended on grid 1; level 1's needed grid 0
-        assert led.events == [(2, 3, 1.0), (1, 3, 1.0)]
+        # with workers > 1 only the chunk holding level 2's pairs fails; the
+        # others finish, and still nothing is charged
+        for workers in (1, 2, 3):
+            led = SolveLedger()
+            with pytest.raises(StabilityViolation):
+                mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led,
+                              workers=workers)
+            assert led.events == []
