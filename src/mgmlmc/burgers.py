@@ -14,8 +14,7 @@ space and time.  The scheme is stable while
 Gradients with respect to the initial condition are exact discrete
 adjoints: a reverse sweep applies the transpose of the linearized step,
 linearized about the stored states and predictors, so the result is the
-gradient of the discrete per-sample cost to machine precision.  A
-forward-mode (tangent) sweep is provided for dot-product verification.
+gradient of the discrete per-sample cost to machine precision.
 
 A batch of samples, on one grid or several, is marched as one flat array:
 the samples lie end to end along one axis, so every spatial slice is
@@ -29,11 +28,10 @@ coefficients are formed once before the loop, and each step writes its
 predictor and new state in place.  The adjoint sweep forms the
 state-dependent coefficients of ``ADJOINT_BLOCK`` steps at once, so each
 step runs only the multiply-adds on the adjoint variable.  The per-step
-functions (:func:`maccormack_predictor`, :func:`maccormack_step`,
-:func:`maccormack_step_adjoint`, :func:`maccormack_step_tangent`) are the
-reference: every element of the fused loops goes through their operations
-in their order, so the loops reproduce them bit for bit and batched
-results equal per-sample ones.  Batches are split into chunks whose
+functions (:func:`maccormack_predictor`, :func:`maccormack_step` and
+:func:`maccormack_step_adjoint`) are the reference: every element of the
+fused loops goes through their operations in their order, so the loops
+reproduce them bit for bit and batched results equal per-sample ones.  Batches are split into chunks whose
 stored states and predictors stay under ``BATCH_BYTES``.
 """
 
@@ -47,7 +45,7 @@ import numpy as np
 from .errors import LevelMismatch, StabilityViolation
 from .grids import INTERIOR, GridHierarchy, LevelVector
 from .problems import ControlProblem
-from .random_fields import CovarianceSpec, FieldSample
+from .random_fields import CovarianceSpec
 
 # Bytes of states and predictors one batched march may store; a batch is
 # split into the fewest chunks under it.  It bounds the memory batching
@@ -104,28 +102,6 @@ def maccormack_step(y, k, dt, dx, s, yp=None):
         + r[..., 1:-1] * (yp[..., 2:] - 2.0 * yp[..., 1:-1] + yp[..., :-2])
     )
     return yn
-
-
-def maccormack_step_tangent(y, yp, dy, k, dt, dx, s):
-    """Directional derivative of one step at state y (predictor yp)."""
-    c = dt / dx
-    r = dt / dx**2 * k
-    dyp = np.zeros_like(dy)
-    dpsi = s * y * dy
-    dyp[1:-1] = (
-        dy[1:-1]
-        + c * (dpsi[2:] - dpsi[1:-1])
-        + r[1:-1] * (dy[2:] - 2.0 * dy[1:-1] + dy[:-2])
-    )
-    dpsip = s * yp * dyp
-    dyn = np.zeros_like(dy)
-    dyn[1:-1] = 0.5 * (
-        dy[1:-1]
-        + dyp[1:-1]
-        + c * (dpsip[1:-1] - dpsip[:-2])
-        + r[1:-1] * (dyp[2:] - 2.0 * dyp[1:-1] + dyp[:-2])
-    )
-    return dyn
 
 
 def maccormack_step_adjoint(y, yp, w, k, dt, dx, s):
@@ -478,22 +454,6 @@ class BurgersInitialControl(ControlProblem):
         if headroom <= 0.0:
             return 1e-6
         return headroom / dmax
-
-    def final_state_tangent(self, states: np.ndarray, du: LevelVector,
-                            field: FieldSample) -> np.ndarray:
-        """Forward-mode derivative along du of the final state of the
-        history ``states`` (as returned by :meth:`state`)."""
-        k = field.values
-        dx = self.hierarchy.h(du.level)
-        dt = self.dt
-        s = self.spec.s
-        dy = np.zeros(field.nodes)
-        dy[1:-1] = du.values
-        for j in range(states.shape[0] - 1):
-            yj = states[j]
-            yp = maccormack_predictor(yj, k, dt, dx, s)
-            dy = maccormack_step_tangent(yj, yp, dy, k, dt, dx, s)
-        return dy
 
     def state(self, u, field):
         """All nt states, shaped (nt, nodes); one batch of one sample."""

@@ -15,6 +15,12 @@ The prolonged coarse update is applied through a backtracking line search
 (descent required, starting at s = 1), then postsmoothing runs.  Sample
 sets stay fixed for the whole cycle.
 
+Every level starts from the shifted (J, g) pair at its entry point and
+returns the pair at its exit point.  Only the top level evaluates its
+entry; a coarse level starts from the pair its parent formed for the
+coherence check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}> and
+grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
+
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
 mix and one line-search step for every problem: a secant step from a trial
 gradient, evaluated afresh and checked by Armijo, with backtracking as the
@@ -142,10 +148,10 @@ def dai_yuan_beta(g: LevelVector, g_prev: LevelVector, d_prev: LevelVector) -> f
 @dataclass
 class SmootherResult:
     v: LevelVector
-    J: float | None
-    g: LevelVector | None
-    J_initial: float | None
-    g_initial: LevelVector | None
+    J: float
+    g: LevelVector
+    J_initial: float
+    g_initial: LevelVector
     iterates: list
     steps_taken: int = 0
 
@@ -156,8 +162,9 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
                record_iterates: bool = False) -> SmootherResult:
     """Run NCG steps on the level objective from v.
 
-    ``initial`` may carry an already-evaluated (J, g) pair at v.  The result
-    always holds a valid (J, g) at the final point.
+    ``initial`` may carry an already-evaluated (J, g) pair at v; without it
+    the smoother evaluates v first.  The result always holds the (J, g)
+    pair at the final point, also after zero steps.
 
     Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
     which costs two gradient evaluations unless its Armijo fallback runs.
@@ -167,12 +174,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     (1-s) g(v) + s g(v+d).  The affine value and the evaluated one agree to
     solver accuracy.
     """
-    if steps == 0 and initial is None:
-        return SmootherResult(v, None, None, None, None, [])
-    if initial is None:
-        J, g = objective.evaluate(v)
-    else:
-        J, g = initial
+    J, g = objective.evaluate(v) if initial is None else initial
     J0, g0 = J, g
     iterates = [(v, J, g)] if record_iterates else []
     d_prev = None
@@ -213,6 +215,15 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     return SmootherResult(v, J, g, J0, g0, iterates, steps_taken)
 
 
+def _stable(evaluate, point):
+    """``evaluate(point)``, or None where the point fails the problem's
+    stability check."""
+    try:
+        return evaluate(point)
+    except StabilityViolation:
+        return None
+
+
 def _line_search_step(objective, v, J, g, d, gd):
     """Quadratic-model trial step with stability-capped Armijo fallback.
 
@@ -221,22 +232,9 @@ def _line_search_step(objective, v, J, g, d, gd):
     quadratic with no cap, sigma0 = 1 and s* is the exact minimizer along d,
     which satisfies the Armijo condition.
     """
-
-    def try_full(point):
-        try:
-            return objective.evaluate(point)
-        except StabilityViolation:
-            return None
-
-    def try_cost(point):
-        try:
-            return objective.cost(point)
-        except StabilityViolation:
-            return None
-
     cap = objective.problem.initial_step_cap(v, d)
     sigma0 = min(1.0, cap)
-    probe = try_full(v + sigma0 * d)
+    probe = _stable(objective.evaluate, v + sigma0 * d)
     if probe is not None:
         Jt, gt = probe
         curv = inner_product(gt - g, d) / sigma0
@@ -247,7 +245,7 @@ def _line_search_step(objective, v, J, g, d, gd):
                     if Jt <= J + ARMIJO_C * sigma0 * gd:
                         return v + sigma0 * d, Jt, gt
                 else:
-                    trial = try_full(v + s_star * d)
+                    trial = _stable(objective.evaluate, v + s_star * d)
                     if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
                         return v + s_star * d, trial[0], trial[1]
         if Jt <= J + ARMIJO_C * sigma0 * gd:
@@ -255,7 +253,7 @@ def _line_search_step(objective, v, J, g, d, gd):
 
     s = sigma0 / BACKTRACK_FACTOR
     for _ in range(MAX_BACKTRACKS):
-        Jb = try_cost(v + s * d)
+        Jb = _stable(objective.cost, v + s * d)
         if Jb is not None and Jb <= J + ARMIJO_C * s * gd:
             Jn, gn = objective.evaluate(v + s * d)
             return v + s * d, Jn, gn
@@ -272,44 +270,33 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
     Returns ``(s, v_new, carried, backtracks)`` where ``carried`` is a
     (J, g) pair at ``v_new`` when one is available for reuse by the
     postsmoother (always for the s=1 accept and on quadratic objectives).
-    A degenerate search returns s = 0 and the incoming point.
+    A backtracked trial's cost comes from the quadratic model along d when
+    the objective is quadratic and v + d was evaluated, and otherwise from
+    a cost-only evaluation.  A degenerate search returns s = 0 and the
+    incoming point with its pair.
     """
     if norm(d) == 0.0:
         return 1.0, v, (J_v, g_v), 0
-
-    def reject_to_zero():
-        return 0.0, v, (J_v, g_v), MAX_BACKTRACKS
-
-    try:
-        Jt, gt = objective.evaluate(v + d)
-    except StabilityViolation:
-        Jt, gt = None, None
-    if Jt is not None and Jt < J_v:
-        return 1.0, v + d, (Jt, gt), 0
+    full = _stable(objective.evaluate, v + d)
+    if full is not None and full[0] < J_v:
+        return 1.0, v + d, full, 0
 
     gd = inner_product(g_v, d)
-    if objective.quadratic and Jt is not None:
+    model = objective.quadratic and full is not None
+    if model:
         # the sampled problem is exactly quadratic along d
-        curv = inner_product(gt - g_v, d)
-        s = 0.5
-        for b in range(1, MAX_BACKTRACKS + 1):
-            Js = J_v + s * gd + 0.5 * s * s * curv
-            if Js < J_v:
-                gs = (1.0 - s) * g_v + s * gt
-                return s, v + s * d, (Js, gs), b
-            s *= 0.5
-        return reject_to_zero()
-
+        curv = inner_product(full[1] - g_v, d)
     s = 0.5
     for b in range(1, MAX_BACKTRACKS + 1):
-        try:
-            Js = objective.cost(v + s * d)
-        except StabilityViolation:
-            Js = None
+        if model:
+            Js = J_v + s * gd + 0.5 * s * s * curv
+        else:
+            Js = _stable(objective.cost, v + s * d)
         if Js is not None and Js < J_v:
-            return s, v + s * d, None, b
+            carried = (Js, (1.0 - s) * g_v + s * full[1]) if model else None
+            return s, v + s * d, carried, b
         s *= 0.5
-    return reject_to_zero()
+    return 0.0, v, (J_v, g_v), MAX_BACKTRACKS
 
 
 @dataclass
@@ -329,15 +316,19 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
            k: int, sets: MgoptSampleSets, schedule: SmoothingSchedule, *,
            ledger: SolveLedger | None = None,
            workers: int = 1, events: list | None = None,
-           initial_sample_cache: dict | None = None):
+           initial_sample_cache: dict | None = None,
+           start: tuple | None = None):
     """One V-cycle at level k; returns (v', (J, g) at v').
 
     Entered from the top as ``vcycle(problem, v_K, None, K, ...)``; the
     sample sets stay fixed throughout.  Diagnostic records are appended to
-    ``events``.  ``initial_sample_cache`` holds sample values precomputed
-    at the entry point v (e.g. by warm-up estimation on the same streams);
-    it is consulted only by the entry evaluation when no presmoothing
-    moves the point.
+    ``events``.  ``start`` is the shifted (J, g) pair at v.  A coarse level
+    is handed the pair its parent formed for the coherence check, so only
+    the top level (``start`` None) evaluates its entry point: with the
+    sample values in ``initial_sample_cache`` (precomputed at v, e.g. by
+    warm-up estimation on the same streams) and, when the sets are nested
+    and no presmoothing moves the point, with prefix sums from which the
+    coarse estimate is assembled without further solves.
     """
     if v.level != k:
         raise LevelMismatch(f"iterate on level {v.level}, expected {k}")
@@ -347,86 +338,71 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
         events = []
     obj = LevelObjective(problem, sets, k, tau, ledger, workers)
 
-    if k == 0:
-        res = ncg_smooth(obj, v, schedule.coarsest_steps)
-        if res.J is not None:
-            events.append({
-                "level": 0, "kind": "summary",
-                "start": (res.J_initial, norm(res.g_initial)),
-                "end": (res.J, norm(res.g)),
-            })
-        return res.v, (res.J, res.g)
-
-    hier = problem.hierarchy
-    nu = schedule.nu[k]
-    start_pair = None
     prefix_est = None
+    if start is None:
+        use_prefix = k > 0 and sets.nested and schedule.nu[k] == 0
+        est = obj.evaluate_unshifted(
+            v, prefix_counts=sets.counts[k - 1] if use_prefix else None,
+            sample_cache=initial_sample_cache)
+        prefix_est = est if use_prefix else None
+        start = obj._shift(v, est.cost_value, est.value)
 
-    if nu > 0:
-        res = ncg_smooth(obj, v, nu)
-        v1, J1, gJ1 = res.v, res.J, res.g
-        start_pair = (res.J_initial, res.g_initial)
+    pre = ncg_smooth(obj, v, schedule.nu[k] if k > 0 else schedule.coarsest_steps,
+                     initial=start)
+    post = pre
+    if k > 0:
+        hier = problem.hierarchy
+        v1, J1, gJ1 = pre.v, pre.J, pre.g
         ghat1 = gJ1 if tau is None else gJ1 + tau
-    else:
-        v1 = v
-        prefix = sets.counts[k - 1] if sets.nested else None
-        est = obj.evaluate_unshifted(v1, prefix_counts=prefix,
-                                     sample_cache=initial_sample_cache)
-        prefix_est = est if prefix is not None else None
-        ghat1 = est.value
-        J1, gJ1 = obj._shift(v1, est.cost_value, est.value)
-        start_pair = (J1, gJ1)
+        v_coarse = hier.restrict(v1)
+        if prefix_est is not None:
+            est_coarse = subestimate_from_prefix(problem, prefix_est, sets, k - 1,
+                                                 v_coarse)
+        else:
+            est_coarse = mlmc_gradient(problem, v_coarse, sets, k - 1,
+                                       ledger=ledger, workers=workers)
+        ghat_coarse = est_coarse.value
+        tau_coarse = ghat_coarse - hier.restrict(ghat1)
+        if tau is not None:
+            tau_coarse = hier.restrict(tau) + tau_coarse
 
-    v_coarse = hier.restrict(v1)
-    if prefix_est is not None:
-        est_coarse = subestimate_from_prefix(problem, prefix_est, sets, k - 1, v_coarse)
-    else:
-        est_coarse = mlmc_gradient(problem, v_coarse, sets, k - 1,
-                                   ledger=ledger, workers=workers)
-    ghat_coarse = est_coarse.value
-    tau_coarse = ghat_coarse - hier.restrict(ghat1)
-    if tau is not None:
-        tau_coarse = hier.restrict(tau) + tau_coarse
+        lhs = hier.restrict(gJ1)
+        rhs = ghat_coarse - tau_coarse
+        dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
+        events.append({"level": k, "kind": "coherence", "value": dev})
+        if dev > COHERENCE_TOL:
+            raise CoherenceViolation(
+                f"coarse gradient deviates from the restricted fine gradient: "
+                f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
+            )
 
-    lhs = hier.restrict(gJ1)
-    rhs = ghat_coarse - tau_coarse
-    dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
-    events.append({"level": k, "kind": "coherence", "value": dev})
-    if dev > COHERENCE_TOL:
-        raise CoherenceViolation(
-            f"coarse gradient deviates from the restricted fine gradient: "
-            f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
+        J_coarse_before = est_coarse.cost_value - inner_product(tau_coarse, v_coarse)
+        v_coarse_new, _ = vcycle(
+            problem, v_coarse, tau_coarse, k - 1, sets, schedule,
+            ledger=ledger, workers=workers, events=events,
+            start=(J_coarse_before, rhs),
         )
+        d = hier.prolong(v_coarse_new - v_coarse)
 
-    v_coarse_new, _ = vcycle(
-        problem, v_coarse, tau_coarse, k - 1, sets, schedule,
-        ledger=ledger, workers=workers, events=events,
-    )
-    d = hier.prolong(v_coarse_new - v_coarse)
+        s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, J1, gJ1)
+        events.append({
+            "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
+            "carried": carried is not None,
+            "direction_inner": inner_product(gJ1, d),
+            "coarse_J_before": J_coarse_before,
+        })
+        post = ncg_smooth(obj, v2, schedule.mu[k], initial=carried)
 
-    J_coarse_before = est_coarse.cost_value - inner_product(tau_coarse, v_coarse)
-    s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, J1, gJ1)
-    events.append({
-        "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
-        "carried": carried is not None,
-        "direction_inner": inner_product(gJ1, d),
-        "coarse_J_before": J_coarse_before,
-    })
-
-    res = ncg_smooth(obj, v2, schedule.mu[k], initial=carried)
-    final_pair = (res.J, res.g)
-    if final_pair[0] is None:
-        final_pair = (J1, gJ1) if s == 0.0 else (carried if carried else obj.evaluate(res.v))
     events.append({
         "level": k, "kind": "summary",
-        "start": (start_pair[0], norm(start_pair[1])),
-        "end": (final_pair[0], norm(final_pair[1])),
+        "start": (start[0], norm(start[1])),
+        "end": (post.J, norm(post.g)),
     })
-    if obj.last_estimate is not None:
+    if k > 0 and obj.last_estimate is not None:
         events.append({
             "level": k, "kind": "level_stats", "stats": obj.last_estimate.stats,
         })
-    return res.v, final_pair
+    return post.v, (post.J, post.g)
 
 
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,

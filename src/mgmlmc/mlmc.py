@@ -38,6 +38,7 @@ exactly zero where all samples agree.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -81,16 +82,6 @@ class SolveLedger:
     def add(self, level: int, n: int, weight: float = 1.0) -> None:
         if n > 0:
             self.events.append((level, n, weight))
-
-
-def _charge_pairs(ledger: SolveLedger | None, level: int, n: int,
-                  weight: float) -> None:
-    """Charge n coupled samples of a level: each solves at the level and,
-    for level >= 1, at level - 1."""
-    if ledger is not None:
-        ledger.add(level, n, weight)
-        if level > 0:
-            ledger.add(level - 1, n, weight)
 
 
 def equivalent_fine_solves(events, finest_level: int, kappa: float) -> float:
@@ -286,9 +277,13 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, workers=1,
             else:
                 fine = next(results)
                 yield level, i, combine(fine, None if level == lo else next(results))
-    fresh = Counter(level for level, _ in units)
-    for level in reversed(levels):
-        _charge_pairs(ledger, level, fresh[level], weight)
+    if ledger is not None:
+        # each fresh pair solved at its level and, above level 0, one below
+        fresh = Counter(level for level, _ in units)
+        for level in reversed(levels):
+            ledger.add(level, fresh[level], weight)
+            if level > 0:
+                ledger.add(level - 1, fresh[level], weight)
 
 
 class _LevelSums:
@@ -484,15 +479,15 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
     u_at = _restriction_chain(problem, u_k)
     streams = {level: sets.streams(k, level) for level in range(k + 1)}
-    diffs = {level: [] for level in streams}
+    sums = [0.0] * (k + 1)
     for level, _, jt in _grid_sweep(
             problem, u_at, streams, problem.tracking_cost_batch,
             lambda fine, coarse: fine if coarse is None else fine - coarse,
             workers=workers, ledger=ledger, weight=0.5):
-        diffs[level].append(jt)
+        sums[level] += jt
     total = 0.0
     for level in range(k + 1):
-        total += sum(diffs[level]) / len(streams[level])
+        total += sums[level] / len(streams[level])
     return total + problem.regularization(u_k)
 
 
@@ -597,9 +592,5 @@ def refresh_level_stats(stats: LevelStats, sample_stats: LevelStats,
         if np.isfinite(v_new) and sample_stats.n_used[level] >= 2:
             V[level] = v_new
             n_used[level] = sample_stats.n_used[level]
-    return LevelStats(
-        levels=stats.levels, V=V, C=stats.C, n_used=n_used,
-        mean_norms=stats.mean_norms, phi=stats.phi, kappa=stats.kappa,
-        rho=stats.rho,
-    )
+    return dataclasses.replace(stats, V=V, n_used=n_used)
 

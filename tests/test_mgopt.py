@@ -79,6 +79,11 @@ class TestNcgSmoother:
         v = p.control_from_function(2, lambda a, b: a * b)
         res = ncg_smooth(obj, v, 0)
         assert res.v is v
+        # without an initial pair the smoother evaluates v, so the result
+        # always holds the pair at its point
+        J, g = obj.evaluate(v)
+        assert res.J == J
+        assert np.array_equal(res.g.values, g.values)
 
     def test_matches_classical_cg(self):
         p = conditioned_quadratic()
@@ -159,11 +164,11 @@ class TestNcgSmoother:
 
 
 class TestCoarseCorrectionLinesearch:
-    def _setup(self, problem):
+    def _setup(self, problem,
+               fn=lambda a, b: 0.5 * np.sin(np.pi * a) * np.sin(np.pi * b)):
         sets = small_sets(problem, 1, (6, 3))
         obj = LevelObjective(problem, sets, 1)
-        v = problem.control_from_function(
-            1, lambda a, b: 0.5 * np.sin(np.pi * a) * np.sin(np.pi * b))
+        v = problem.control_from_function(1, fn)
         J, g = obj.evaluate(v)
         return obj, v, J, g
 
@@ -200,6 +205,20 @@ class TestCoarseCorrectionLinesearch:
         # deliberately overlong direction the model subtracts large terms,
         # so agreement is limited by that cancellation
         assert carried[0] == pytest.approx(J2, rel=1e-6, abs=1e-12)
+
+    def test_backtracks_on_overlong_descent_cost_only(self, burgers_small):
+        # Burgers is not quadratic, so the trials are cost-only evaluations
+        # and no pair is carried; at this scale v + d and the first trials
+        # break the stability bound, which counts as a rejected trial
+        obj, v, J, g = self._setup(burgers_small,
+                                   lambda x: 0.15 * np.sin(np.pi * x))
+        d = -100.0 * g
+        assert burgers_small.initial_step_cap(v, d) < 1.0
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        assert 0.0 < s < 1.0
+        assert carried is None
+        J2, _ = obj.evaluate(v2)
+        assert J2 < J
 
 
 class TestVCycle:
@@ -301,6 +320,31 @@ class TestVCycle:
 
         # ledger unchanged by the subestimate: zero extra solves
         assert ledger.events == single_eval_events
+
+    @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
+    def test_no_point_evaluated_twice(self, request, monkeypatch, name):
+        # a coarse level starts from the pair its parent already formed, so
+        # no (level, point) is estimated twice in one V-cycle
+        import mgmlmc.mgopt as mgopt
+
+        p = request.getfixturevalue(name)
+        seen = []
+
+        def recording(fn, point_arg):
+            def wrapper(*args, **kwargs):
+                u = args[point_arg]
+                seen.append((u.level, u.values.tobytes()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mgopt, "mlmc_gradient",
+                            recording(mgopt.mlmc_gradient, 1))
+        monkeypatch.setattr(mgopt, "subestimate_from_prefix",
+                            recording(mgopt.subestimate_from_prefix, 4))
+        sets = small_sets(p, 2, (12, 6, 2))
+        run_vcycle(p, p.zero_control(2), sets, SmoothingSchedule.default(2))
+        assert {level for level, _ in seen} == {0, 1, 2}
+        assert len(seen) == len(set(seen))
 
     def test_schedule_default_counts(self):
         s = SmoothingSchedule.default(3)
