@@ -299,14 +299,20 @@ def diffusion_bound(covariance: CovarianceSpec) -> float:
     return covariance.scale * np.exp(4.0 * np.sqrt(covariance.sigma2))
 
 
+# Margin of the suggested time step below the finest level's stability
+# bound, and the bound on |y| that the bound assumes.
+TIME_STEP_SAFETY = 4.0
+STATE_BOUND = 1.0
+
+
 def suggested_time_steps(hierarchy: GridHierarchy, covariance: CovarianceSpec,
-                         T: float = 1.0, *, safety: float = 4.0,
-                         y_bound: float = 1.0) -> int:
-    """Time grid points so the finest level is stable with margin ``safety``,
-    for diffusion fields under :func:`diffusion_bound`."""
+                         T: float = 1.0) -> int:
+    """Time grid points so the finest level is stable with margin
+    ``TIME_STEP_SAFETY``, for |y| <= ``STATE_BOUND`` and diffusion fields
+    under :func:`diffusion_bound`."""
     dx = hierarchy.h(hierarchy.finest)
-    dt_max = dx**2 / (y_bound * dx + 2.0 * diffusion_bound(covariance))
-    return int(np.ceil(T / (dt_max / safety))) + 1
+    dt_max = dx**2 / (STATE_BOUND * dx + 2.0 * diffusion_bound(covariance))
+    return int(np.ceil(T / (dt_max / TIME_STEP_SAFETY))) + 1
 
 
 @dataclass(frozen=True)

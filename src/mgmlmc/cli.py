@@ -93,22 +93,26 @@ class _ReportWriter:
 
     def __call__(self, row: CycleRow) -> None:
         record = row_to_record(row)
-        formatted = [_fmt(v) if not isinstance(v, str) else v for v in record]
-        self._writer.writerow(formatted)
+        self._writer.writerow([_fmt(v) for v in record])
         self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()
 
 
-def fd_gradient_checks(problem, K: int, global_seed: int, *,
-                       directions: int = 5, fd_eps: float = 1e-5,
-                       counts=None) -> dict:
+# Finite-difference checks: random unit directions and central step.
+FD_DIRECTIONS = 5
+FD_EPS = 1e-5
+
+
+def fd_gradient_checks(problem, K: int, global_seed: int) -> dict:
     """Central-difference checks of per-sample and estimator gradients.
 
     Returns the maximum relative deviation between the directional
     derivative of the (per-sample / multilevel) cost and the inner product
-    with the corresponding gradient, over random unit directions.
+    with the corresponding gradient, over random unit directions.  The
+    estimator is checked on nested sets of max(2, 8 >> l) samples per
+    level l.
     """
     hier = problem.hierarchy
     amp = 0.1 if problem.name == "burgers" else 1.0
@@ -127,26 +131,25 @@ def fd_gradient_checks(problem, K: int, global_seed: int, *,
     stream = RngStream(global_seed, make_set_id(0, PURPOSE_USER), K, 0)
     g = problem.gradient_sample(u0, stream)
     per_sample = 0.0
-    for _ in range(directions):
+    for _ in range(FD_DIRECTIONS):
         d = random_direction()
-        jp = problem.cost_sample(u0 + fd_eps * d, stream)
-        jm = problem.cost_sample(u0 - fd_eps * d, stream)
-        fd = (jp - jm) / (2.0 * fd_eps)
+        jp = problem.cost_sample(u0 + FD_EPS * d, stream)
+        jm = problem.cost_sample(u0 - FD_EPS * d, stream)
+        fd = (jp - jm) / (2.0 * FD_EPS)
         gd = float(np.vdot(g.values, d.values)) * u0.h ** u0.values.ndim
         per_sample = max(per_sample, abs(fd - gd) / max(abs(gd), 1e-14))
 
-    if counts is None:
-        counts = tuple(max(2, 8 >> level) for level in range(K + 1))
+    counts = tuple(max(2, 8 >> level) for level in range(K + 1))
     alloc = SampleAllocation(eps=1.0, theta=0.5, n=counts, finest=K)
     sets = build_sample_sets(K, alloc, 0.25, True, global_seed,
                              make_set_id(1, PURPOSE_USER))
     est = mlmc_gradient(problem, u0, sets, K)
     estimator = 0.0
-    for _ in range(directions):
+    for _ in range(FD_DIRECTIONS):
         d = random_direction()
-        jp = mlmc_gradient(problem, u0 + fd_eps * d, sets, K).cost_value
-        jm = mlmc_gradient(problem, u0 - fd_eps * d, sets, K).cost_value
-        fd = (jp - jm) / (2.0 * fd_eps)
+        jp = mlmc_gradient(problem, u0 + FD_EPS * d, sets, K).cost_value
+        jm = mlmc_gradient(problem, u0 - FD_EPS * d, sets, K).cost_value
+        fd = (jp - jm) / (2.0 * FD_EPS)
         gd = float(np.vdot(est.value.values, d.values)) * u0.h ** u0.values.ndim
         estimator = max(estimator, abs(fd - gd) / max(abs(gd), 1e-14))
     return {"per_sample": per_sample, "estimator": estimator}

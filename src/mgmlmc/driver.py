@@ -176,7 +176,7 @@ class _Step(NamedTuple):
     J: float
     g0_norm: float
     g_norm: float
-    sample_stats: LevelStats | None  # statistics of its last estimate
+    sample_stats: LevelStats  # statistics of its last estimate
     confirm_stats: LevelStats  # statistics the confirmation is sized from
     budget_spent: bool = False
 
@@ -187,8 +187,8 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
     The warm-up runs at v on the measured levels with the cycle's own
     optimization streams, so the cycle's first gradient reuses its samples
     (``cache``).  Extrapolated levels take the previous cycle's sample
-    statistics when there are any, and no level is allocated fewer samples
-    than it warmed up with.
+    statistics when there are any.  No measured level is allocated fewer
+    samples than it warmed up with; an extrapolated level's floor is one.
     """
     K = config.K
     opt_set_id = make_set_id(cycle, PURPOSE_OPT)
@@ -200,9 +200,9 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
         ledger=ledger, collect=cache, workers=config.workers,
     )
     extrapolated = [l for l in range(K + 1) if stats.n_used[l] == 0]
+    floor = np.where(stats.n_used > 0, stats.n_used, 1)
     if fine_stats is not None:
         stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
-    floor = np.where(stats.n_used > 0, stats.n_used, 1)
     alloc = optimal_allocation(stats, eps, config.theta, floor=floor)
     sets = build_sample_sets(
         K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
@@ -221,22 +221,24 @@ def _confirmation(problem, v, stats, config, cycle, ledger):
                          workers=config.workers)
 
 
-def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
-                   next_eps, row_sink):
+def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
+                   row_sink):
     """The outer loop of both drivers; returns (control, RunReport).
 
-    Each cycle plans its samples at the current iterate, runs the driver's
-    ``step(v, plan, ledger)`` on them, confirms with fresh samples when the
-    cheap gradient norm is at most tau, and reports one row.  Planning and
-    step share one sample bank, so each of the cycle's fields is drawn
-    once; the confirmation's fresh fields are used once and are not banked.
-    The loop ends on a confirmed gradient, after ``max_cycles`` cycles or
-    when the step has spent its budget; otherwise ``next_eps(eps, row)``
-    sets the next cycle's RMSE budget.
+    The first cycle's RMSE budget is ``config.eps1``.  Each cycle plans its
+    samples at the current iterate, runs the driver's ``step(v, plan,
+    ledger)`` on them, confirms with fresh samples when the cheap gradient
+    norm is at most tau, and reports one row.  Planning and step share one
+    sample bank, so each of the cycle's fields is drawn once; the
+    confirmation's fresh fields are used once and are not banked.  The loop
+    ends on a confirmed gradient, after ``max_cycles`` cycles or when the
+    step has spent its budget; otherwise ``next_eps(eps, row)`` sets the
+    next cycle's RMSE budget.
     """
     report = RunReport(K=config.K, status=status)
     ledger = report.ledger
     v = problem.zero_control(config.K)
+    eps = config.eps1
     fine_stats = None  # sample statistics of the previous cycle's estimates
     for i in range(1, max_cycles + 1):
         t0 = time.perf_counter()
@@ -245,8 +247,7 @@ def _adaptive_loop(problem, config, *, eps, max_cycles, status, step,
             plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
             out = step(v, plan, ledger)
         v = out.v
-        if out.sample_stats is not None:
-            fine_stats = out.sample_stats
+        fine_stats = out.sample_stats
 
         confirmed = False
         if out.g_norm <= config.tau:
@@ -280,10 +281,8 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
                               workers=config.workers,
                               initial_sample_cache=plan.cache)
-        stats = plan.stats
-        if cycle.level_stats is not None:
-            stats = refresh_level_stats(stats, cycle.level_stats,
-                                        only_levels=plan.extrapolated)
+        stats = refresh_level_stats(plan.stats, cycle.level_stats,
+                                    only_levels=plan.extrapolated)
         return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
                      cycle.level_stats, stats)
 
@@ -293,9 +292,9 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
         eta = update_eta(row.g_norm, row.g0_norm)
         return next_rmse(eta, row.g_norm, config.r, config.tau)
 
-    return _adaptive_loop(problem, config, eps=config.eps1,
-                          max_cycles=config.i_max, status="max_cycles",
-                          step=step, next_eps=next_eps, row_sink=row_sink)
+    return _adaptive_loop(problem, config, max_cycles=config.i_max,
+                          status="max_cycles", step=step, next_eps=next_eps,
+                          row_sink=row_sink)
 
 
 def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
@@ -322,19 +321,18 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
     def next_eps(eps, row):
         return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)
 
-    return _adaptive_loop(problem, config, eps=config.eps1,
-                          max_cycles=config.baseline_max_steps,
+    return _adaptive_loop(problem, config, max_cycles=config.baseline_max_steps,
                           status="max_steps", step=step, next_eps=next_eps,
                           row_sink=row_sink)
 
 
 def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,
-                     *, global_seed: int, cycle: int = 0, workers: int = 1):
+                     *, global_seed: int, workers: int = 1):
     """Plain-MC mean and variance of the state at the control's level.
 
     Fresh streams, disjoint from every optimization set; the variance is the
     unbiased per-node sample variance, zero where every sample agrees.
     """
-    set_id = make_set_id(cycle, PURPOSE_STATE)
+    set_id = make_set_id(0, PURPOSE_STATE)
     streams = [RngStream(global_seed, set_id, u.level, i) for i in range(n_samples)]
     return state_moments(problem, u, streams, workers=workers)

@@ -15,11 +15,14 @@ The prolonged coarse update is applied through a backtracking line search
 (descent required, starting at s = 1), then postsmoothing runs.  Sample
 sets stay fixed for the whole cycle.
 
-Every level starts from the shifted (J, g) pair at its entry point and
-returns the pair at its exit point.  Only the top level evaluates its
-entry; a coarse level starts from the pair its parent formed for the
-coherence check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}> and
-grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
+Every level is one call of :func:`vcycle` with the level's objective and
+the shifted (J, g) pair at its entry point, and returns the pair at its
+exit point.  :func:`run_vcycle` evaluates the top level's entry once; each
+level then builds its child's objective and hands it the pair formed for
+the coherence check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}>
+and grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
+The cycle's report is built from these values; its events hold only
+numbers and flags.
 
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
 mix and one line-search step for every problem: a secant step from a trial
@@ -32,13 +35,14 @@ step-for-step equivalent to classical CG on the sampled optimality system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .errors import (CoherenceViolation, LevelMismatch, LineSearchFailure,
                      StabilityViolation)
 from .grids import LevelVector, inner_product, norm
 from .mlmc import (
     GradientEstimate,
+    LevelStats,
     MgoptSampleSets,
     SolveLedger,
     mlmc_cost,
@@ -307,68 +311,44 @@ class VCycleReport:
     J: float
     g0_norm: float
     g_norm: float
-    backtracks: int = 0
-    events: list = dataclass_field(default_factory=list)
-    level_stats: object = None  # sample statistics of the last top-level estimate
+    backtracks: int
+    events: list
+    level_stats: LevelStats  # sample statistics of the last top-level estimate
 
 
-def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
-           k: int, sets: MgoptSampleSets, schedule: SmoothingSchedule, *,
-           ledger: SolveLedger | None = None,
-           workers: int = 1, events: list | None = None,
-           initial_sample_cache: dict | None = None,
-           start: tuple | None = None):
-    """One V-cycle at level k; returns (v', (J, g) at v').
+def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
+           schedule: SmoothingSchedule, events: list,
+           coarse: GradientEstimate | None = None):
+    """One V-cycle at level ``obj.k`` from v; returns (v', (J, g) at v').
 
-    Entered from the top as ``vcycle(problem, v_K, None, K, ...)``; the
-    sample sets stay fixed throughout.  Diagnostic records are appended to
-    ``events``.  ``start`` is the shifted (J, g) pair at v.  A coarse level
-    is handed the pair its parent formed for the coherence check, so only
-    the top level (``start`` None) evaluates its entry point: with the
-    sample values in ``initial_sample_cache`` (precomputed at v, e.g. by
-    warm-up estimation on the same streams) and, when the sets are nested
-    and no presmoothing moves the point, with prefix sums from which the
-    coarse estimate is assembled without further solves.
+    ``start`` is the shifted (J, g) pair of ``obj`` at v.  ``coarse`` is
+    the unshifted level-(k-1) estimate at the restricted presmoothed point
+    when the caller already holds it; otherwise it is computed here.  The
+    level builds its child objective with the tau-correction and hands it
+    the pair formed for the coherence check, so no level evaluates its
+    entry point.  Diagnostic records are appended to ``events``.
     """
-    if v.level != k:
-        raise LevelMismatch(f"iterate on level {v.level}, expected {k}")
-    if schedule.levels < k + 1:
-        raise LevelMismatch("schedule does not cover the requested levels")
-    if events is None:
-        events = []
-    obj = LevelObjective(problem, sets, k, tau, ledger, workers)
-
-    prefix_est = None
-    if start is None:
-        use_prefix = k > 0 and sets.nested and schedule.nu[k] == 0
-        est = obj.evaluate_unshifted(
-            v, prefix_counts=sets.counts[k - 1] if use_prefix else None,
-            sample_cache=initial_sample_cache)
-        prefix_est = est if use_prefix else None
-        start = obj._shift(v, est.cost_value, est.value)
-
+    k = obj.k
     pre = ncg_smooth(obj, v, schedule.nu[k] if k > 0 else schedule.coarsest_steps,
                      initial=start)
     post = pre
     if k > 0:
+        problem, tau = obj.problem, obj.tau
         hier = problem.hierarchy
         v1, J1, gJ1 = pre.v, pre.J, pre.g
         ghat1 = gJ1 if tau is None else gJ1 + tau
         v_coarse = hier.restrict(v1)
-        if prefix_est is not None:
-            est_coarse = subestimate_from_prefix(problem, prefix_est, sets, k - 1,
-                                                 v_coarse)
-        else:
-            est_coarse = mlmc_gradient(problem, v_coarse, sets, k - 1,
-                                       ledger=ledger, workers=workers)
-        ghat_coarse = est_coarse.value
-        tau_coarse = ghat_coarse - hier.restrict(ghat1)
+        if coarse is None:
+            coarse = mlmc_gradient(problem, v_coarse, obj.sets, k - 1,
+                                   ledger=obj.ledger, workers=obj.workers)
+        tau_coarse = coarse.value - hier.restrict(ghat1)
         if tau is not None:
             tau_coarse = hier.restrict(tau) + tau_coarse
+        child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger,
+                               obj.workers)
+        coarse_start = child._shift(v_coarse, coarse.cost_value, coarse.value)
 
-        lhs = hier.restrict(gJ1)
-        rhs = ghat_coarse - tau_coarse
-        dev = norm(rhs - lhs) / (1.0 + norm(gJ1))
+        dev = norm(coarse_start[1] - hier.restrict(gJ1)) / (1.0 + norm(gJ1))
         events.append({"level": k, "kind": "coherence", "value": dev})
         if dev > COHERENCE_TOL:
             raise CoherenceViolation(
@@ -376,12 +356,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
                 f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
             )
 
-        J_coarse_before = est_coarse.cost_value - inner_product(tau_coarse, v_coarse)
-        v_coarse_new, _ = vcycle(
-            problem, v_coarse, tau_coarse, k - 1, sets, schedule,
-            ledger=ledger, workers=workers, events=events,
-            start=(J_coarse_before, rhs),
-        )
+        v_coarse_new, _ = vcycle(child, v_coarse, coarse_start, schedule, events)
         d = hier.prolong(v_coarse_new - v_coarse)
 
         s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, J1, gJ1)
@@ -389,7 +364,7 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
             "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
             "carried": carried is not None,
             "direction_inner": inner_product(gJ1, d),
-            "coarse_J_before": J_coarse_before,
+            "coarse_J_before": coarse_start[0],
         })
         post = ncg_smooth(obj, v2, schedule.mu[k], initial=carried)
 
@@ -398,10 +373,6 @@ def vcycle(problem: ControlProblem, v: LevelVector, tau: LevelVector | None,
         "start": (start[0], norm(start[1])),
         "end": (post.J, norm(post.g)),
     })
-    if k > 0 and obj.last_estimate is not None:
-        events.append({
-            "level": k, "kind": "level_stats", "stats": obj.last_estimate.stats,
-        })
     return post.v, (post.J, post.g)
 
 
@@ -409,25 +380,35 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
                ledger: SolveLedger | None = None, workers: int = 1,
                initial_sample_cache: dict | None = None) -> tuple:
-    """Top-level V-cycle call; returns (v', VCycleReport).
+    """One V-cycle from the top level K = v.level; returns (v', VCycleReport).
 
-    The cycle's sample evaluations are charged to ``ledger``.
+    The sample sets stay fixed throughout, and the cycle's sample
+    evaluations are charged to ``ledger``.  Only here is an entry point
+    evaluated: with the sample values in ``initial_sample_cache``
+    (precomputed at v, e.g. by warm-up estimation on the same streams) and,
+    when the sets are nested and no presmoothing moves the point, with
+    prefix sums from which the level-(K-1) estimate is assembled without
+    further solves.
     """
     K = v.level
+    if K > sets.K:
+        raise LevelMismatch(f"sample sets end at level {sets.K}, iterate on {K}")
+    if schedule.levels < K + 1:
+        raise LevelMismatch("schedule does not cover the requested levels")
+    obj = LevelObjective(problem, sets, K, None, ledger, workers)
+    use_prefix = K > 0 and sets.nested and schedule.nu[K] == 0
+    est = obj.evaluate_unshifted(
+        v, prefix_counts=sets.counts[K - 1] if use_prefix else None,
+        sample_cache=initial_sample_cache)
+    coarse = (subestimate_from_prefix(problem, est, sets, K - 1,
+                                      problem.hierarchy.restrict(v))
+              if use_prefix else None)
     events: list = []
-    v_new, final_pair = vcycle(
-        problem, v, None, K, sets, schedule,
-        ledger=ledger, workers=workers, events=events,
-        initial_sample_cache=initial_sample_cache,
-    )
-    start = next(e for e in events if e["kind"] == "summary" and e["level"] == K)
-    backtracks = sum(e["backtracks"] for e in events if e["kind"] == "linesearch")
-    top_stats = [e["stats"] for e in events
-                 if e["kind"] == "level_stats" and e["level"] == K]
+    v_new, (J, g) = vcycle(obj, v, (est.cost_value, est.value), schedule,
+                           events, coarse)
     report = VCycleReport(
-        J0=start["start"][0], J=final_pair[0],
-        g0_norm=start["start"][1], g_norm=norm(final_pair[1]),
-        backtracks=backtracks, events=events,
-        level_stats=top_stats[-1] if top_stats else None,
+        J0=est.cost_value, J=J, g0_norm=norm(est.value), g_norm=norm(g),
+        backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
+        events=events, level_stats=obj.last_estimate.stats,
     )
     return v_new, report

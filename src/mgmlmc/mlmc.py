@@ -385,10 +385,6 @@ class GradientEstimate:
     prefix: dict | None = None
 
     @property
-    def level(self) -> int:
-        return self.value.level
-
-    @property
     def gradient_norm(self) -> float:
         return norm(self.value)
 

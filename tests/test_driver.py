@@ -9,18 +9,23 @@ from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
     OptimizerConfig,
+    SmoothingSchedule,
+    SolveLedger,
     baseline_optimize,
     next_rmse,
     norm,
     robust_optimize,
+    run_vcycle,
     update_eta,
 )
-from mgmlmc.driver import report_columns, row_to_record, state_statistics
+from mgmlmc.driver import (_plan_cycle, report_columns, row_to_record,
+                           state_statistics)
 from mgmlmc.elliptic import LaplaceProblemSpec
 from mgmlmc.errors import DegenerateStart
 from mgmlmc.mlmc import (
     PURPOSE_CONFIRM,
     PURPOSE_OPT,
+    LevelStats,
     SampleAllocation,
     build_sample_sets,
     equivalent_fine_solves,
@@ -173,6 +178,48 @@ class TestBaselineOptimize:
         assert report.status == "max_steps"
         assert 1 <= len(report.rows) < cfg.baseline_max_steps
         assert report.final_J is None and u.level == 2
+
+
+class TestSingleLevel:
+    """K = 0: the V-cycle is the coarsest level's smoothing alone."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return LaplaceSourceControl(GridHierarchy(dim=2, n0=17, levels=1))
+
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_driver_converges(self, problem, driver):
+        cfg = OptimizerConfig(tau=5e-3, K=0, warmup=10)
+        u, report = driver(problem, cfg)
+        assert report.converged and report.final_g_norm <= cfg.tau
+        assert u.level == 0
+        assert all(len(row.n) == 1 for row in report.rows)
+
+    def test_vcycle_reports_level_stats(self, problem):
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(12,), finest=0)
+        sets = build_sample_sets(0, alloc, 0.25, True, 7, 4)
+        _, report = run_vcycle(problem, problem.zero_control(0), sets,
+                               SmoothingSchedule.default(0))
+        assert report.level_stats.levels == (0,)
+        assert report.level_stats.n_used[0] == 12
+        assert report.J < report.J0
+
+
+class TestPlanCycle:
+    def test_extrapolated_level_floored_at_one(self, laplace_small):
+        # level 2 is extrapolated: it takes the previous cycle's statistics,
+        # but only the warm-up counts of measured levels floor the allocation
+        cfg = OptimizerConfig(tau=1e-3, K=2, warmup=6, global_seed=5)
+        previous = LevelStats(
+            levels=(0, 1, 2), V=np.array([1.0, 1.0, 1e-30]),
+            C=np.array([1.0, 4.0, 16.0]), n_used=np.array([6, 6, 1000]),
+            mean_norms=np.zeros(3))
+        plan = _plan_cycle(laplace_small, laplace_small.zero_control(2), 0.1,
+                           1, previous, cfg, SolveLedger())
+        assert plan.extrapolated == [2]
+        assert plan.stats.V[2] == 1e-30 and plan.stats.n_used[2] == 1000
+        assert plan.alloc.n[2] < 1000
+        assert min(plan.alloc.n[:2]) >= cfg.warmup
 
 
 class TestWarmupReuse:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -345,6 +347,17 @@ class TestVCycle:
         run_vcycle(p, p.zero_control(2), sets, SmoothingSchedule.default(2))
         assert {level for level, _ in seen} == {0, 1, 2}
         assert len(seen) == len(set(seen))
+
+    def test_events_are_plain_json(self, laplace_small):
+        # the report is built from values, so the event log holds only
+        # numbers and flags and can be written out line by line as JSON
+        p = laplace_small
+        sets = small_sets(p, 2, (12, 6, 2))
+        _, report = run_vcycle(p, p.zero_control(2), sets,
+                               SmoothingSchedule.default(2))
+        assert json.loads(json.dumps(report.events))
+        assert {e["kind"] for e in report.events} == {
+            "coherence", "linesearch", "summary"}
 
     def test_schedule_default_counts(self):
         s = SmoothingSchedule.default(3)
