@@ -31,12 +31,11 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateStart
 from .grids import LevelVector, norm
 from .mgopt import LevelObjective, SmoothingSchedule, ncg_smooth, run_vcycle
 from .mlmc import (
+    MAX_CYCLES,
     PURPOSE_CONFIRM,
     PURPOSE_OPT,
     PURPOSE_STATE,
@@ -101,8 +100,9 @@ class OptimizerConfig:
             raise ValueError("q must be in (0, 1/2)")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if self.i_max < 1 or self.baseline_max_steps < 1:
-            raise ValueError("iteration budgets must be >= 1")
+        if not (0 < self.i_max < MAX_CYCLES
+                and 0 < self.baseline_max_steps < MAX_CYCLES):
+            raise ValueError(f"iteration budgets must be in [1, {MAX_CYCLES})")
         if self.warmup < 2:
             raise ValueError("warmup must be >= 2")
         if self.workers < 1:
@@ -162,7 +162,6 @@ class _CyclePlan(NamedTuple):
     """Sample statistics, allocation and sets of one cycle, planned at v."""
 
     stats: LevelStats  # warm-up estimates, extrapolated levels refreshed
-    extrapolated: list  # levels without warm-up samples
     alloc: SampleAllocation
     sets: MgoptSampleSets
     cache: dict  # warm-up sample values at v, keyed by (level, index)
@@ -186,9 +185,11 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
 
     The warm-up runs at v on the measured levels with the cycle's own
     optimization streams, so the cycle's first gradient reuses its samples
-    (``cache``).  Extrapolated levels take the previous cycle's sample
-    statistics when there are any.  No measured level is allocated fewer
-    samples than it warmed up with; an extrapolated level's floor is one.
+    (``cache``).  Extrapolated levels (``n_used == 0``) take the previous
+    cycle's sample variances when there are any; the refresh leaves
+    ``n_used`` as the warm-up counts.  These floor the allocation: no
+    measured level gets fewer samples than it warmed up with, and every
+    level gets at least one.
     """
     K = config.K
     opt_set_id = make_set_id(cycle, PURPOSE_OPT)
@@ -199,15 +200,13 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
         set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K),
         ledger=ledger, collect=cache, workers=config.workers,
     )
-    extrapolated = [l for l in range(K + 1) if stats.n_used[l] == 0]
-    floor = np.where(stats.n_used > 0, stats.n_used, 1)
     if fine_stats is not None:
-        stats = refresh_level_stats(stats, fine_stats, only_levels=extrapolated)
-    alloc = optimal_allocation(stats, eps, config.theta, floor=floor)
+        stats = refresh_level_stats(stats, fine_stats)
+    alloc = optimal_allocation(stats, eps, config.theta, floor=stats.n_used)
     sets = build_sample_sets(
         K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
     )
-    return _CyclePlan(stats, extrapolated, alloc, sets, cache)
+    return _CyclePlan(stats, alloc, sets, cache)
 
 
 def _confirmation(problem, v, stats, config, cycle, ledger):
@@ -281,8 +280,7 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
                               workers=config.workers,
                               initial_sample_cache=plan.cache)
-        stats = refresh_level_stats(plan.stats, cycle.level_stats,
-                                    only_levels=plan.extrapolated)
+        stats = refresh_level_stats(plan.stats, cycle.level_stats)
         return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
                      cycle.level_stats, stats)
 
@@ -304,8 +302,8 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
 
     def step(v, plan, ledger):
         nonlocal steps_used
-        objective = LevelObjective(problem, plan.sets, config.K, tau=None,
-                                   ledger=ledger, workers=config.workers)
+        objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger,
+                                   workers=config.workers)
         est0 = objective.evaluate_unshifted(v, sample_cache=plan.cache)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(

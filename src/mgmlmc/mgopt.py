@@ -104,7 +104,10 @@ class SmoothingSchedule:
 
 
 class LevelObjective:
-    """Sampled shifted functional J_k = Jhat_k - <tau_k, .> at one level."""
+    """Sampled shifted functional J_k = Jhat_k - <tau_k, .> at one level.
+
+    Without ``tau`` the shift is zero: the top level's unshifted functional.
+    """
 
     def __init__(self, problem: ControlProblem, sets: MgoptSampleSets, k: int,
                  tau: LevelVector | None = None,
@@ -112,15 +115,13 @@ class LevelObjective:
         self.problem = problem
         self.sets = sets
         self.k = k
-        self.tau = tau
+        self.tau = problem.zero_control(k) if tau is None else tau
         self.ledger = ledger
         self.workers = workers
         self.quadratic = problem.is_quadratic
         self.last_estimate: GradientEstimate | None = None
 
     def _shift(self, u: LevelVector, jhat: float, ghat: LevelVector):
-        if self.tau is None:
-            return jhat, ghat
         return jhat - inner_product(self.tau, u), ghat - self.tau
 
     def evaluate(self, u: LevelVector):
@@ -139,7 +140,7 @@ class LevelObjective:
     def cost(self, u: LevelVector) -> float:
         j = mlmc_cost(self.problem, u, self.sets, self.k,
                       ledger=self.ledger, workers=self.workers)
-        return j if self.tau is None else j - inner_product(self.tau, u)
+        return j - inner_product(self.tau, u)
 
 
 def dai_yuan_beta(g: LevelVector, g_prev: LevelVector, d_prev: LevelVector) -> float:
@@ -187,7 +188,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
 
     for _ in range(steps):
         gnorm = norm(g)
-        if gnorm == 0.0 or gnorm <= gradient_tol:
+        if gnorm <= gradient_tol:
             break
         d = -g if d_prev is None else -g + dai_yuan_beta(g, g_prev, d_prev) * d_prev
         gd = inner_product(g, d)
@@ -244,14 +245,10 @@ def _line_search_step(objective, v, J, g, d, gd):
         curv = inner_product(gt - g, d) / sigma0
         if curv > 0.0:
             s_star = -gd / curv
-            if 0.0 < s_star <= cap:
-                if abs(s_star - sigma0) <= 1e-12 * sigma0:
-                    if Jt <= J + ARMIJO_C * sigma0 * gd:
-                        return v + sigma0 * d, Jt, gt
-                else:
-                    trial = _stable(objective.evaluate, v + s_star * d)
-                    if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
-                        return v + s_star * d, trial[0], trial[1]
+            if 0.0 < s_star <= cap and abs(s_star - sigma0) > 1e-12 * sigma0:
+                trial = _stable(objective.evaluate, v + s_star * d)
+                if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
+                    return v + s_star * d, trial[0], trial[1]
         if Jt <= J + ARMIJO_C * sigma0 * gd:
             return v + sigma0 * d, Jt, gt
 
@@ -336,14 +333,12 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
         problem, tau = obj.problem, obj.tau
         hier = problem.hierarchy
         v1, J1, gJ1 = pre.v, pre.J, pre.g
-        ghat1 = gJ1 if tau is None else gJ1 + tau
+        ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
         if coarse is None:
             coarse = mlmc_gradient(problem, v_coarse, obj.sets, k - 1,
                                    ledger=obj.ledger, workers=obj.workers)
-        tau_coarse = coarse.value - hier.restrict(ghat1)
-        if tau is not None:
-            tau_coarse = hier.restrict(tau) + tau_coarse
+        tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
         child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger,
                                obj.workers)
         coarse_start = child._shift(v_coarse, coarse.cost_value, coarse.value)
@@ -395,7 +390,7 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
         raise LevelMismatch(f"sample sets end at level {sets.K}, iterate on {K}")
     if schedule.levels < K + 1:
         raise LevelMismatch("schedule does not cover the requested levels")
-    obj = LevelObjective(problem, sets, K, None, ledger, workers)
+    obj = LevelObjective(problem, sets, K, ledger=ledger, workers=workers)
     use_prefix = K > 0 and sets.nested and schedule.nu[K] == 0
     est = obj.evaluate_unshifted(
         v, prefix_counts=sets.counts[K - 1] if use_prefix else None,

@@ -60,12 +60,15 @@ PURPOSE_CONFIRM = 2
 PURPOSE_STATE = 3
 PURPOSE_USER = 4
 
+# Cycle indices a set id can hold; the drivers' cycle budgets stay below it.
+MAX_CYCLES = 1 << 13
+
 
 def make_set_id(cycle: int, purpose: int) -> int:
     if not 0 <= purpose < 8:
         raise ValueError("purpose outside [0, 8)")
-    if not 0 <= cycle < (1 << 13):
-        raise ValueError("cycle outside [0, 2^13)")
+    if not 0 <= cycle < MAX_CYCLES:
+        raise ValueError(f"cycle outside [0, {MAX_CYCLES})")
     return (cycle << 3) | purpose
 
 
@@ -103,8 +106,10 @@ class LevelStats:
 
     ``V[l]`` integrates the pointwise sample variance of Y_l over the
     domain; ``C[l]`` is the per-sample cost in relative units 2**(kappa*l).
-    ``phi``/``kappa``/``rho`` are fitted decay exponents (variance, cost,
-    bias); a rate is None when not measurable.
+    ``n_used[l]`` counts the samples behind this estimate's own ``V[l]``;
+    it is zero where ``V[l]`` is extrapolated or was refreshed from other
+    statistics.  ``phi``/``kappa``/``rho`` are fitted decay exponents
+    (variance, cost, bias); a rate is None when not measurable.
     """
 
     levels: tuple
@@ -137,7 +142,6 @@ class MgoptSampleSets:
 
     K: int
     counts: tuple  # counts[k][l], l <= k
-    q: float
     nested: bool
     global_seed: int
     set_id: int
@@ -149,11 +153,8 @@ class MgoptSampleSets:
     def stream_set_id(set_id: int, nested: bool, k: int) -> int:
         return (set_id << 8) | (0 if nested else k + 1)
 
-    def _effective_set_id(self, k: int) -> int:
-        return self.stream_set_id(self.set_id, self.nested, k)
-
     def streams(self, k: int, level: int) -> list:
-        sid = self._effective_set_id(k)
+        sid = self.stream_set_id(self.set_id, self.nested, k)
         return [
             RngStream(self.global_seed, sid, level, i)
             for i in range(self.count(k, level))
@@ -176,7 +177,7 @@ def build_sample_sets(K: int, allocation: SampleAllocation, q: float,
             for level in range(k + 1)
         ))
     return MgoptSampleSets(
-        K=K, counts=tuple(counts), q=q, nested=nested,
+        K=K, counts=tuple(counts), nested=nested,
         global_seed=global_seed, set_id=set_id,
     )
 
@@ -335,6 +336,20 @@ class _LevelSums:
         return h ** self.sum_y.ndim * float(np.sum(self.var()))
 
 
+def _level_summary(problem: ControlProblem, level_sums, n_levels: int):
+    """``(V, n_used, mean_norms)`` over levels 0..n_levels-1 from the sums
+    of the sampled levels 0..len(level_sums)-1; the other levels read 0."""
+    hier = problem.hierarchy
+    V = np.zeros(n_levels)
+    n_used = np.zeros(n_levels, dtype=int)
+    mean_norms = np.zeros(n_levels)
+    for level, sums in enumerate(level_sums):
+        V[level] = sums.level_variance(hier.h(level))
+        n_used[level] = sums.n
+        mean_norms[level] = norm(hier.vector(level, sums.mean(), problem.control_role))
+    return V, n_used, mean_norms
+
+
 def _telescope(problem: ControlProblem, u: LevelVector, parts):
     """Gradient and matched cost at u from per-level ``(sum_y, sum_jt, n)``,
     levels 0..level(u) in order: the level means are prolonged and added
@@ -409,7 +424,6 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
     """
     if u_k.level != k:
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
-    hier = problem.hierarchy
     u_at = _restriction_chain(problem, u_k)
     streams = {level: sets.streams(k, level) for level in range(k + 1)}
     if prefix_counts is not None and len(prefix_counts) < k:
@@ -431,14 +445,10 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
     grad, cost = _telescope(problem, u_k,
                             [(s.sum_y, s.sum_jt, s.n) for s in level_sums])
     kappa = problem.kappa_default
+    V, n_used, mean_norms = _level_summary(problem, level_sums, k + 1)
     stats = LevelStats(
-        levels=tuple(range(k + 1)),
-        V=np.asarray([s.level_variance(hier.h(l)) for l, s in enumerate(level_sums)]),
-        C=2.0 ** (kappa * np.arange(k + 1)),
-        n_used=np.asarray([s.n for s in level_sums]),
-        mean_norms=np.asarray([norm(hier.vector(l, s.mean(), problem.control_role))
-                               for l, s in enumerate(level_sums)]),
-        kappa=kappa,
+        levels=tuple(range(k + 1)), V=V, C=2.0 ** (kappa * np.arange(k + 1)),
+        n_used=n_used, mean_norms=mean_norms, kappa=kappa,
     )
     return GradientEstimate(
         value=grad, cost_value=cost, stats=stats,
@@ -487,15 +497,17 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
     return total + problem.regularization(u_k)
 
 
-def _fit_log2_decay(levels, values):
-    """Least-squares slope of log2(values) against level; None if unusable."""
+def _decay_rate(levels, values):
+    """Rate r of values ~ 2**(-r*level), from the least-squares slope of
+    log2(values) over the positive ones; None below two positive values or
+    when they do not decay."""
     levels = np.asarray(levels, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = values > 0
     if keep.sum() < 2:
         return None
-    slope = np.polyfit(levels[keep], np.log2(values[keep]), 1)[0]
-    return float(slope)
+    slope = float(np.polyfit(levels[keep], np.log2(values[keep]), 1)[0])
+    return -slope if slope < 0 else None
 
 
 def estimate_level_stats(problem: ControlProblem, u: LevelVector,
@@ -510,8 +522,7 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     Levels must be contiguous from 0; the control ``u`` lives on the finest
     of them.  The last ``extrapolate_finest`` levels are not sampled: their
     variance follows the fitted decay of the measured ones (at least two
-    levels stay measured; the rate 2 is used when the fit has fewer than two
-    difference levels to work with).
+    levels stay measured; the rate 2 is used when no decay can be fitted).
 
     Sample i of a level uses ``RngStream(global_seed, set_id, level, i)``,
     so warm-up samples can share the streams of a subsequent estimator.
@@ -525,68 +536,49 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
         raise InsufficientSamples("need at least 2 warm-up samples per level")
     if u.level != levels[-1]:
         raise LevelMismatch("control must live on the finest requested level")
-    hier = problem.hierarchy
     u_at = _restriction_chain(problem, u)
     n_extrapolated = min(max(extrapolate_finest, 0), max(len(levels) - 2, 0))
     measured = levels[: len(levels) - n_extrapolated]
 
     streams = {level: [RngStream(global_seed, set_id, level, i)
                        for i in range(warmup_n)] for level in measured}
-    level_sums = {level: _LevelSums() for level in measured}
+    level_sums = [_LevelSums() for _ in measured]
     for level, i, (jt, yv) in _gradient_sweep(
             problem, u_at, streams, workers=workers, ledger=ledger):
         level_sums[level].add(yv, jt)
         if collect is not None:
             collect[(level, i)] = (jt, yv)
-
-    V = np.zeros(len(levels))
-    mean_norms = np.zeros(len(levels))
-    n_used = np.zeros(len(levels), dtype=int)
-    for level, sums in level_sums.items():
-        V[level] = sums.level_variance(hier.h(level))
-        mean_norms[level] = norm(hier.vector(level, sums.mean(), problem.control_role))
-        n_used[level] = warmup_n
+    V, n_used, mean_norms = _level_summary(problem, level_sums, len(levels))
 
     fit_levels = [l for l in measured if l >= 1]
-    slope = _fit_log2_decay(fit_levels, V[fit_levels]) if len(fit_levels) >= 2 else None
-    phi = -slope if slope is not None and slope < 0 else None
+    phi = _decay_rate(fit_levels, V[fit_levels])
+    rate = phi if phi is not None else 2.0
     last = measured[-1]
     for level in levels[len(measured):]:
-        if V[last] == 0.0:
-            V[level] = 0.0
-        else:
-            rate = phi if phi is not None else 2.0
-            V[level] = V[last] * 2.0 ** (-rate * (level - last))
+        V[level] = V[last] * 2.0 ** (-rate * (level - last))
 
     kappa = problem.kappa_default
     C = 2.0 ** (kappa * np.asarray(levels, dtype=float))
-    rho_slope = (_fit_log2_decay(fit_levels, mean_norms[fit_levels])
-                 if len(fit_levels) >= 2 else None)
-    rho = -rho_slope if rho_slope is not None and rho_slope < 0 else None
+    rho = _decay_rate(fit_levels, mean_norms[fit_levels])
     return LevelStats(
         levels=levels, V=V, C=C, n_used=n_used, mean_norms=mean_norms,
         phi=phi, kappa=kappa, rho=rho,
     )
 
 
-def refresh_level_stats(stats: LevelStats, sample_stats: LevelStats,
-                        only_levels=None) -> LevelStats:
-    """Overwrite variance estimates with fresher ones where available.
+def refresh_level_stats(stats: LevelStats, sample_stats: LevelStats) -> LevelStats:
+    """``stats`` with ``V`` taken from ``sample_stats`` on the levels that
+    ``stats`` holds no samples for (``n_used == 0``, the extrapolated ones).
 
-    ``sample_stats`` usually comes from a gradient estimate's own samples;
-    levels with fewer than two samples (NaN variance) keep the old value.
-    ``only_levels`` limits the replacement, e.g. to levels whose current
-    value is merely extrapolated.
+    ``sample_stats`` usually comes from a gradient estimate's own samples
+    and must cover those levels; a level it measured with fewer than two
+    samples (NaN variance) keeps the old value.  ``n_used`` is unchanged,
+    so it still tells which levels the refresh may replace.
     """
     V = np.asarray(stats.V, dtype=float).copy()
-    n_used = np.asarray(stats.n_used).copy()
-    eligible = set(stats.levels if only_levels is None else only_levels)
-    for level in sample_stats.levels:
-        if level >= len(V) or level not in eligible:
-            continue
+    for level in np.flatnonzero(np.asarray(stats.n_used) == 0):
         v_new = sample_stats.V[level]
         if np.isfinite(v_new) and sample_stats.n_used[level] >= 2:
             V[level] = v_new
-            n_used[level] = sample_stats.n_used[level]
-    return dataclasses.replace(stats, V=V, n_used=n_used)
+    return dataclasses.replace(stats, V=V)
 

@@ -86,6 +86,8 @@ class TestConfigParsing:
         "[grid]\nn0 = 2\n",
         "[covariance]\nlambda = 0\n",
         "[experiment]\nproblem = burgers\n[burgers]\nnt = 0\n",
+        "[optimizer]\ni_max = 8192\n",
+        "[optimizer]\nbaseline_max_steps = 8192\n",
     ])
     def test_owner_range_checks_rejected(self, tmp_path, text):
         cfg_file = write_config(tmp_path / "c.ini", text)

@@ -11,6 +11,7 @@ from mgmlmc import (
     SolveLedger,
     build_sample_sets,
     inner_product,
+    mlmc_cost,
     mlmc_gradient,
     norm,
     run_vcycle,
@@ -71,6 +72,23 @@ def cg_oracle(objective, v0, steps):
         rr = rr_new
         iterates.append(v)
     return iterates
+
+
+class TestLevelObjective:
+    @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
+    def test_no_tau_is_the_unshifted_functional(self, request, name):
+        # the top level's shift is zero, and a zero shift changes no bit
+        p = request.getfixturevalue(name)
+        sets = small_sets(p, 2, (12, 6, 2))
+        u = p.zero_control(2)
+        u = u.with_values(0.1 * np.random.default_rng(3).standard_normal(u.values.shape))
+        obj = LevelObjective(p, sets, 2)
+        assert not obj.tau.values.any()
+        J, g = obj.evaluate(u)
+        est = mlmc_gradient(p, u, sets, 2)
+        assert J == est.cost_value
+        assert g.values.tobytes() == est.value.values.tobytes()
+        assert obj.cost(u) == mlmc_cost(p, u, sets, 2)
 
 
 class TestNcgSmoother:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -29,6 +30,7 @@ from mgmlmc.mlmc import (
     PURPOSE_OPT,
     PURPOSE_USER,
     _LevelSums,
+    _decay_rate,
     _telescope,
     make_set_id,
     refresh_level_stats,
@@ -252,13 +254,47 @@ class TestLevelStats:
         # extrapolated value within an order of magnitude of the measured one
         assert 0.1 * full.V[2] <= extra.V[2] <= 10 * full.V[2]
 
-    def test_refresh_only_touches_requested_levels(self):
-        base = stats_from([1.0, 0.5, 0.25], [1, 4, 16])
+    def test_refresh_touches_only_unsampled_levels(self):
+        base = dataclasses.replace(stats_from([1.0, 0.5, 0.25], [1, 4, 16]),
+                                   n_used=np.array([10, 10, 0]))
         sample = LevelStats(levels=(0, 1, 2), V=np.array([9.0, 9.0, 9.0]),
                             C=base.C, n_used=np.array([10, 10, 10]),
                             mean_norms=np.zeros(3))
-        out = refresh_level_stats(base, sample, only_levels=[2])
+        out = refresh_level_stats(base, sample)
         assert out.V[0] == 1.0 and out.V[1] == 0.5 and out.V[2] == 9.0
+        assert list(out.n_used) == [10, 10, 0]
+
+    @pytest.mark.parametrize("v_new,n_new", [(np.nan, 10), (9.0, 1)])
+    def test_refresh_keeps_unmeasured_variance(self, v_new, n_new):
+        # a NaN variance or fewer than two samples measure nothing
+        base = dataclasses.replace(stats_from([1.0, 0.5, 0.25], [1, 4, 16]),
+                                   n_used=np.array([10, 10, 0]))
+        sample = LevelStats(levels=(0, 1, 2), V=np.array([9.0, 9.0, v_new]),
+                            C=base.C, n_used=np.array([10, 10, n_new]),
+                            mean_norms=np.zeros(3))
+        out = refresh_level_stats(base, sample)
+        assert list(out.V) == [1.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 3.0],  # one positive value
+        [0.0, 0.0, 0.0],  # none
+        [1.0, 2.0, 8.0],  # growing
+    ])
+    def test_decay_rate_none_when_unmeasurable(self, values):
+        assert _decay_rate([1, 2, 3], values) is None
+
+    @pytest.mark.parametrize("levels,values", [
+        ([1, 2], [0.5, 0.125]),
+        ([1, 2, 3], [0.3, 0.07, 0.02]),
+        ([1, 2, 3, 4], [1.0, 0.0, 0.2, 0.013]),
+    ])
+    def test_decay_rate_is_negated_slope(self, levels, values):
+        # the slope of log2 over the positive values, negated bit for bit
+        keep = np.asarray(values) > 0
+        slope = float(np.polyfit(np.asarray(levels, dtype=float)[keep],
+                                 np.log2(np.asarray(values)[keep]), 1)[0])
+        assert slope < 0
+        assert _decay_rate(levels, values) == -slope
 
 
 @dataclass(frozen=True)
