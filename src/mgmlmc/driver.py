@@ -2,15 +2,16 @@
 
 Both drivers run one loop.  Every cycle warms up on its own sample
 streams at the current iterate, allocates MLMC samples for the current
-gradient RMSE budget eps, optimizes on those fixed samples, and only
-declares success after a confirmation gradient computed with brand-new
-samples at RMSE r*tau, taken when the cycle's own gradient norm is at most
-tau.  The two drivers differ in three places:
+gradient RMSE budget eps, takes the cycle's entry estimate (the level-K
+gradient at the iterate, which reuses the warm-up samples), optimizes
+from it on those fixed samples, and only declares success after a
+confirmation gradient computed with brand-new samples at RMSE r*tau, taken
+when the cycle's own gradient norm is at most tau.  The two drivers differ
+in three places:
 
-* inner optimizer: ``robust_optimize`` runs one MG/OPT V-cycle, whose
-  first gradient reuses the warm-up samples; ``baseline_optimize`` runs
-  NCG on the finest level until the gradient norm drops below eps/r, under
-  a total step budget.
+* inner optimizer: ``robust_optimize`` runs one MG/OPT V-cycle from the
+  entry estimate; ``baseline_optimize`` runs NCG on the finest level from
+  it until the gradient norm drops below eps/r, under a total step budget.
 * confirmation statistics: the V-cycle's top-level sample statistics
   refresh the extrapolated levels first; the baseline uses the planning
   statistics.
@@ -39,6 +40,7 @@ from .mlmc import (
     PURPOSE_CONFIRM,
     PURPOSE_OPT,
     PURPOSE_STATE,
+    GradientEstimate,
     LevelStats,
     MgoptSampleSets,
     SampleAllocation,
@@ -164,7 +166,7 @@ class _CyclePlan(NamedTuple):
     stats: LevelStats  # warm-up estimates, extrapolated levels refreshed
     alloc: SampleAllocation
     sets: MgoptSampleSets
-    cache: dict  # warm-up sample values at v, keyed by (level, index)
+    entry: GradientEstimate  # the level-K estimate at v on ``sets``
 
 
 class _Step(NamedTuple):
@@ -181,15 +183,15 @@ class _Step(NamedTuple):
 
 
 def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePlan:
-    """Warm-up, refresh, floored allocation and sample sets of one cycle.
+    """Warm-up, refresh, allocation, sets and entry estimate of one cycle.
 
     The warm-up runs at v on the measured levels with the cycle's own
-    optimization streams, so the cycle's first gradient reuses its samples
-    (``cache``).  Extrapolated levels (``n_used == 0``) take the previous
-    cycle's sample variances when there are any; the refresh leaves
-    ``n_used`` as the warm-up counts.  These floor the allocation: no
-    measured level gets fewer samples than it warmed up with, and every
-    level gets at least one.
+    optimization streams, so the entry estimate, the cycle's one level-K
+    gradient at v, reuses its samples.  Extrapolated levels
+    (``n_used == 0``) take the previous cycle's sample variances when there
+    are any; the refresh leaves ``n_used`` as the warm-up counts.  These
+    floor the allocation: no measured level gets fewer samples than it
+    warmed up with, and every level gets at least one.
     """
     K = config.K
     opt_set_id = make_set_id(cycle, PURPOSE_OPT)
@@ -206,7 +208,9 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
     sets = build_sample_sets(
         K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
     )
-    return _CyclePlan(stats, alloc, sets, cache)
+    entry = mlmc_gradient(problem, v, sets, K, ledger=ledger,
+                          sample_cache=cache, workers=config.workers)
+    return _CyclePlan(stats, alloc, sets, entry)
 
 
 def _confirmation(problem, v, stats, config, cycle, ledger):
@@ -278,8 +282,7 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
 
     def step(v, plan, ledger):
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
-                              workers=config.workers,
-                              initial_sample_cache=plan.cache)
+                              workers=config.workers, entry=plan.entry)
         stats = refresh_level_stats(plan.stats, cycle.level_stats)
         return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
                      cycle.level_stats, stats)
@@ -304,16 +307,16 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
         nonlocal steps_used
         objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger,
                                    workers=config.workers)
-        est0 = objective.evaluate_unshifted(v, sample_cache=plan.cache)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
             objective, v, steps=config.baseline_max_steps - steps_used,
-            initial=(est0.cost_value, est0.value),
+            initial=(plan.entry.cost_value, plan.entry.value),
             gradient_tol=plan.alloc.eps / config.r,
         )
         steps_used += res.steps_taken
+        sample_stats = (objective.last_estimate or plan.entry).stats
         return _Step(res.v, res.J_initial, res.J, norm(res.g_initial),
-                     norm(res.g), objective.last_estimate.stats, plan.stats,
+                     norm(res.g), sample_stats, plan.stats,
                      budget_spent=steps_used >= config.baseline_max_steps)
 
     def next_eps(eps, row):

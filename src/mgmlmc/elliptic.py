@@ -200,8 +200,12 @@ class _EllipticBase(ControlProblem):
         self.spec = spec
         _lapack()  # import during set-up, not in the first solve
 
-    def _operator(self, field: FieldSample) -> DiffusionOperator:
-        return DiffusionOperator(field.values, self.hierarchy.h(field.level))
+    def _forward(self, u: LevelVector, field: FieldSample):
+        """(operator, interior state) of one realization: the problem's one
+        forward solve, with the right-hand side ``_rhs`` builds."""
+        self._check(u, field)
+        op = DiffusionOperator(field.values, self.hierarchy.h(field.level))
+        return op, op.solve(self._rhs(op, u.values))
 
 
 class LaplaceSourceControl(_EllipticBase):
@@ -219,11 +223,14 @@ class LaplaceSourceControl(_EllipticBase):
             self._targets[level] = self.hierarchy.from_function(level, self.spec.target)
         return self._targets[level]
 
+    @staticmethod
+    def _rhs(op, u):
+        return u
+
     def _residual(self, u, field):
         """(operator, state residual, tracking cost) of one realization."""
-        self._check(u, field)
-        op = self._operator(field)
-        r = op.solve(u.values) - self.target(u.level).values
+        op, y = self._forward(u, field)
+        r = y - self.target(u.level).values
         return op, r, 0.5 * u.h**2 * float(np.vdot(r, r))
 
     def tracking_cost(self, u, field):
@@ -234,11 +241,9 @@ class LaplaceSourceControl(_EllipticBase):
         return jt, u.with_values(op.solve(r))
 
     def state(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
         n = field.nodes
         full = np.zeros((n, n))
-        full[1:-1, 1:-1] = op.solve(u.values)
+        full[1:-1, 1:-1] = self._forward(u, field)[1]
         return full
 
 
@@ -260,12 +265,14 @@ class DtNBoundaryControl(_EllipticBase):
             self._targets[level] = np.asarray(self.spec.target_flux(x), dtype=float)
         return self._targets[level]
 
+    @staticmethod
+    def _rhs(op, u):
+        return op.lift_gamma(u)
+
     def _residual(self, u, field):
         """(operator, flux residual on Gamma, tracking cost) of one
         realization."""
-        self._check(u, field)
-        op = self._operator(field)
-        y = op.solve(op.lift_gamma(u.values))
+        op, y = self._forward(u, field)
         w = op.gamma_flux(u.values, y) - self.target_flux(u.level)
         return op, w, 0.5 * u.h * float(np.vdot(w, w))
 
@@ -279,10 +286,8 @@ class DtNBoundaryControl(_EllipticBase):
         return jt, u.with_values(q)
 
     def state(self, u, field):
-        self._check(u, field)
-        op = self._operator(field)
         n = field.nodes
         full = np.zeros((n, n))
-        full[1:-1, 1:-1] = op.solve(op.lift_gamma(u.values))
+        full[1:-1, 1:-1] = self._forward(u, field)[1]
         full[1:-1, 0] = u.values
         return full

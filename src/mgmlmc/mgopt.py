@@ -17,10 +17,13 @@ sets stay fixed for the whole cycle.
 
 Every level is one call of :func:`vcycle` with the level's objective and
 the shifted (J, g) pair at its entry point, and returns the pair at its
-exit point.  :func:`run_vcycle` evaluates the top level's entry once; each
-level then builds its child's objective and hands it the pair formed for
-the coherence check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}>
-and grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
+exit point.  The top level starts from the entry estimate handed to
+:func:`run_vcycle`, the drivers' one level-K estimate per cycle; when no
+presmoothing moves the point, that estimate's nested level-(K-1) estimate
+(``GradientEstimate.coarse``) starts level K-1.  Each level then builds
+its child's objective and hands it the pair formed for the coherence
+check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}> and
+grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
 The cycle's report is built from these values; its events hold only
 numbers and flags.
 
@@ -47,7 +50,6 @@ from .mlmc import (
     SolveLedger,
     mlmc_cost,
     mlmc_gradient,
-    subestimate_from_prefix,
 )
 from .problems import ControlProblem
 
@@ -125,17 +127,10 @@ class LevelObjective:
         return jhat - inner_product(self.tau, u), ghat - self.tau
 
     def evaluate(self, u: LevelVector):
-        est = self.evaluate_unshifted(u)
-        return self._shift(u, est.cost_value, est.value)
-
-    def evaluate_unshifted(self, u: LevelVector, prefix_counts=None,
-                           sample_cache=None) -> GradientEstimate:
         est = mlmc_gradient(self.problem, u, self.sets, self.k,
-                            ledger=self.ledger, workers=self.workers,
-                            prefix_counts=prefix_counts,
-                            sample_cache=sample_cache)
+                            ledger=self.ledger, workers=self.workers)
         self.last_estimate = est
-        return est
+        return self._shift(u, est.cost_value, est.value)
 
     def cost(self, u: LevelVector) -> float:
         j = mlmc_cost(self.problem, u, self.sets, self.k,
@@ -374,16 +369,14 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
                ledger: SolveLedger | None = None, workers: int = 1,
-               initial_sample_cache: dict | None = None) -> tuple:
+               entry: GradientEstimate | None = None) -> tuple:
     """One V-cycle from the top level K = v.level; returns (v', VCycleReport).
 
     The sample sets stay fixed throughout, and the cycle's sample
-    evaluations are charged to ``ledger``.  Only here is an entry point
-    evaluated: with the sample values in ``initial_sample_cache``
-    (precomputed at v, e.g. by warm-up estimation on the same streams) and,
-    when the sets are nested and no presmoothing moves the point, with
-    prefix sums from which the level-(K-1) estimate is assembled without
-    further solves.
+    evaluations are charged to ``ledger``.  ``entry`` is the level-K
+    estimate at v on ``sets``; only a caller that holds none leaves it to
+    be taken here.  Without presmoothing at the top, its ``coarse``
+    estimate (on nested sets) starts level K-1 at no further solves.
     """
     K = v.level
     if K > sets.K:
@@ -391,19 +384,14 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     if schedule.levels < K + 1:
         raise LevelMismatch("schedule does not cover the requested levels")
     obj = LevelObjective(problem, sets, K, ledger=ledger, workers=workers)
-    use_prefix = K > 0 and sets.nested and schedule.nu[K] == 0
-    est = obj.evaluate_unshifted(
-        v, prefix_counts=sets.counts[K - 1] if use_prefix else None,
-        sample_cache=initial_sample_cache)
-    coarse = (subestimate_from_prefix(problem, est, sets, K - 1,
-                                      problem.hierarchy.restrict(v))
-              if use_prefix else None)
+    if entry is None:
+        entry = mlmc_gradient(problem, v, sets, K, ledger=ledger, workers=workers)
     events: list = []
-    v_new, (J, g) = vcycle(obj, v, (est.cost_value, est.value), schedule,
-                           events, coarse)
+    v_new, (J, g) = vcycle(obj, v, (entry.cost_value, entry.value), schedule,
+                           events, entry.coarse if schedule.nu[K] == 0 else None)
     report = VCycleReport(
-        J0=est.cost_value, J=J, g0_norm=norm(est.value), g_norm=norm(g),
+        J0=entry.cost_value, J=J, g0_norm=norm(entry.value), g_norm=norm(g),
         backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
-        events=events, level_stats=obj.last_estimate.stats,
+        events=events, level_stats=(obj.last_estimate or entry).stats,
     )
     return v_new, report

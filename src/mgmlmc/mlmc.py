@@ -392,12 +392,16 @@ def state_moments(problem: ControlProblem, u: LevelVector, streams, *,
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """MLMC gradient at an optimization level with its matched cost."""
+    """MLMC gradient at an optimization level with its matched cost.
+
+    ``coarse`` is the level-(k-1) estimate at the restricted control that
+    a nested level-k estimate (k >= 1) carries; otherwise it is None.
+    """
 
     value: LevelVector
     cost_value: float
     stats: LevelStats
-    prefix: dict | None = None
+    coarse: GradientEstimate | None = None
 
     @property
     def gradient_norm(self) -> float:
@@ -407,16 +411,15 @@ class GradientEstimate:
 def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
                   sets: MgoptSampleSets, k: int, *,
                   ledger: SolveLedger | None = None,
-                  prefix_counts: tuple | None = None,
                   sample_cache: dict | None = None,
                   workers: int = 1) -> GradientEstimate:
     """Estimate cost and gradient at optimization level k.
 
-    ``prefix_counts`` (the level-(k-1) counts of nested sets) asks for
-    running-sum snapshots after that many samples per level, from which
-    :func:`subestimate_from_prefix` assembles the level-(k-1) estimate at
-    the restricted control without further solves.  Any failed sample
-    propagates; nothing is silently dropped or resampled.
+    On nested sets with k >= 1 the level-(k-1) sets are prefixes of the
+    level-k ones, so running-sum snapshots after ``sets.count(k-1, l)``
+    samples of each level l < k give the level-(k-1) estimate at the
+    restricted control without further solves (``coarse``).  Any failed
+    sample propagates; nothing is silently dropped or resampled.
 
     ``sample_cache`` maps (level, index) to already-computed sample values
     for the *same* control; cached samples are reused without solves or
@@ -426,21 +429,18 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
     u_at = _restriction_chain(problem, u_k)
     streams = {level: sets.streams(k, level) for level in range(k + 1)}
-    if prefix_counts is not None and len(prefix_counts) < k:
-        raise LevelMismatch("prefix_counts must cover levels 0..k-1")
-    snaps = dict(enumerate(prefix_counts[:k])) if prefix_counts is not None else {}
-    if any(n > len(streams[level]) for level, n in snaps.items()):
-        raise LevelMismatch("prefix counts exceed available samples")
+    nested = sets.nested and k >= 1
+    snaps = {level: sets.count(k - 1, level) for level in range(k)} if nested else {}
 
     level_sums = [_LevelSums() for _ in range(k + 1)]
-    prefix_data: dict = {}
+    prefix: list = [None] * len(snaps)
     for level, _, (jt, yv) in _gradient_sweep(
             problem, u_at, streams, workers=workers, cached=sample_cache,
             ledger=ledger):
         sums = level_sums[level]
         sums.add(yv, jt)
         if sums.n == snaps.get(level):
-            prefix_data[level] = (sums.sum_y.copy(), sums.sum_jt)
+            prefix[level] = (sums.sum_y.copy(), sums.sum_jt, sums.n)
 
     grad, cost = _telescope(problem, u_k,
                             [(s.sum_y, s.sum_jt, s.n) for s in level_sums])
@@ -450,31 +450,22 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
         levels=tuple(range(k + 1)), V=V, C=2.0 ** (kappa * np.arange(k + 1)),
         n_used=n_used, mean_norms=mean_norms, kappa=kappa,
     )
-    return GradientEstimate(
-        value=grad, cost_value=cost, stats=stats,
-        prefix=prefix_data if prefix_counts is not None else None,
-    )
+    coarse = (subestimate_from_prefix(problem, u_at[k - 1], prefix, stats)
+              if nested else None)
+    return GradientEstimate(value=grad, cost_value=cost, stats=stats,
+                            coarse=coarse)
 
 
-def subestimate_from_prefix(problem: ControlProblem, estimate: GradientEstimate,
-                            sets: MgoptSampleSets, k_minus_1: int,
-                            u_km1: LevelVector) -> GradientEstimate:
-    """Assemble the level-(k-1) estimate from a nested level-k evaluation.
+def subestimate_from_prefix(problem: ControlProblem, u_km1: LevelVector,
+                            parts, stats: LevelStats) -> GradientEstimate:
+    """The level-(k-1) estimate at u_km1 from the ``(sum_y, sum_jt, n)``
+    snapshots of a nested level-k estimate's first n samples per level.
 
     Valid because nested sets make Omega_{l,k-1} the prefix of Omega_{l,k}
     and the control restrictions compose; zero additional solves are spent.
     """
-    if not sets.nested:
-        raise LevelMismatch("prefix reuse requires nested sample sets")
-    if estimate.prefix is None:
-        raise LevelMismatch("the level-k estimate kept no prefix sums")
-    if u_km1.level != k_minus_1:
-        raise LevelMismatch("restricted control has the wrong level")
-    grad, cost = _telescope(problem, u_km1, [
-        (*estimate.prefix[level], sets.count(k_minus_1, level))
-        for level in range(k_minus_1 + 1)
-    ])
-    return GradientEstimate(value=grad, cost_value=cost, stats=estimate.stats)
+    grad, cost = _telescope(problem, u_km1, parts)
+    return GradientEstimate(value=grad, cost_value=cost, stats=stats)
 
 
 def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,

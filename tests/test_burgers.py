@@ -344,8 +344,7 @@ class TestBatchedEvaluation:
         sets = build_sample_sets(2, alloc, 0.25, True, 41, 4)
 
         def run(workers):
-            est = mlmc_gradient(p, u, sets, 2, workers=workers,
-                                prefix_counts=sets.counts[1])
+            est = mlmc_gradient(p, u, sets, 2, workers=workers)
             cost = mlmc_cost(p, u, sets, 2, workers=workers)
             mean, var = state_statistics(p, u, 5, global_seed=41, workers=workers)
             return est, cost, mean, var
@@ -356,9 +355,8 @@ class TestBatchedEvaluation:
             assert np.array_equal(est.value.values, ref[0].value.values)
             assert est.cost_value == ref[0].cost_value
             assert np.array_equal(est.stats.V, ref[0].stats.V)
-            for level, (sum_y, sum_jt) in ref[0].prefix.items():
-                assert np.array_equal(est.prefix[level][0], sum_y)
-                assert est.prefix[level][1] == sum_jt
+            assert np.array_equal(est.coarse.value.values, ref[0].coarse.value.values)
+            assert est.coarse.cost_value == ref[0].coarse.cost_value
             assert cost == ref[1]
             assert np.array_equal(mean, ref[2]) and np.array_equal(var, ref[3])
 

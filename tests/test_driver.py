@@ -179,6 +179,33 @@ class TestBaselineOptimize:
         assert 1 <= len(report.rows) < cfg.baseline_max_steps
         assert report.final_J is None and u.level == 2
 
+    def test_entry_within_budget_takes_no_step(self, laplace_small,
+                                               monkeypatch):
+        # eps/r is far above the entry's gradient norm, so each phase takes
+        # no NCG step, reports its entry estimate unchanged and hands the
+        # entry's statistics to the next phase's planner
+        import mgmlmc.driver as driver_mod
+
+        plans = []
+        real = driver_mod._plan_cycle
+
+        def spy(problem, v, eps, cycle, fine_stats, config, ledger):
+            plan = real(problem, v, eps, cycle, fine_stats, config, ledger)
+            plans.append((fine_stats, plan))
+            return plan
+
+        monkeypatch.setattr(driver_mod, "_plan_cycle", spy)
+        cfg = OptimizerConfig(tau=1e-9, K=2, eps1=1e3, global_seed=18,
+                              warmup=10, baseline_max_steps=2)
+        u, report = baseline_optimize(laplace_small, cfg)
+        assert len(report.rows) == 2 and report.status == "max_steps"
+        (first_fine, first), (second_fine, _) = plans
+        assert first_fine is None and second_fine is first.entry.stats
+        for row, (_, plan) in zip(report.rows, plans):
+            assert row.J == row.J0 == plan.entry.cost_value
+            assert row.g_norm == row.g0_norm == plan.entry.gradient_norm
+        assert not u.values.any()
+
 
 class TestSingleLevel:
     """K = 0: the V-cycle is the coarsest level's smoothing alone."""
@@ -227,12 +254,13 @@ class TestWarmupReuse:
     def test_first_gradient_skips_warmup_samples(self, laplace_small,
                                                  monkeypatch, driver):
         # the warm-up runs on the cycle's own streams at the same control,
-        # so the cycle's first gradient charges only the samples the warm-up
-        # did not evaluate: each warm-up sample is charged once
-        import mgmlmc.mgopt as mgopt_mod
+        # so the cycle's first gradient, the planner's entry estimate,
+        # charges only the samples the warm-up did not evaluate: each
+        # warm-up sample is charged once
+        import mgmlmc.driver as driver_mod
 
         first = []
-        real = mgopt_mod.mlmc_gradient
+        real = driver_mod.mlmc_gradient
 
         def spy(problem, u, sets, k, *, ledger=None, **kwargs):
             mark = len(ledger.events)
@@ -241,7 +269,7 @@ class TestWarmupReuse:
                 first.append((sets, ledger.events[mark:]))
             return est
 
-        monkeypatch.setattr(mgopt_mod, "mlmc_gradient", spy)
+        monkeypatch.setattr(driver_mod, "mlmc_gradient", spy)
         warmup = 12
         cfg = OptimizerConfig(tau=1e-9, K=2, i_max=1, global_seed=19,
                               warmup=warmup, baseline_max_steps=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -320,51 +321,91 @@ class TestVCycle:
 
     def test_nested_shortcut_costs_no_extra_solves(self, laplace_small):
         # with no presmoothing and nested sets, the coarse gradient at line 6
-        # comes from prefix sums: the ledger shows no level-(K-1)-sized
-        # evaluation beyond the single level-K one plus downstream work
+        # comes from prefix sums: the nested estimate charges exactly what
+        # the same counts charge without nesting, where no coarse estimate
+        # is formed
         p = laplace_small
         n = (16, 8, 4)
         sets = small_sets(p, 2, n)
         v = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
 
         ledger = SolveLedger()
-        est = mlmc_gradient(p, v, sets, 2, ledger=ledger,
-                            prefix_counts=sets.counts[1])
-        single_eval_events = list(ledger.events)
-
-        from mgmlmc.mlmc import subestimate_from_prefix
-
-        sub = subestimate_from_prefix(p, est, sets, 1, p.hierarchy.restrict(v))
+        est = mlmc_gradient(p, v, sets, 2, ledger=ledger)
         direct = mlmc_gradient(p, p.hierarchy.restrict(v), sets, 1)
-        assert norm(sub.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
+        assert norm(est.coarse.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
 
-        # ledger unchanged by the subestimate: zero extra solves
-        assert ledger.events == single_eval_events
+        flat_ledger = SolveLedger()
+        flat = mlmc_gradient(p, v, dataclasses.replace(sets, nested=False), 2,
+                             ledger=flat_ledger)
+        assert flat.coarse is None
+        assert ledger.events == flat_ledger.events
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
     def test_no_point_evaluated_twice(self, request, monkeypatch, name):
         # a coarse level starts from the pair its parent already formed, so
-        # no (level, point) is estimated twice in one V-cycle
+        # no (level, point) is estimated twice in one V-cycle, whether the
+        # cycle takes its entry estimate itself or is handed it
         import mgmlmc.mgopt as mgopt
 
         p = request.getfixturevalue(name)
+        v = p.zero_control(2)
+        sets = small_sets(p, 2, (12, 6, 2))
+        real = mgopt.mlmc_gradient
         seen = []
 
-        def recording(fn, point_arg):
-            def wrapper(*args, **kwargs):
-                u = args[point_arg]
-                seen.append((u.level, u.values.tobytes()))
-                return fn(*args, **kwargs)
-            return wrapper
+        def recording(problem, u, *args, **kwargs):
+            seen.append((u.level, u.values.tobytes()))
+            return real(problem, u, *args, **kwargs)
 
-        monkeypatch.setattr(mgopt, "mlmc_gradient",
-                            recording(mgopt.mlmc_gradient, 1))
-        monkeypatch.setattr(mgopt, "subestimate_from_prefix",
-                            recording(mgopt.subestimate_from_prefix, 4))
+        monkeypatch.setattr(mgopt, "mlmc_gradient", recording)
+        for pass_entry in (False, True):
+            # the default schedule does not presmooth at the top, so the
+            # entry estimate's nested level-1 estimate at restrict(v) is
+            # used: it counts as that point's evaluation
+            seen[:] = [(1, p.hierarchy.restrict(v).values.tobytes())]
+            entry = None
+            if pass_entry:
+                entry = real(p, v, sets, 2)
+                assert entry.coarse is not None
+                seen.append((2, v.values.tobytes()))
+            run_vcycle(p, v, sets, SmoothingSchedule.default(2), entry=entry)
+            assert {level for level, _ in seen} == {0, 1, 2}
+            assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
+    def test_given_entry_matches_own(self, request, name):
+        # an entry estimate handed in replaces the cycle's own: same iterate,
+        # report and ledger, the entry charged once
+        p = request.getfixturevalue(name)
         sets = small_sets(p, 2, (12, 6, 2))
-        run_vcycle(p, p.zero_control(2), sets, SmoothingSchedule.default(2))
-        assert {level for level, _ in seen} == {0, 1, 2}
-        assert len(seen) == len(set(seen))
+        v = p.zero_control(2)
+        schedule = SmoothingSchedule.default(2)
+        own_ledger, given_ledger = SolveLedger(), SolveLedger()
+        v_own, own = run_vcycle(p, v, sets, schedule, ledger=own_ledger)
+        entry = mlmc_gradient(p, v, sets, 2, ledger=given_ledger)
+        v_given, given = run_vcycle(p, v, sets, schedule, ledger=given_ledger,
+                                    entry=entry)
+        assert np.array_equal(v_given.values, v_own.values)
+        assert (given.J0, given.J, given.g0_norm, given.g_norm, given.backtracks) \
+            == (own.J0, own.J, own.g0_norm, own.g_norm, own.backtracks)
+        assert given.events == own.events
+        assert np.array_equal(given.level_stats.V, own.level_stats.V)
+        assert np.array_equal(given.level_stats.n_used, own.level_stats.n_used)
+        assert given_ledger.events == own_ledger.events
+
+    def test_unmoved_entry_reports_its_statistics(self, laplace_small):
+        # no smoothing step at all: the top level takes no estimate of its
+        # own, and the report carries the entry's statistics
+        p = laplace_small
+        sets = small_sets(p, 0, (8,))
+        v = p.control_from_function(0, lambda a, b: a * b)
+        entry = mlmc_gradient(p, v, sets, 0)
+        ledger = SolveLedger()
+        v_new, report = run_vcycle(p, v, sets, SmoothingSchedule((0,), (0,), 0),
+                                   ledger=ledger, entry=entry)
+        assert v_new is v and ledger.events == []
+        assert report.level_stats is entry.stats
+        assert (report.J0, report.J) == (entry.cost_value, entry.cost_value)
 
     def test_events_are_plain_json(self, laplace_small):
         # the report is built from values, so the event log holds only

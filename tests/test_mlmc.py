@@ -34,7 +34,6 @@ from mgmlmc.mlmc import (
     _telescope,
     make_set_id,
     refresh_level_stats,
-    subestimate_from_prefix,
 )
 from mgmlmc.random_fields import CovarianceSpec
 
@@ -313,9 +312,6 @@ class SharedStreamSets:
     def streams(self, k, level):
         return [RngStream(self.global_seed, 5, 0, i) for i in range(self.n)]
 
-    def _effective_set_id(self, k):
-        return 5
-
 
 class TestMlmcGradient:
     def test_deterministic_problem_exact(self):
@@ -394,11 +390,10 @@ class TestMlmcGradient:
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
         alloc = SampleAllocation(eps=0.05, theta=0.5, n=(40, 18, 6), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 37, 4)
-        est = mlmc_gradient(p, u, sets, 2, prefix_counts=sets.counts[1])
+        est = mlmc_gradient(p, u, sets, 2)
         u1 = p.hierarchy.restrict(u)
-        sub = subestimate_from_prefix(p, est, sets, 1, u1)
-        led = SolveLedger()
-        direct = mlmc_gradient(p, u1, sets, 1, ledger=led)
+        sub = est.coarse
+        direct = mlmc_gradient(p, u1, sets, 1)
         assert norm(sub.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
         assert sub.cost_value == pytest.approx(direct.cost_value, rel=1e-12)
 
@@ -577,13 +572,15 @@ class TestGridSweep:
         sums, _, prefix, events = per_sample_estimate(p, u, streams, cache=cache,
                                                       snaps=snaps)
         grad, cost = _telescope(p, u, [(s.sum_y, s.sum_jt, s.n) for s in sums])
+        grad1, cost1 = _telescope(p, p.hierarchy.restrict(u), [
+            (*prefix[level], n) for level, n in snaps.items()])
 
         led = SolveLedger()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the worker threads often
         try:
-            est = mlmc_gradient(p, u, sets, 2, ledger=led, prefix_counts=sets.counts[1],
-                                sample_cache=cache, workers=workers)
+            est = mlmc_gradient(p, u, sets, 2, ledger=led, sample_cache=cache,
+                                workers=workers)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(est.value.values, grad.values)
@@ -591,10 +588,10 @@ class TestGridSweep:
         assert np.array_equal(est.stats.V, [s.level_variance(p.hierarchy.h(l))
                                             for l, s in enumerate(sums)])
         assert list(est.stats.n_used) == [7, 5, 3]
-        assert sorted(est.prefix) == sorted(prefix)
-        for level, (sum_y, sum_jt) in prefix.items():
-            assert np.array_equal(est.prefix[level][0], sum_y)
-            assert est.prefix[level][1] == sum_jt
+        # the nested level-1 estimate, from the first counts[1] samples
+        assert sorted(prefix) == [0, 1]
+        assert np.array_equal(est.coarse.value.values, grad1.values)
+        assert est.coarse.cost_value == cost1
         assert led.events == events
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
