@@ -177,7 +177,7 @@ class _Step(NamedTuple):
     J: float
     g0_norm: float
     g_norm: float
-    sample_stats: LevelStats  # statistics of its last estimate
+    sample_stats: LevelStats  # statistics of the estimate at v
     confirm_stats: LevelStats  # statistics the confirmation is sized from
     budget_spent: bool = False
 
@@ -310,13 +310,12 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
             objective, v, steps=config.baseline_max_steps - steps_used,
-            initial=(plan.entry.cost_value, plan.entry.value),
+            initial=objective.shifted(v, plan.entry),
             gradient_tol=plan.alloc.eps / config.r,
         )
         steps_used += res.steps_taken
-        sample_stats = (objective.last_estimate or plan.entry).stats
         return _Step(res.v, res.J_initial, res.J, norm(res.g_initial),
-                     norm(res.g), sample_stats, plan.stats,
+                     norm(res.g), res.est.stats, plan.stats,
                      budget_spent=steps_used >= config.baseline_max_steps)
 
     def next_eps(eps, row):

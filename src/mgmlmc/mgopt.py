@@ -16,16 +16,15 @@ The prolonged coarse update is applied through a backtracking line search
 sets stay fixed for the whole cycle.
 
 Every level is one call of :func:`vcycle` with the level's objective and
-the shifted (J, g) pair at its entry point, and returns the pair at its
-exit point.  The top level starts from the entry estimate handed to
-:func:`run_vcycle`, the drivers' one level-K estimate per cycle; when no
-presmoothing moves the point, that estimate's nested level-(K-1) estimate
-(``GradientEstimate.coarse``) starts level K-1.  Each level then builds
-its child's objective and hands it the pair formed for the coherence
-check, J_{k-1} = Jhat_{k-1}(v_{k-1}) - <tau_{k-1}, v_{k-1}> and
-grad Jhat_{k-1}(v_{k-1}) - tau_{k-1}, so no point is estimated twice.
-The cycle's report is built from these values; its events hold only
-numbers and flags.
+the shifted (J, g) pair at its entry point, which travels with the
+estimate it came from, and returns the pair at its exit point.  The top
+level starts from the entry estimate handed to :func:`run_vcycle`.  On
+nested sets a level-k estimate carries the level-(k-1) estimate at the
+restricted control (``GradientEstimate.coarse``), so the presmoothed
+pair's estimate holds the coarse estimate the tau-correction needs, and
+the child starts from the pair formed with it for the coherence check:
+no point is estimated twice.  The cycle's report is built from these
+values; its events hold only numbers and flags.
 
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
 mix and one line-search step for every problem: a secant step from a trial
@@ -82,10 +81,6 @@ class SmoothingSchedule:
         if any(x < 0 for x in self.nu + self.mu) or self.coarsest_steps < 0:
             raise ValueError("smoothing counts must be >= 0")
 
-    @property
-    def levels(self) -> int:
-        return len(self.nu)
-
     @staticmethod
     def default(K: int) -> "SmoothingSchedule":
         """No presmoothing at level K, counts doubling toward the coarse end.
@@ -94,15 +89,19 @@ class SmoothingSchedule:
         step at level K, nu = mu = 2**(K-1-k) in between, and a combined
         2**K steps on the coarsest level.
         """
-        nu = [0] * (K + 1)
-        mu = [0] * (K + 1)
-        if K >= 0:
-            mu[K] = 1
-        for k in range(1, K):
-            nu[k] = mu[k] = 2 ** (K - 1 - k)
-        return SmoothingSchedule(
-            nu=tuple(nu), mu=tuple(mu), coarsest_steps=max(1, 2**K)
-        )
+        nu = tuple(2 ** (K - 1 - k) if 0 < k < K else 0 for k in range(K + 1))
+        return SmoothingSchedule(nu=nu, mu=nu[:K] + (1,),
+                                 coarsest_steps=max(1, 2**K))
+
+
+class Evaluation(tuple):
+    """A level objective's shifted (J, g) pair that also holds ``est``, the
+    unshifted estimate it came from (None for a quadratic-model pair)."""
+
+    def __new__(cls, J: float, g: LevelVector, est: GradientEstimate | None):
+        pair = super().__new__(cls, (J, g))
+        pair.est = est
+        return pair
 
 
 class LevelObjective:
@@ -121,16 +120,16 @@ class LevelObjective:
         self.ledger = ledger
         self.workers = workers
         self.quadratic = problem.is_quadratic
-        self.last_estimate: GradientEstimate | None = None
 
-    def _shift(self, u: LevelVector, jhat: float, ghat: LevelVector):
-        return jhat - inner_product(self.tau, u), ghat - self.tau
+    def shifted(self, u: LevelVector, est: GradientEstimate) -> Evaluation:
+        """The shifted pair at u from the level-k estimate ``est`` at u."""
+        return Evaluation(est.cost_value - inner_product(self.tau, u),
+                          est.value - self.tau, est)
 
-    def evaluate(self, u: LevelVector):
-        est = mlmc_gradient(self.problem, u, self.sets, self.k,
-                            ledger=self.ledger, workers=self.workers)
-        self.last_estimate = est
-        return self._shift(u, est.cost_value, est.value)
+    def evaluate(self, u: LevelVector) -> Evaluation:
+        return self.shifted(u, mlmc_gradient(self.problem, u, self.sets, self.k,
+                                             ledger=self.ledger,
+                                             workers=self.workers))
 
     def cost(self, u: LevelVector) -> float:
         j = mlmc_cost(self.problem, u, self.sets, self.k,
@@ -150,6 +149,7 @@ class SmootherResult:
     v: LevelVector
     J: float
     g: LevelVector
+    est: GradientEstimate | None  # the estimate behind (J, g)
     J_initial: float
     g_initial: LevelVector
     iterates: list
@@ -157,31 +157,31 @@ class SmootherResult:
 
 
 def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
-               initial=None, gradient_tol: float = 0.0,
+               initial: Evaluation | None = None, gradient_tol: float = 0.0,
                explicit_gradients: bool = True,
                record_iterates: bool = False) -> SmootherResult:
     """Run NCG steps on the level objective from v.
 
-    ``initial`` may carry an already-evaluated (J, g) pair at v; without it
-    the smoother evaluates v first.  The result always holds the (J, g)
-    pair at the final point, also after zero steps.
+    ``initial`` may carry an already-evaluated pair at v; without it the
+    smoother evaluates v first.  The result always holds the pair at the
+    final point and its estimate, also after zero steps.
 
     Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
     which costs two gradient evaluations unless its Armijo fallback runs.
     With ``explicit_gradients=False`` a quadratic objective takes the
     classical CG step instead: one gradient at v + d gives the exact step s,
     and the gradient at v + s d is the affine combination
-    (1-s) g(v) + s g(v+d).  The affine value and the evaluated one agree to
-    solver accuracy.
+    (1-s) g(v) + s g(v+d), a model-formed pair with no estimate.  The
+    affine value and the evaluated one agree to solver accuracy.
     """
-    J, g = objective.evaluate(v) if initial is None else initial
-    J0, g0 = J, g
-    iterates = [(v, J, g)] if record_iterates else []
-    d_prev = None
-    g_prev = None
+    at = objective.evaluate(v) if initial is None else initial
+    J0, g0 = at
+    iterates = [(v, J0, g0)] if record_iterates else []
+    d_prev = g_prev = None
     steps_taken = 0
 
     for _ in range(steps):
+        J, g = at
         gnorm = norm(g)
         if gnorm <= gradient_tol:
             break
@@ -193,38 +193,34 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
         g_prev, d_prev = g, d
 
         if objective.quadratic and not explicit_gradients:
-            Jt, gt = objective.evaluate(v + d)
+            Jt, gt = trial = objective.evaluate(v + d)
             curv = inner_product(gt - g, d)
-            if curv <= 0.0:
-                if Jt < J:
-                    v, J, g = v + d, Jt, gt
-                    steps_taken += 1
-                    if record_iterates:
-                        iterates.append((v, J, g))
-                    continue
+            if curv > 0.0:
+                s = -gd / curv
+                v = v + s * d
+                at = Evaluation(J + s * gd + 0.5 * s * s * curv,
+                                (1.0 - s) * g + s * gt, None)
+            elif Jt < J:
+                v, at = v + d, trial
+            else:
                 break
-            s = -gd / curv
-            v = v + s * d
-            g = (1.0 - s) * g + s * gt
-            J = J + s * gd + 0.5 * s * s * curv
         else:
-            v, J, g = _line_search_step(objective, v, J, g, d, gd)
+            v, at = _line_search_step(objective, v, at, d, gd)
         steps_taken += 1
         if record_iterates:
-            iterates.append((v, J, g))
-    return SmootherResult(v, J, g, J0, g0, iterates, steps_taken)
+            iterates.append((v, *at))
+    return SmootherResult(v, *at, at.est, J0, g0, iterates, steps_taken)
 
 
 def _stable(evaluate, point):
-    """``evaluate(point)``, or None where the point fails the problem's
-    stability check."""
+    """``evaluate(point)``, or None where it fails the stability check."""
     try:
         return evaluate(point)
     except StabilityViolation:
         return None
 
 
-def _line_search_step(objective, v, J, g, d, gd):
+def _line_search_step(objective, v, at, d, gd):
     """Quadratic-model trial step with stability-capped Armijo fallback.
 
     It evaluates at v + sigma0 d, with sigma0 = min(1, the problem's step
@@ -232,6 +228,7 @@ def _line_search_step(objective, v, J, g, d, gd):
     quadratic with no cap, sigma0 = 1 and s* is the exact minimizer along d,
     which satisfies the Armijo condition.
     """
+    J, g = at
     cap = objective.problem.initial_step_cap(v, d)
     sigma0 = min(1.0, cap)
     probe = _stable(objective.evaluate, v + sigma0 * d)
@@ -243,16 +240,15 @@ def _line_search_step(objective, v, J, g, d, gd):
             if 0.0 < s_star <= cap and abs(s_star - sigma0) > 1e-12 * sigma0:
                 trial = _stable(objective.evaluate, v + s_star * d)
                 if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
-                    return v + s_star * d, trial[0], trial[1]
+                    return v + s_star * d, trial
         if Jt <= J + ARMIJO_C * sigma0 * gd:
-            return v + sigma0 * d, Jt, gt
+            return v + sigma0 * d, probe
 
     s = sigma0 / BACKTRACK_FACTOR
     for _ in range(MAX_BACKTRACKS):
         Jb = _stable(objective.cost, v + s * d)
         if Jb is not None and Jb <= J + ARMIJO_C * s * gd:
-            Jn, gn = objective.evaluate(v + s * d)
-            return v + s * d, Jn, gn
+            return v + s * d, objective.evaluate(v + s * d)
         s /= BACKTRACK_FACTOR
     raise LineSearchFailure(
         f"no Armijo step after {MAX_BACKTRACKS} backtracks (gd={gd:.3e})"
@@ -260,19 +256,20 @@ def _line_search_step(objective, v, J, g, d, gd):
 
 
 def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
-                                 d: LevelVector, J_v: float, g_v: LevelVector):
+                                 d: LevelVector, at_v: Evaluation):
     """Backtrack from s = 1 until the prolonged correction gives descent.
 
-    Returns ``(s, v_new, carried, backtracks)`` where ``carried`` is a
-    (J, g) pair at ``v_new`` when one is available for reuse by the
+    Returns ``(s, v_new, carried, backtracks)`` where ``carried`` is an
+    evaluation at ``v_new`` when one is available for reuse by the
     postsmoother (always for the s=1 accept and on quadratic objectives).
     A backtracked trial's cost comes from the quadratic model along d when
     the objective is quadratic and v + d was evaluated, and otherwise from
-    a cost-only evaluation.  A degenerate search returns s = 0 and the
-    incoming point with its pair.
+    a cost-only evaluation; a model-formed pair carries no estimate.  A
+    degenerate search returns s = 0 and the incoming point with ``at_v``.
     """
     if norm(d) == 0.0:
-        return 1.0, v, (J_v, g_v), 0
+        return 1.0, v, at_v, 0
+    J_v, g_v = at_v
     full = _stable(objective.evaluate, v + d)
     if full is not None and full[0] < J_v:
         return 1.0, v + d, full, 0
@@ -289,10 +286,11 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
         else:
             Js = _stable(objective.cost, v + s * d)
         if Js is not None and Js < J_v:
-            carried = (Js, (1.0 - s) * g_v + s * full[1]) if model else None
+            carried = (Evaluation(Js, (1.0 - s) * g_v + s * full[1], None)
+                       if model else None)
             return s, v + s * d, carried, b
         s *= 0.5
-    return 0.0, v, (J_v, g_v), MAX_BACKTRACKS
+    return 0.0, v, at_v, MAX_BACKTRACKS
 
 
 @dataclass
@@ -305,20 +303,20 @@ class VCycleReport:
     g_norm: float
     backtracks: int
     events: list
-    level_stats: LevelStats  # sample statistics of the last top-level estimate
+    level_stats: LevelStats  # sample statistics of the estimate at the end point
 
 
-def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
-           schedule: SmoothingSchedule, events: list,
-           coarse: GradientEstimate | None = None):
-    """One V-cycle at level ``obj.k`` from v; returns (v', (J, g) at v').
+def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
+           schedule: SmoothingSchedule, events: list):
+    """One V-cycle at level ``obj.k`` from ``start``, the evaluation of
+    ``obj`` at v; returns the last smoother's result at the exit point.
 
-    ``start`` is the shifted (J, g) pair of ``obj`` at v.  ``coarse`` is
-    the unshifted level-(k-1) estimate at the restricted presmoothed point
-    when the caller already holds it; otherwise it is computed here.  The
-    level builds its child objective with the tau-correction and hands it
-    the pair formed for the coherence check, so no level evaluates its
-    entry point.  Diagnostic records are appended to ``events``.
+    The level-(k-1) estimate at restrict(v1) is the ``coarse`` one the
+    presmoothed pair's estimate carries, taken afresh only where there is
+    none: on non-nested sets, or below the top at a level that does not
+    presmooth.  The child objective gets the tau-correction and the pair
+    formed from that estimate for the coherence check, so no level
+    evaluates its entry point.  Events are appended to ``events``.
     """
     k = obj.k
     pre = ncg_smooth(obj, v, schedule.nu[k] if k > 0 else schedule.coarsest_steps,
@@ -330,13 +328,13 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
         v1, J1, gJ1 = pre.v, pre.J, pre.g
         ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
-        if coarse is None:
-            coarse = mlmc_gradient(problem, v_coarse, obj.sets, k - 1,
-                                   ledger=obj.ledger, workers=obj.workers)
+        coarse = pre.est.coarse or mlmc_gradient(
+            problem, v_coarse, obj.sets, k - 1, ledger=obj.ledger,
+            workers=obj.workers)
         tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
         child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger,
                                obj.workers)
-        coarse_start = child._shift(v_coarse, coarse.cost_value, coarse.value)
+        coarse_start = child.shifted(v_coarse, coarse)
 
         dev = norm(coarse_start[1] - hier.restrict(gJ1)) / (1.0 + norm(gJ1))
         events.append({"level": k, "kind": "coherence", "value": dev})
@@ -346,10 +344,11 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
                 f"{dev:.3e} > {COHERENCE_TOL:.1e} at level {k}"
             )
 
-        v_coarse_new, _ = vcycle(child, v_coarse, coarse_start, schedule, events)
+        v_coarse_new = vcycle(child, v_coarse, coarse_start, schedule, events).v
         d = hier.prolong(v_coarse_new - v_coarse)
 
-        s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, J1, gJ1)
+        s, v2, carried, backtracks = coarse_correction_linesearch(
+            obj, v1, d, Evaluation(J1, gJ1, pre.est))
         events.append({
             "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
             "carried": carried is not None,
@@ -363,7 +362,7 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: tuple,
         "start": (start[0], norm(start[1])),
         "end": (post.J, norm(post.g)),
     })
-    return post.v, (post.J, post.g)
+    return post
 
 
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
@@ -375,23 +374,25 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     The sample sets stay fixed throughout, and the cycle's sample
     evaluations are charged to ``ledger``.  ``entry`` is the level-K
     estimate at v on ``sets``; only a caller that holds none leaves it to
-    be taken here.  Without presmoothing at the top, its ``coarse``
-    estimate (on nested sets) starts level K-1 at no further solves.
+    be taken here; it travels with the top level's start pair.  The
+    report's ``level_stats`` are those of the estimate at the returned
+    point, or the entry's where that pair is a quadratic-model one (only
+    when ``mu[K] == 0`` and the coarse correction backtracks).
     """
     K = v.level
     if K > sets.K:
         raise LevelMismatch(f"sample sets end at level {sets.K}, iterate on {K}")
-    if schedule.levels < K + 1:
+    if len(schedule.nu) < K + 1:
         raise LevelMismatch("schedule does not cover the requested levels")
     obj = LevelObjective(problem, sets, K, ledger=ledger, workers=workers)
     if entry is None:
         entry = mlmc_gradient(problem, v, sets, K, ledger=ledger, workers=workers)
     events: list = []
-    v_new, (J, g) = vcycle(obj, v, (entry.cost_value, entry.value), schedule,
-                           events, entry.coarse if schedule.nu[K] == 0 else None)
+    end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     report = VCycleReport(
-        J0=entry.cost_value, J=J, g0_norm=norm(entry.value), g_norm=norm(g),
+        J0=entry.cost_value, J=end.J, g0_norm=norm(entry.value),
+        g_norm=norm(end.g),
         backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
-        events=events, level_stats=(obj.last_estimate or entry).stats,
+        events=events, level_stats=(end.est or entry).stats,
     )
-    return v_new, report
+    return end.v, report

@@ -155,11 +155,12 @@ class TestNcgSmoother:
         sets = small_sets(p, 2, (10, 4, 2))
         v = p.zero_control(2)
         one_gradient = SolveLedger()
-        J, g = LevelObjective(p, sets, 2, ledger=one_gradient).evaluate(v)
+        at = LevelObjective(p, sets, 2, ledger=one_gradient).evaluate(v)
+        J, g = at
         steps = 3
         ledger = SolveLedger()
         res = ncg_smooth(LevelObjective(p, sets, 2, ledger=ledger), v, steps,
-                         initial=(J, g), record_iterates=True)
+                         initial=at, record_iterates=True)
         assert res.steps_taken == steps
         assert ledger.events == one_gradient.events * (2 * steps)
         assert all(weight == 1.0 for _, _, weight in ledger.events)
@@ -190,34 +191,37 @@ class TestCoarseCorrectionLinesearch:
         sets = small_sets(problem, 1, (6, 3))
         obj = LevelObjective(problem, sets, 1)
         v = problem.control_from_function(1, fn)
-        J, g = obj.evaluate(v)
-        return obj, v, J, g
+        return obj, v, obj.evaluate(v)
 
     def test_descent_direction_accepts_unit_step(self, laplace_small):
-        obj, v, J, g = self._setup(laplace_small)
+        obj, v, at = self._setup(laplace_small)
+        J, g = at
         d = -0.01 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
         assert s == 1.0 and bt == 0 and carried is not None
 
     def test_zero_direction_trivial_accept(self, laplace_small):
-        obj, v, J, g = self._setup(laplace_small)
+        obj, v, at = self._setup(laplace_small)
+        J, g = at
         d = 0.0 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
         assert s == 1.0 and v2 is v and carried == (J, g)
 
     def test_ascent_direction_returns_zero(self, laplace_small):
-        obj, v, J, g = self._setup(laplace_small)
+        obj, v, at = self._setup(laplace_small)
+        J, g = at
         d = g.copy()  # synthetic ascent direction, <g, d> > 0
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
         assert s == 0.0
         assert norm(v2 - v) == 0.0
 
     def test_backtracks_on_overlong_descent(self, laplace_small):
-        obj, v, J, g = self._setup(laplace_small)
+        obj, v, at = self._setup(laplace_small)
+        J, g = at
         # descent direction but far too long at s = 1: the flattest Hessian
         # modes sit at the alpha floor, so the scale must exceed ~2/alpha
         d = -1e8 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
         assert 0.0 < s < 1.0
         assert carried is not None
         J2, _ = obj.evaluate(v2)
@@ -231,11 +235,12 @@ class TestCoarseCorrectionLinesearch:
         # Burgers is not quadratic, so the trials are cost-only evaluations
         # and no pair is carried; at this scale v + d and the first trials
         # break the stability bound, which counts as a rejected trial
-        obj, v, J, g = self._setup(burgers_small,
-                                   lambda x: 0.15 * np.sin(np.pi * x))
+        obj, v, at = self._setup(burgers_small,
+                                 lambda x: 0.15 * np.sin(np.pi * x))
+        J, g = at
         d = -100.0 * g
         assert burgers_small.initial_step_cap(v, d) < 1.0
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, J, g)
+        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
         assert 0.0 < s < 1.0
         assert carried is None
         J2, _ = obj.evaluate(v2)
@@ -342,9 +347,9 @@ class TestVCycle:
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
     def test_no_point_evaluated_twice(self, request, monkeypatch, name):
-        # a coarse level starts from the pair its parent already formed, so
-        # no (level, point) is estimated twice in one V-cycle, whether the
-        # cycle takes its entry estimate itself or is handed it
+        # a coarse level starts from the estimate its parent already holds,
+        # so no (level, point) is estimated twice in one V-cycle, whether
+        # the cycle takes its entry estimate itself or is handed it
         import mgmlmc.mgopt as mgopt
 
         p = request.getfixturevalue(name)
@@ -353,24 +358,72 @@ class TestVCycle:
         real = mgopt.mlmc_gradient
         seen = []
 
-        def recording(problem, u, *args, **kwargs):
+        def record(u, est):
             seen.append((u.level, u.values.tobytes()))
-            return real(problem, u, *args, **kwargs)
+            if est.coarse is not None:
+                # a nested estimate also estimates (k-1, restrict(u)); the
+                # default schedule presmooths at level 1, so the smoother's
+                # last estimate there carries level 0's start
+                seen.append((u.level - 1,
+                             p.hierarchy.restrict(u).values.tobytes()))
+            return est
+
+        def recording(problem, u, *args, **kwargs):
+            return record(u, real(problem, u, *args, **kwargs))
 
         monkeypatch.setattr(mgopt, "mlmc_gradient", recording)
         for pass_entry in (False, True):
-            # the default schedule does not presmooth at the top, so the
-            # entry estimate's nested level-1 estimate at restrict(v) is
-            # used: it counts as that point's evaluation
-            seen[:] = [(1, p.hierarchy.restrict(v).values.tobytes())]
+            seen.clear()
             entry = None
             if pass_entry:
-                entry = real(p, v, sets, 2)
+                entry = record(v, real(p, v, sets, 2))
                 assert entry.coarse is not None
-                seen.append((2, v.values.tobytes()))
             run_vcycle(p, v, sets, SmoothingSchedule.default(2), entry=entry)
             assert {level for level, _ in seen} == {0, 1, 2}
             assert len(seen) == len(set(seen))
+
+    def test_non_nested_sets_take_coarse_estimates_afresh(self, laplace_small,
+                                                          monkeypatch):
+        # without nesting no estimate carries a coarse one, so each coarse
+        # level takes its start estimate at the restricted presmoothed point
+        # and is charged for it; the coherence identity still holds
+        import mgmlmc.mgopt as mgopt
+
+        p = laplace_small
+        sets = dataclasses.replace(small_sets(p, 2, (12, 6, 2)), nested=False)
+        v = p.control_from_function(2, lambda a, b: a * b)
+        real = mgopt.mlmc_gradient
+        calls = []
+
+        def recording(problem, u, *args, **kwargs):
+            est = real(problem, u, *args, **kwargs)
+            assert est.coarse is None
+            calls.append(u)
+            return est
+
+        monkeypatch.setattr(mgopt, "mlmc_gradient", recording)
+        ledger = SolveLedger()
+        _, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2),
+                               ledger=ledger)
+        devs = [e["value"] for e in report.events if e["kind"] == "coherence"]
+        assert len(devs) == 2 and all(d <= 1e-10 for d in devs)
+
+        # level 1 starts at restrict(v) (no presmoothing at the top), and
+        # level 0 at the restriction of a level-1 point estimated before it
+        first = {}
+        for i, u in enumerate(calls):
+            first.setdefault(u.level, i)
+        restrict = p.hierarchy.restrict
+        assert np.array_equal(calls[first[1]].values, restrict(v).values)
+        assert any(np.array_equal(calls[first[0]].values, restrict(u).values)
+                   for u in calls[first[1]:first[0]] if u.level == 1)
+
+        # every charge is one of the recorded estimates (the cycle takes no
+        # cost-only trial here), each charged once
+        replay = SolveLedger()
+        for u in calls:
+            real(p, u, sets, u.level, ledger=replay)
+        assert ledger.events == replay.events
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
     def test_given_entry_matches_own(self, request, name):

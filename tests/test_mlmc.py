@@ -98,6 +98,17 @@ class TestOptimalAllocation:
                 best = min(best, n0 * C[0] + n1 * C[1] + n2 * C[2])
         assert formula_cost <= 1.01 * best
 
+    def test_rmse_halving_scales_cost_far_above_clamp(self):
+        # phi = 1 < kappa = 2 and every count far above the n >= 1 clamp:
+        # halving eps at fixed L at least quadruples the predicted cost
+        # sum n_l C_l, up to the slack for the ceilings
+        stats = stats_from([4e-2, 2e-2, 1e-2], [1.0, 4.0, 16.0])
+        cost = lambda alloc: float(np.dot(alloc.n, stats.C))
+        coarse = optimal_allocation(stats, 4e-3, 0.5)
+        fine = optimal_allocation(stats, 2e-3, 0.5)
+        assert min(coarse.n) >= 100
+        assert cost(fine) >= 4.0 * cost(coarse) * 0.9
+
 
 class TestSampleSets:
     def test_reference_scaling(self):
