@@ -170,10 +170,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     finally:
         writer.close()
     _write_matrix_csv(outdir / "control.csv", control_to_grid(problem, u))
-    mean, var = state_statistics(
-        problem, u, cfg.state_samples,
-        global_seed=cfg.global_seed, workers=cfg.workers,
-    )
+    mean, var = state_statistics(problem, u, cfg.state_samples,
+                                 global_seed=cfg.global_seed)
     _write_matrix_csv(outdir / "mean_state.csv", mean)
     _write_matrix_csv(outdir / "var_state.csv", var)
     record = {
@@ -218,7 +216,7 @@ def cmd_mlmc_report(cfg: ExperimentConfig) -> int:
     stats = estimate_level_stats(
         problem, u, cfg.warmup, range(cfg.K + 1),
         global_seed=cfg.global_seed, set_id=make_set_id(0, PURPOSE_USER),
-        extrapolate_finest=0, workers=cfg.workers,
+        extrapolate_finest=0,
     )
     alloc = optimal_allocation(stats, cfg.r * cfg.tau, cfg.theta)
     lines = [["level", "V", "C", "n", "phi", "kappa", "rho"]]
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
             cfg.workers = args.workers
             cfg.validate()
         return _COMMANDS[args.command](cfg)
-    except MgmlmcError as exc:
+    except (MgmlmcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

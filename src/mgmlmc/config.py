@@ -7,7 +7,8 @@ other key or section is an error.
 
 This module holds the schema only.  Omitted settings keep the defaults of
 the objects that use them (:class:`OptimizerConfig`, the problem specs and
-their :class:`CovarianceSpec`), and those objects check the ranges.
+their :class:`CovarianceSpec`), and those objects check the ranges; the
+``[run]`` settings are checked here.
 :func:`load_config` builds them once, so all numeric ranges are validated
 before any solve happens.  The environment variable ``MGMLMC_SEED``
 overrides ``global_seed``.
@@ -62,7 +63,7 @@ class ExperimentConfig:
     nested: bool = OptimizerConfig.nested
     baseline_max_steps: int = OptimizerConfig.baseline_max_steps
     nt: int | None = None
-    workers: int = OptimizerConfig.workers
+    workers: int = 1
     state_samples: int = 64
 
     def validate(self) -> "ExperimentConfig":
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode '{self.mode}'")
         if self.state_samples < 2:
             raise ConfigError("state_samples must be >= 2")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if self.nt is not None and self.problem != "burgers":
             raise ConfigError("[burgers] nt is set, but problem is not burgers")
         try:
@@ -151,7 +154,8 @@ def _given(cfg: ExperimentConfig, *names) -> dict:
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate the configured problem on its hierarchy.
+    """Instantiate the configured problem on its hierarchy, evaluating
+    each estimate's samples on ``cfg.workers`` threads.
 
     The problem's spec supplies every setting the config leaves unset.
     """
@@ -160,7 +164,9 @@ def build_problem(cfg: ExperimentConfig):
     covariance = replace(spec.covariance, **_given(cfg, "sigma2", "lam", "scale"))
     spec = replace(spec, covariance=covariance, **_given(cfg, "alpha", "nt"))
     n0 = cfg.n0 if cfg.n0 is not None else default_n0
-    return problem_type(GridHierarchy(dim=dim, n0=n0, levels=cfg.K + 1), spec)
+    problem = problem_type(GridHierarchy(dim=dim, n0=n0, levels=cfg.K + 1), spec)
+    problem.workers = cfg.workers
+    return problem
 
 
 def optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:

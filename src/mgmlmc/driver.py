@@ -88,7 +88,6 @@ class OptimizerConfig:
     nested: bool = True
     warmup: int = 100
     global_seed: int = 0
-    workers: int = 1
     baseline_max_steps: int = 500
 
     def __post_init__(self):
@@ -107,8 +106,6 @@ class OptimizerConfig:
             raise ValueError(f"iteration budgets must be in [1, {MAX_CYCLES})")
         if self.warmup < 2:
             raise ValueError("warmup must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.K < 0:
             raise ValueError("K must be >= 0")
 
@@ -200,7 +197,7 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
         problem, v, config.warmup, range(K + 1),
         global_seed=config.global_seed,
         set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K),
-        ledger=ledger, collect=cache, workers=config.workers,
+        ledger=ledger, collect=cache,
     )
     if fine_stats is not None:
         stats = refresh_level_stats(stats, fine_stats)
@@ -208,8 +205,7 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
     sets = build_sample_sets(
         K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
     )
-    entry = mlmc_gradient(problem, v, sets, K, ledger=ledger,
-                          sample_cache=cache, workers=config.workers)
+    entry = mlmc_gradient(problem, v, sets, K, ledger=ledger, sample_cache=cache)
     return _CyclePlan(stats, alloc, sets, entry)
 
 
@@ -220,8 +216,7 @@ def _confirmation(problem, v, stats, config, cycle, ledger):
         config.K, alloc, config.q, config.nested, config.global_seed,
         make_set_id(cycle, PURPOSE_CONFIRM),
     )
-    return mlmc_gradient(problem, v, sets, config.K, ledger=ledger,
-                         workers=config.workers)
+    return mlmc_gradient(problem, v, sets, config.K, ledger=ledger)
 
 
 def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
@@ -282,7 +277,7 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
 
     def step(v, plan, ledger):
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
-                              workers=config.workers, entry=plan.entry)
+                              entry=plan.entry)
         stats = refresh_level_stats(plan.stats, cycle.level_stats)
         return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
                      cycle.level_stats, stats)
@@ -305,8 +300,7 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
 
     def step(v, plan, ledger):
         nonlocal steps_used
-        objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger,
-                                   workers=config.workers)
+        objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
             objective, v, steps=config.baseline_max_steps - steps_used,
@@ -327,7 +321,7 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
 
 
 def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,
-                     *, global_seed: int, workers: int = 1):
+                     *, global_seed: int):
     """Plain-MC mean and variance of the state at the control's level.
 
     Fresh streams, disjoint from every optimization set; the variance is the
@@ -335,4 +329,4 @@ def state_statistics(problem: ControlProblem, u: LevelVector, n_samples: int,
     """
     set_id = make_set_id(0, PURPOSE_STATE)
     streams = [RngStream(global_seed, set_id, u.level, i) for i in range(n_samples)]
-    return state_moments(problem, u, streams, workers=workers)
+    return state_moments(problem, u, streams)

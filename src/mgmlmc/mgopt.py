@@ -112,13 +112,12 @@ class LevelObjective:
 
     def __init__(self, problem: ControlProblem, sets: MgoptSampleSets, k: int,
                  tau: LevelVector | None = None,
-                 ledger: SolveLedger | None = None, workers: int = 1):
+                 ledger: SolveLedger | None = None):
         self.problem = problem
         self.sets = sets
         self.k = k
         self.tau = problem.zero_control(k) if tau is None else tau
         self.ledger = ledger
-        self.workers = workers
         self.quadratic = problem.is_quadratic
 
     def shifted(self, u: LevelVector, est: GradientEstimate) -> Evaluation:
@@ -128,12 +127,10 @@ class LevelObjective:
 
     def evaluate(self, u: LevelVector) -> Evaluation:
         return self.shifted(u, mlmc_gradient(self.problem, u, self.sets, self.k,
-                                             ledger=self.ledger,
-                                             workers=self.workers))
+                                             ledger=self.ledger))
 
     def cost(self, u: LevelVector) -> float:
-        j = mlmc_cost(self.problem, u, self.sets, self.k,
-                      ledger=self.ledger, workers=self.workers)
+        j = mlmc_cost(self.problem, u, self.sets, self.k, ledger=self.ledger)
         return j - inner_product(self.tau, u)
 
 
@@ -329,11 +326,9 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
         ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
         coarse = pre.est.coarse or mlmc_gradient(
-            problem, v_coarse, obj.sets, k - 1, ledger=obj.ledger,
-            workers=obj.workers)
+            problem, v_coarse, obj.sets, k - 1, ledger=obj.ledger)
         tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
-        child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger,
-                               obj.workers)
+        child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger)
         coarse_start = child.shifted(v_coarse, coarse)
 
         dev = norm(coarse_start[1] - hier.restrict(gJ1)) / (1.0 + norm(gJ1))
@@ -367,7 +362,7 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
 
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
-               ledger: SolveLedger | None = None, workers: int = 1,
+               ledger: SolveLedger | None = None,
                entry: GradientEstimate | None = None) -> tuple:
     """One V-cycle from the top level K = v.level; returns (v', VCycleReport).
 
@@ -384,9 +379,9 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
         raise LevelMismatch(f"sample sets end at level {sets.K}, iterate on {K}")
     if len(schedule.nu) < K + 1:
         raise LevelMismatch("schedule does not cover the requested levels")
-    obj = LevelObjective(problem, sets, K, ledger=ledger, workers=workers)
+    obj = LevelObjective(problem, sets, K, ledger=ledger)
     if entry is None:
-        entry = mlmc_gradient(problem, v, sets, K, ledger=ledger, workers=workers)
+        entry = mlmc_gradient(problem, v, sets, K, ledger=ledger)
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     report = VCycleReport(

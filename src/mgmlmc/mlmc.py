@@ -25,9 +25,10 @@ field on the lowest level, a (fine, coarse) pair on each level above) go
 to one call of the problem's batch methods with the controls u_l of every
 level, so a level-k estimate makes one batch call instead of one per grid
 (k+1).  Warm-up results cached for the same control are reused, and with
-``workers > 1`` contiguous chunks of whole samples run on a thread pool.
-Running sums are still accumulated sample by sample in stream order, so
-the estimates do not depend on batch size or ``workers``.
+``problem.workers > 1``, the problem's thread count for one estimate's
+samples, contiguous chunks of whole samples run on a thread pool.  Running
+sums are still accumulated sample by sample in stream order, so the
+estimates do not depend on batch size or ``problem.workers``.
 
 Every per-level reduction (gradient, warm-up statistics, state moments)
 goes through one accumulator.  Means come from plain running sums; V_l
@@ -220,8 +221,9 @@ def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
 def _in_chunks(evaluate, units: list, workers: int):
     """Results of ``evaluate(units)``, in order.
 
-    With ``workers > 1`` the units are split into contiguous chunks, one
-    per worker, evaluated on a thread pool and concatenated in order, so
+    ``workers`` is the estimate's thread count, ``problem.workers``.  With
+    ``workers > 1`` the units are split into contiguous chunks, one per
+    worker, evaluated on a thread pool and concatenated in order, so
     results do not depend on ``workers``.
     """
     if not units:
@@ -235,19 +237,19 @@ def _in_chunks(evaluate, units: list, workers: int):
     return itertools.chain.from_iterable(parts)
 
 
-def _grid_sweep(problem, u_at, streams, evaluate, combine, *, workers=1,
-                cached=None, ledger=None, weight=1.0):
+def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
+                ledger=None, weight=1.0):
     """Per-sample values of every level's streams, one batch per estimate.
 
     ``streams`` maps the contiguous levels lo..top to their streams.  A
     unit is one sample: on level lo one field, on a level l > lo a pair,
     its fine member on grid l followed by its coarse member on grid l-1.
     The uncached units, level by level from the top and in stream order,
-    go to one ``evaluate(u_at, fields)`` call; with ``workers > 1`` each
-    worker gets one contiguous chunk of whole units, so a pair never
-    straddles two threads.  Fields are drawn lazily as the batch takes
-    them, and worker threads draw disjoint streams, so no two of them look
-    up the same bank key.
+    go to one ``evaluate(u_at, fields)`` call, split over
+    ``problem.workers`` threads: each thread gets one contiguous chunk of
+    whole units, so a pair never straddles two threads.  Fields are drawn
+    lazily as the batch takes them, and worker threads draw disjoint
+    streams, so no two of them look up the same bank key.
 
     Yields ``(level, index, combine(fine, coarse))``, coarse None on level
     lo, level by level from the top and in stream order within a level.
@@ -270,7 +272,7 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, workers=1,
                 yield from problem.field_pair(streams[level][i], level)
 
     results = _in_chunks(lambda chunk: evaluate(u_at, fields(chunk)), units,
-                         workers)
+                         problem.workers)
     for level in levels:
         for i in range(len(streams[level])):
             if (level, i) in cached:
@@ -378,14 +380,13 @@ def _gradient_sweep(problem: ControlProblem, u_at, streams, **options):
                        combine, **options)
 
 
-def state_moments(problem: ControlProblem, u: LevelVector, streams, *,
-                  workers: int = 1):
+def state_moments(problem: ControlProblem, u: LevelVector, streams):
     """Per-node mean and unbiased variance of the full-grid states at
     control u, one per stream's field on u's level."""
     sums = _LevelSums()
     for _, _, state in _grid_sweep(
             problem, {u.level: u}, {u.level: streams}, problem.state_batch,
-            lambda fine, coarse: fine, workers=workers):
+            lambda fine, coarse: fine):
         sums.add(state)
     return sums.mean(), sums.var()
 
@@ -411,8 +412,7 @@ class GradientEstimate:
 def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
                   sets: MgoptSampleSets, k: int, *,
                   ledger: SolveLedger | None = None,
-                  sample_cache: dict | None = None,
-                  workers: int = 1) -> GradientEstimate:
+                  sample_cache: dict | None = None) -> GradientEstimate:
     """Estimate cost and gradient at optimization level k.
 
     On nested sets with k >= 1 the level-(k-1) sets are prefixes of the
@@ -435,8 +435,7 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
     level_sums = [_LevelSums() for _ in range(k + 1)]
     prefix: list = [None] * len(snaps)
     for level, _, (jt, yv) in _gradient_sweep(
-            problem, u_at, streams, workers=workers, cached=sample_cache,
-            ledger=ledger):
+            problem, u_at, streams, cached=sample_cache, ledger=ledger):
         sums = level_sums[level]
         sums.add(yv, jt)
         if sums.n == snaps.get(level):
@@ -469,8 +468,7 @@ def subestimate_from_prefix(problem: ControlProblem, u_km1: LevelVector,
 
 
 def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
-              k: int, *, ledger: SolveLedger | None = None,
-              workers: int = 1) -> float:
+              k: int, *, ledger: SolveLedger | None = None) -> float:
     """Cost-only MLMC estimate from the same sample sets (forward solves)."""
     if u_k.level != k:
         raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
@@ -480,7 +478,7 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
     for level, _, jt in _grid_sweep(
             problem, u_at, streams, problem.tracking_cost_batch,
             lambda fine, coarse: fine if coarse is None else fine - coarse,
-            workers=workers, ledger=ledger, weight=0.5):
+            ledger=ledger, weight=0.5):
         sums[level] += jt
     total = 0.0
     for level in range(k + 1):
@@ -506,8 +504,7 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
                          global_seed: int, set_id: int,
                          extrapolate_finest: int = 2,
                          ledger: SolveLedger | None = None,
-                         collect: dict | None = None,
-                         workers: int = 1) -> LevelStats:
+                         collect: dict | None = None) -> LevelStats:
     """Warm-up variance estimation with extrapolation on the finest levels.
 
     Levels must be contiguous from 0; the control ``u`` lives on the finest
@@ -535,7 +532,7 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
                        for i in range(warmup_n)] for level in measured}
     level_sums = [_LevelSums() for _ in measured]
     for level, i, (jt, yv) in _gradient_sweep(
-            problem, u_at, streams, workers=workers, ledger=ledger):
+            problem, u_at, streams, ledger=ledger):
         level_sums[level].add(yv, jt)
         if collect is not None:
             collect[(level, i)] = (jt, yv)

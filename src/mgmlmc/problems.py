@@ -59,6 +59,8 @@ class ControlProblem:
         self.covariance = covariance
         self.sampler = FieldSampler(hierarchy, covariance)
         self._bank: dict | None = None  # (seed_id, level) -> FieldSample
+        # threads that evaluate one estimate's samples (``mlmc._grid_sweep``)
+        self.workers = 1
 
     # -- controls ------------------------------------------------------------
 

@@ -344,9 +344,10 @@ class TestBatchedEvaluation:
         sets = build_sample_sets(2, alloc, 0.25, True, 41, 4)
 
         def run(workers):
-            est = mlmc_gradient(p, u, sets, 2, workers=workers)
-            cost = mlmc_cost(p, u, sets, 2, workers=workers)
-            mean, var = state_statistics(p, u, 5, global_seed=41, workers=workers)
+            monkeypatch.setattr(p, "workers", workers)
+            est = mlmc_gradient(p, u, sets, 2)
+            cost = mlmc_cost(p, u, sets, 2)
+            mean, var = state_statistics(p, u, 5, global_seed=41)
             return est, cost, mean, var
 
         ref = run(1)

@@ -164,6 +164,12 @@ class TestConfigParsing:
         assert problem.name == "burgers" and problem.nt == 101
         assert problem.covariance.scale == pytest.approx(1e-3)
 
+    def test_workers_reach_the_problem(self, tmp_path):
+        default = write_config(tmp_path / "a.ini", "[grid]\nn0 = 9\n")
+        assert build_problem(load_config(default)).workers == 1
+        two = write_config(tmp_path / "b.ini", "[grid]\nn0 = 9\n[run]\nworkers = 2\n")
+        assert build_problem(load_config(two)).workers == 2
+
 
 def csv_writer_matrix(path, array):
     """The matrix CSV as ``csv.writer`` writes ``_fmt`` of every value."""
@@ -216,6 +222,17 @@ class TestGradcheckCommand:
         assert main(["gradcheck", cfg_file]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_output_independent_of_workers(self, tmp_path, capsys):
+        cfg_file = write_config(
+            tmp_path / "c.ini",
+            f"[experiment]\noutput_dir = {tmp_path / 'o'}\nglobal_seed = 5\n"
+            "[grid]\nn0 = 9\nK = 1\n")
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["gradcheck", cfg_file, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestMlmcReportCommand:
@@ -367,6 +384,16 @@ class TestRunCommand:
                                 MGOPT_CONFIG.format(out=tmp_path / "o"))
         assert main(["run", cfg_file, "--workers", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "mlmc-report", "field-sample"])
+    def test_uncreatable_output_dir_is_an_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_file = write_config(tmp_path / "c.ini",
+                                MGOPT_CONFIG.format(out=blocker / "o"))
+        assert main([command, cfg_file]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_workers_flag(self, tmp_path):
         out = tmp_path / "o"

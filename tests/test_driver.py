@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -317,8 +316,9 @@ class TestSampleBank:
         cfg = OptimizerConfig(tau=2e-3, K=2, eps1=0.1, i_max=8,
                               global_seed=11, warmup=20)
         banked = _run_fingerprint(*driver(laplace_small, cfg))
-        threaded = _run_fingerprint(*driver(
-            laplace_small, dataclasses.replace(cfg, workers=2)))
+        with monkeypatch.context() as m:
+            m.setattr(laplace_small, "workers", 2)
+            threaded = _run_fingerprint(*driver(laplace_small, cfg))
         with monkeypatch.context() as m:
             m.setattr(ControlProblem, "sample_bank",
                       lambda self: contextlib.nullcontext())

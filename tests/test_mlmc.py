@@ -567,8 +567,10 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
-    def test_gradient_equals_per_sample_loop(self, problem, workers, cached):
+    def test_gradient_equals_per_sample_loop(self, problem, workers, cached,
+                                             monkeypatch):
         p = problem
+        monkeypatch.setattr(p, "workers", workers)
         u = self.control(p, 2)
         alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 43, 4)
@@ -590,8 +592,7 @@ class TestGridSweep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the worker threads often
         try:
-            est = mlmc_gradient(p, u, sets, 2, ledger=led, sample_cache=cache,
-                                workers=workers)
+            est = mlmc_gradient(p, u, sets, 2, ledger=led, sample_cache=cache)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(est.value.values, grad.values)
@@ -606,8 +607,9 @@ class TestGridSweep:
         assert led.events == events
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_cost_equals_per_sample_loop(self, problem, workers):
+    def test_cost_equals_per_sample_loop(self, problem, workers, monkeypatch):
         p = problem
+        monkeypatch.setattr(p, "workers", workers)
         u = self.control(p, 2)
         alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 4, 2), finest=2)
         sets = build_sample_sets(2, alloc, 0.25, True, 47, 4)
@@ -618,13 +620,15 @@ class TestGridSweep:
             n = len(streams[level])
             total += sum(values[(level, i)] for i in range(n)) / n
         led = SolveLedger()
-        cost = mlmc_cost(p, u, sets, 2, ledger=led, workers=workers)
+        cost = mlmc_cost(p, u, sets, 2, ledger=led)
         assert cost == total + p.regularization(u)
         assert led.events == events
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_level_stats_equal_per_sample_loop(self, problem, workers):
+    def test_level_stats_equal_per_sample_loop(self, problem, workers,
+                                               monkeypatch):
         p = problem
+        monkeypatch.setattr(p, "workers", workers)
         u = self.control(p, 2)
         streams = {level: [RngStream(13, 4, level, i) for i in range(6)]
                    for level in range(2)}
@@ -632,7 +636,7 @@ class TestGridSweep:
         led, collect = SolveLedger(), {}
         stats = estimate_level_stats(p, u, 6, range(3), global_seed=13, set_id=4,
                                      extrapolate_finest=1, ledger=led,
-                                     collect=collect, workers=workers)
+                                     collect=collect)
         hier = p.hierarchy
         for level, s in enumerate(sums):
             assert stats.V[level] == s.level_variance(hier.h(level))
@@ -698,8 +702,8 @@ class TestGridSweep:
         # with workers > 1 only the chunk holding level 2's pairs fails; the
         # others finish, and still nothing is charged
         for workers in (1, 2, 3):
+            monkeypatch.setattr(p, "workers", workers)
             led = SolveLedger()
             with pytest.raises(StabilityViolation):
-                mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led,
-                              workers=workers)
+                mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led)
             assert led.events == []
