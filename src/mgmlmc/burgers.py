@@ -85,13 +85,9 @@ def maccormack_predictor(y, k, dt, dx, s):
     return yp
 
 
-def maccormack_step(y, k, dt, dx, s, yp=None):
-    """One predictor/corrector step; endpoints held at zero.
-
-    ``yp`` is the step's predictor when the caller has already computed it.
-    """
-    if yp is None:
-        yp = maccormack_predictor(y, k, dt, dx, s)
+def maccormack_step(y, k, dt, dx, s):
+    """One predictor/corrector step; endpoints held at zero."""
+    yp = maccormack_predictor(y, k, dt, dx, s)
     psip = 0.5 * s * yp * yp
     r = dt / dx**2 * k
     yn = np.zeros_like(y)
@@ -396,9 +392,6 @@ class BurgersInitialControl(ControlProblem):
             y0[a + 1:b - 1] = u.values
         return layout, y0, k, controls
 
-    def _advance(self, layout, y0, k, steps, **record):
-        return _march(y0, k, self.dt, layout, self.spec.s, steps, **record)
-
     def _residuals(self, layout, controls, final):
         """Per-sample final-time residuals and tracking costs."""
         out = []
@@ -410,7 +403,7 @@ class BurgersInitialControl(ControlProblem):
     def tracking_cost_batch(self, u_at, fields):
         out = []
         for layout, y0, k, controls in self._chunks(u_at, fields, rows=1):
-            final = self._advance(layout, y0, k, self.nt - 1)
+            final = _march(y0, k, self.dt, layout, self.spec.s, self.nt - 1)
             out += [jt for _, jt in self._residuals(layout, controls, final)]
         return out
 
@@ -429,7 +422,8 @@ class BurgersInitialControl(ControlProblem):
         states = np.empty((nsteps + 1,) + k.shape)
         states[0] = y0
         predictors = np.empty((nsteps,) + k.shape)
-        self._advance(layout, y0, k, nsteps, states=states, predictors=predictors)
+        _march(y0, k, self.dt, layout, self.spec.s, nsteps,
+               states=states, predictors=predictors)
         residuals = self._residuals(layout, controls, states[-1])
         w = np.zeros(k.shape)
         for (a, b), (r, _) in zip(layout.spans, residuals):
@@ -442,7 +436,8 @@ class BurgersInitialControl(ControlProblem):
         for layout, y0, k, _ in self._chunks(u_at, fields, rows=self.nt):
             states = np.empty((self.nt,) + k.shape)
             states[0] = y0
-            self._advance(layout, y0, k, self.nt - 1, states=states)
+            _march(y0, k, self.dt, layout, self.spec.s, self.nt - 1,
+                   states=states)
             # copies, so no yielded state keeps the whole chunk alive
             for a, b in layout.spans:
                 yield states[:, a:b].copy()
@@ -455,8 +450,9 @@ class BurgersInitialControl(ControlProblem):
         if dmax == 0.0:
             return np.inf
         dx = self.hierarchy.h(u.level)
-        y_allowed = (dx**2 / self.dt - 2.0 * diffusion_bound(self.covariance)) / dx
-        headroom = y_allowed - float(np.max(np.abs(u.values)))
+        k_bound = diffusion_bound(self.spec.covariance)
+        headroom = ((dx**2 / self.dt - 2.0 * k_bound) / dx
+                    - float(np.max(np.abs(u.values))))
         if headroom <= 0.0:
             return 1e-6
         return headroom / dmax

@@ -29,7 +29,7 @@ the same randomness, and both drivers emit the same per-cycle report rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass, field as dataclass_field, fields
 from typing import NamedTuple
 
 from .errors import DegenerateStart
@@ -108,6 +108,8 @@ class OptimizerConfig:
             raise ValueError("warmup must be >= 2")
         if self.K < 0:
             raise ValueError("K must be >= 0")
+        if not 0 <= self.global_seed < 2**64:  # stream keys hold 64 bits
+            raise ValueError("global_seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -123,25 +125,21 @@ class CycleRow:
     time: float
 
 
-REPORT_BASE_COLUMNS = ("i", "eps")
-REPORT_TAIL_COLUMNS = ("J0", "J", "g0_norm", "g_norm", "solves", "time")
-
-
 def report_columns(K: int) -> tuple:
-    return REPORT_BASE_COLUMNS + tuple(f"n{l}" for l in range(K + 1)) + REPORT_TAIL_COLUMNS
+    """The fields of :class:`CycleRow`, with ``n`` as one column per level."""
+    i, eps, _, *tail = (f.name for f in fields(CycleRow))
+    return (i, eps, *(f"n{l}" for l in range(K + 1)), *tail)
 
 
 def row_to_record(row: CycleRow) -> tuple:
-    return (row.i, row.eps) + tuple(row.n) + (
-        row.J0, row.J, row.g0_norm, row.g_norm, row.solves, row.time,
-    )
+    i, eps, n, *tail = astuple(row)
+    return (i, eps, *n, *tail)
 
 
 @dataclass
 class RunReport:
     """Per-cycle records plus the fresh-sample final values and totals."""
 
-    K: int
     rows: list = dataclass_field(default_factory=list)
     status: str = "max_cycles"
     final_J: float | None = None
@@ -167,12 +165,10 @@ class _CyclePlan(NamedTuple):
 
 
 class _Step(NamedTuple):
-    """What a driver's inner optimizer reports back to the outer loop."""
+    """A driver step's end point and its (J, |g|); it starts at the plan's entry."""
 
     v: LevelVector
-    J0: float
     J: float
-    g0_norm: float
     g_norm: float
     sample_stats: LevelStats  # statistics of the estimate at v
     confirm_stats: LevelStats  # statistics the confirmation is sized from
@@ -226,14 +222,15 @@ def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
     The first cycle's RMSE budget is ``config.eps1``.  Each cycle plans its
     samples at the current iterate, runs the driver's ``step(v, plan,
     ledger)`` on them, confirms with fresh samples when the cheap gradient
-    norm is at most tau, and reports one row.  Planning and step share one
-    sample bank, so each of the cycle's fields is drawn once; the
-    confirmation's fresh fields are used once and are not banked.  The loop
-    ends on a confirmed gradient, after ``max_cycles`` cycles or when the
-    step has spent its budget; otherwise ``next_eps(eps, row)`` sets the
-    next cycle's RMSE budget.
+    norm is at most tau, and reports one row, which starts from the plan's
+    entry estimate (both drivers start there) and ends at the step's point.
+    Planning and step share one sample bank, so each of the cycle's fields
+    is drawn once; the confirmation's fresh fields are used once and are
+    not banked.  The loop ends on a confirmed gradient, after
+    ``max_cycles`` cycles or when the step has spent its budget; otherwise
+    ``next_eps(eps, row)`` sets the next cycle's RMSE budget.
     """
-    report = RunReport(K=config.K, status=status)
+    report = RunReport(status=status)
     ledger = report.ledger
     v = problem.zero_control(config.K)
     eps = config.eps1
@@ -259,8 +256,9 @@ def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
 
         solves = equivalent_fine_solves(ledger.events[mark:], config.K,
                                         problem.kappa_default)
-        row = CycleRow(i, eps, plan.alloc.n, out.J0, out.J, out.g0_norm,
-                       out.g_norm, solves, time.perf_counter() - t0)
+        row = CycleRow(i, eps, plan.alloc.n, plan.entry.cost_value, out.J,
+                       plan.entry.gradient_norm, out.g_norm, solves,
+                       time.perf_counter() - t0)
         report.rows.append(row)
         if row_sink is not None:
             row_sink(row)
@@ -279,8 +277,7 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
                               entry=plan.entry)
         stats = refresh_level_stats(plan.stats, cycle.level_stats)
-        return _Step(v, cycle.J0, cycle.J, cycle.g0_norm, cycle.g_norm,
-                     cycle.level_stats, stats)
+        return _Step(v, cycle.J, cycle.g_norm, cycle.level_stats, stats)
 
     def next_eps(eps, row):
         if row.g_norm <= config.tau:  # the confirmation failed
@@ -308,9 +305,8 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
             gradient_tol=plan.alloc.eps / config.r,
         )
         steps_used += res.steps_taken
-        return _Step(res.v, res.J_initial, res.J, norm(res.g_initial),
-                     norm(res.g), res.est.stats, plan.stats,
-                     budget_spent=steps_used >= config.baseline_max_steps)
+        return _Step(res.v, res.at[0], norm(res.at[1]), res.at.est.stats,
+                     plan.stats, budget_spent=steps_used >= config.baseline_max_steps)
 
     def next_eps(eps, row):
         return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)

@@ -118,7 +118,6 @@ class LevelObjective:
         self.k = k
         self.tau = problem.zero_control(k) if tau is None else tau
         self.ledger = ledger
-        self.quadratic = problem.is_quadratic
 
     def shifted(self, u: LevelVector, est: GradientEstimate) -> Evaluation:
         """The shifted pair at u from the level-k estimate ``est`` at u."""
@@ -143,14 +142,12 @@ def dai_yuan_beta(g: LevelVector, g_prev: LevelVector, d_prev: LevelVector) -> f
 
 @dataclass
 class SmootherResult:
+    """The final point ``v``, the :class:`Evaluation` ``at`` it, the iterates."""
+
     v: LevelVector
-    J: float
-    g: LevelVector
-    est: GradientEstimate | None  # the estimate behind (J, g)
-    J_initial: float
-    g_initial: LevelVector
+    at: Evaluation
     iterates: list
-    steps_taken: int = 0
+    steps_taken: int
 
 
 def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
@@ -160,8 +157,8 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     """Run NCG steps on the level objective from v.
 
     ``initial`` may carry an already-evaluated pair at v; without it the
-    smoother evaluates v first.  The result always holds the pair at the
-    final point and its estimate, also after zero steps.
+    smoother evaluates v first.  The result's ``at`` is the pair at the
+    final point, also after zero steps; ``iterates[0]`` records the start.
 
     Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
     which costs two gradient evaluations unless its Armijo fallback runs.
@@ -172,15 +169,13 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     affine value and the evaluated one agree to solver accuracy.
     """
     at = objective.evaluate(v) if initial is None else initial
-    J0, g0 = at
-    iterates = [(v, J0, g0)] if record_iterates else []
+    iterates = [(v, *at)] if record_iterates else []
     d_prev = g_prev = None
     steps_taken = 0
 
     for _ in range(steps):
         J, g = at
-        gnorm = norm(g)
-        if gnorm <= gradient_tol:
+        if norm(g) <= gradient_tol:
             break
         d = -g if d_prev is None else -g + dai_yuan_beta(g, g_prev, d_prev) * d_prev
         gd = inner_product(g, d)
@@ -189,7 +184,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
             gd = inner_product(g, d)
         g_prev, d_prev = g, d
 
-        if objective.quadratic and not explicit_gradients:
+        if objective.problem.is_quadratic and not explicit_gradients:
             Jt, gt = trial = objective.evaluate(v + d)
             curv = inner_product(gt - g, d)
             if curv > 0.0:
@@ -206,7 +201,7 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
         steps_taken += 1
         if record_iterates:
             iterates.append((v, *at))
-    return SmootherResult(v, *at, at.est, J0, g0, iterates, steps_taken)
+    return SmootherResult(v, at, iterates, steps_taken)
 
 
 def _stable(evaluate, point):
@@ -272,7 +267,7 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
         return 1.0, v + d, full, 0
 
     gd = inner_product(g_v, d)
-    model = objective.quadratic and full is not None
+    model = objective.problem.is_quadratic and full is not None
     if model:
         # the sampled problem is exactly quadratic along d
         curv = inner_product(full[1] - g_v, d)
@@ -322,10 +317,10 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
     if k > 0:
         problem, tau = obj.problem, obj.tau
         hier = problem.hierarchy
-        v1, J1, gJ1 = pre.v, pre.J, pre.g
+        v1, gJ1 = pre.v, pre.at[1]
         ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
-        coarse = pre.est.coarse or mlmc_gradient(
+        coarse = pre.at.est.coarse or mlmc_gradient(
             problem, v_coarse, obj.sets, k - 1, ledger=obj.ledger)
         tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
         child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger)
@@ -342,8 +337,7 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
         v_coarse_new = vcycle(child, v_coarse, coarse_start, schedule, events).v
         d = hier.prolong(v_coarse_new - v_coarse)
 
-        s, v2, carried, backtracks = coarse_correction_linesearch(
-            obj, v1, d, Evaluation(J1, gJ1, pre.est))
+        s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, pre.at)
         events.append({
             "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
             "carried": carried is not None,
@@ -355,7 +349,7 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
     events.append({
         "level": k, "kind": "summary",
         "start": (start[0], norm(start[1])),
-        "end": (post.J, norm(post.g)),
+        "end": (post.at[0], norm(post.at[1])),
     })
     return post
 
@@ -385,9 +379,9 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     report = VCycleReport(
-        J0=entry.cost_value, J=end.J, g0_norm=norm(entry.value),
-        g_norm=norm(end.g),
+        J0=entry.cost_value, J=end.at[0], g0_norm=norm(entry.value),
+        g_norm=norm(end.at[1]),
         backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
-        events=events, level_stats=(end.est or entry).stats,
+        events=events, level_stats=(end.at.est or entry).stats,
     )
     return end.v, report

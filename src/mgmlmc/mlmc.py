@@ -164,7 +164,7 @@ class MgoptSampleSets:
 
 def build_sample_sets(K: int, allocation: SampleAllocation, q: float,
                       nested: bool, global_seed: int,
-                      set_id: int = PURPOSE_USER) -> MgoptSampleSets:
+                      set_id: int) -> MgoptSampleSets:
     """Scale the finest-level allocation down the optimization hierarchy."""
     if not 0.0 < q < 0.5:
         raise InvalidQ(f"q={q} outside (0, 1/2)")

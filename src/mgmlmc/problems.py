@@ -56,7 +56,6 @@ class ControlProblem:
             raise ValueError("alpha must be > 0")
         self.hierarchy = hierarchy
         self.alpha = alpha
-        self.covariance = covariance
         self.sampler = FieldSampler(hierarchy, covariance)
         self._bank: dict | None = None  # (seed_id, level) -> FieldSample
         # threads that evaluate one estimate's samples (``mlmc._grid_sweep``)

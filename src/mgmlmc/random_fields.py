@@ -149,14 +149,11 @@ class CirculantEmbedding:
     """FFT-diagonalized factor of the padded circulant embedding.
 
     ``sqrt_eig`` holds the square roots of the circulant eigenvalues on the
-    extended periodic grid of shape ``ext_shape``; the physical grid is the
-    leading ``n`` nodes per axis.
+    extended periodic grid of shape ``ext_shape``, one axis per grid
+    dimension; the physical grid is the leading ``n`` nodes per axis.
     """
 
     n: int
-    h: float
-    dim: int
-    padding: int
     sqrt_eig: np.ndarray = field(repr=False)
 
     @property
@@ -190,9 +187,7 @@ def build_embedding(n: int, h: float, dim: int,
         tol = TOL_EMBED * top
         if eig.min() >= -tol:
             eig = np.clip(eig, 0.0, None)
-            return CirculantEmbedding(
-                n=n, h=h, dim=dim, padding=padding, sqrt_eig=np.sqrt(eig)
-            )
+            return CirculantEmbedding(n=n, sqrt_eig=np.sqrt(eig))
         if padding >= MAX_PADDING:
             raise EmbeddingNotPSD(
                 f"embedding eigenvalue {eig.min():.3e} < -{tol:.3e} "
@@ -214,7 +209,7 @@ def sample_gaussian(embedding: CirculantEmbedding, stream: RngStream) -> np.ndar
     np.multiply(embedding.sqrt_eig, xi[1], out=y.imag)
     # ifftn axis by axis, last axis first as ifftn runs them; each axis is
     # cut to the grid's n nodes before the next one is transformed
-    for axis in reversed(range(embedding.dim)):
+    for axis in reversed(range(embedding.sqrt_eig.ndim)):
         y = np.fft.ifft(y, axis=axis)[(slice(None),) * axis + (slice(0, embedding.n),)]
     # only the real part is scaled; the product is a new contiguous array
     return np.multiply(y.real, np.sqrt(m_total))

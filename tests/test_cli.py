@@ -162,7 +162,7 @@ class TestConfigParsing:
             "[burgers]\nnt = 101\n")
         problem = build_problem(load_config(cfg_file))
         assert problem.name == "burgers" and problem.nt == 101
-        assert problem.covariance.scale == pytest.approx(1e-3)
+        assert problem.spec.covariance.scale == pytest.approx(1e-3)
 
     def test_workers_reach_the_problem(self, tmp_path):
         default = write_config(tmp_path / "a.ini", "[grid]\nn0 = 9\n")
@@ -377,6 +377,22 @@ class TestRunCommand:
         cfg_file = write_config(tmp_path / "c.ini", text)
         assert main(["run", cfg_file]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # stream keys hold 64 bits of the seed: a seed outside [0, 2**64)
+    # would draw the same fields as its value modulo 2**64
+    @pytest.mark.parametrize("ini_seed, env_seed", [
+        ("18446744073709551616", None), ("99", "-1")])
+    def test_seed_outside_64_bits_exits_before_any_output(
+            self, tmp_path, capsys, monkeypatch, ini_seed, env_seed):
+        out = tmp_path / "o"
+        text = MGOPT_CONFIG.format(out=out).replace(
+            "global_seed = 99", f"global_seed = {ini_seed}")
+        if env_seed is not None:
+            monkeypatch.setenv("MGMLMC_SEED", env_seed)
+        assert main(["run", write_config(tmp_path / "c.ini", text)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "global_seed" in err
         assert not out.exists()
 
     def test_bad_workers_flag_nonzero_exit(self, tmp_path, capsys):

@@ -247,6 +247,29 @@ class TestPlanCycle:
         assert plan.alloc.n[2] < 1000
         assert min(plan.alloc.n[:2]) >= cfg.warmup
 
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_row_starts_from_the_plan_entry(self, monkeypatch, driver):
+        # each cycle moves the iterate, and its row's start values are the
+        # entry estimate's bit for bit: both drivers start from it
+        import mgmlmc.driver as driver_mod
+
+        plans = []
+        real = driver_mod._plan_cycle
+
+        def spy(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(driver_mod, "_plan_cycle", spy)
+        cfg = OptimizerConfig(tau=1e-9, K=2, eps1=3e-3, i_max=3, global_seed=18,
+                              warmup=10, baseline_max_steps=6)
+        _, report = driver(deterministic_problem(K=2), cfg)
+        assert len(report.rows) == len(plans) == 3
+        for row, plan in zip(report.rows, plans):
+            assert row.J0 == plan.entry.cost_value
+            assert row.g0_norm == plan.entry.gradient_norm
+            assert row.J != row.J0
+
 
 class TestWarmupReuse:
     @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])

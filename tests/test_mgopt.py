@@ -103,8 +103,8 @@ class TestNcgSmoother:
         # without an initial pair the smoother evaluates v, so the result
         # always holds the pair at its point
         J, g = obj.evaluate(v)
-        assert res.J == J
-        assert np.array_equal(res.g.values, g.values)
+        assert res.at[0] == J
+        assert np.array_equal(res.at[1].values, g.values)
 
     def test_matches_classical_cg(self):
         p = conditioned_quadratic()
@@ -173,16 +173,21 @@ class TestNcgSmoother:
         p = laplace_small
         sets = small_sets(p, 2, (10, 4, 2))
         obj = LevelObjective(p, sets, 2)
-        res = ncg_smooth(obj, p.zero_control(2), 5)
-        assert norm(res.g) < norm(res.g_initial)
+        v0 = p.zero_control(2)
+        _, g0 = start = obj.evaluate(v0)
+        res = ncg_smooth(obj, v0, 5, initial=start)
+        assert norm(res.at[1]) < norm(g0)
 
     def test_burgers_smoother_descends(self, burgers_small):
         p = burgers_small
         sets = small_sets(p, 1, (6, 3))
         obj = LevelObjective(p, sets, 1)
-        res = ncg_smooth(obj, p.zero_control(1), 3)
-        assert res.J < res.J_initial
-        assert norm(res.g) < norm(res.g_initial)
+        v0 = p.zero_control(1)
+        J0, g0 = start = obj.evaluate(v0)
+        res = ncg_smooth(obj, v0, 3, initial=start)
+        J, g = res.at
+        assert J < J0
+        assert norm(g) < norm(g0)
 
 
 class TestCoarseCorrectionLinesearch:
