@@ -37,8 +37,8 @@ ledger = SolveLedger()
 v_new, report = run_vcycle(problem, v, sets, schedule, ledger=ledger)
 solves = equivalent_fine_solves(ledger.events, K, problem.kappa_default)
 
-print(f"\ncycle summary: J {report.J0:.4e} -> {report.J:.4e}   "
-      f"|g| {report.g0_norm:.4e} -> {report.g_norm:.4e}")
+print(f"\ncycle summary: J {report.entry.cost_value:.4e} -> {report.J:.4e}   "
+      f"|g| {report.entry.gradient_norm:.4e} -> {report.g_norm:.4e}")
 print(f"equivalent fine-grid solves: {solves:.1f}   "
       f"line-search backtracks: {report.backtracks}")
 

@@ -24,12 +24,13 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_problem, load_config, optimizer_config
+from .config import ExperimentConfig, build_problem, load_config
 from .driver import (
     CycleRow,
     baseline_optimize,
@@ -157,16 +158,15 @@ def fd_gradient_checks(problem, K: int, global_seed: int) -> dict:
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     problem = build_problem(cfg)
-    opt = optimizer_config(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     writer = _ReportWriter(outdir / "report.csv", cfg.K)
     t0 = time.perf_counter()
     try:
         if cfg.mode == "baseline":
-            u, report = baseline_optimize(problem, opt, row_sink=writer)
+            u, report = baseline_optimize(problem, cfg, row_sink=writer)
         else:
-            u, report = robust_optimize(problem, opt, row_sink=writer)
+            u, report = robust_optimize(problem, cfg, row_sink=writer)
     finally:
         writer.close()
     _write_matrix_csv(outdir / "control.csv", control_to_grid(problem, u))
@@ -272,8 +272,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.workers is not None:
-            cfg.workers = args.workers
-            cfg.validate()
+            cfg = replace(cfg, workers=args.workers)
         return _COMMANDS[args.command](cfg)
     except (MgmlmcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,20 +5,24 @@ A config is a flat INI file, parsed by :mod:`configparser`; the README's
 ``[section] key`` to the :class:`ExperimentConfig` attribute it sets.  Any
 other key or section is an error.
 
-This module holds the schema only.  Omitted settings keep the defaults of
-the objects that use them (:class:`OptimizerConfig`, the problem specs and
-their :class:`CovarianceSpec`), and those objects check the ranges; the
-``[run]`` settings are checked here.
-:func:`load_config` builds them once, so all numeric ranges are validated
-before any solve happens.  The environment variable ``MGMLMC_SEED``
-overrides ``global_seed``.
+:class:`ExperimentConfig` is the :class:`OptimizerConfig` the drivers run
+on, plus the CLI's own settings.  Omitted optimizer keys take
+``OptimizerConfig``'s defaults, except ``tau``, ``K`` and ``global_seed``,
+which default to 5e-4, 2 and 42 here; omitted problem settings keep the
+defaults of the problem specs and their :class:`CovarianceSpec`.  A config
+is checked when it is built: the CLI's own settings here, the optimizer's
+by ``OptimizerConfig``, and everything else by building the problem, whose
+constructors check the ranges.  So every config that exists is valid, and
+all numeric ranges are checked before any solve happens.
+:func:`load_config` builds one from the file; the environment variable
+``MGMLMC_SEED`` overrides ``global_seed``.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .burgers import BurgersInitialControl, BurgersProblemSpec
 from .driver import OptimizerConfig
@@ -41,34 +45,28 @@ PROBLEMS = tuple(_PROBLEMS)
 MODES = ("mgopt", "baseline")
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(OptimizerConfig):
+    """The optimizer config plus the CLI's own settings."""
+
+    tau: float = 5e-4
+    K: int = 2
+    global_seed: int = 42
     problem: str = "laplace"
     mode: str = "mgopt"
     output_dir: str = "out"
-    global_seed: int = 42
     n0: int | None = None
-    K: int = 2
     sigma2: float | None = None
     lam: float | None = None
     scale: float | None = None
     alpha: float | None = None
-    tau: float = 5e-4
-    eps1: float = OptimizerConfig.eps1
-    r: float = OptimizerConfig.r
-    i_max: int = OptimizerConfig.i_max
-    q: float = OptimizerConfig.q
-    theta: float = OptimizerConfig.theta
-    warmup: int = OptimizerConfig.warmup
-    nested: bool = OptimizerConfig.nested
-    baseline_max_steps: int = OptimizerConfig.baseline_max_steps
     nt: int | None = None
     workers: int = 1
     state_samples: int = 64
 
-    def validate(self) -> "ExperimentConfig":
-        """Check the CLI's own settings, then build the optimizer config
-        and the problem, whose constructors check everything else."""
+    def __post_init__(self):
+        """Check the CLI's own settings, then the optimizer's, then build
+        the problem, whose constructors check everything else."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem '{self.problem}'")
         if self.mode not in MODES:
@@ -80,11 +78,10 @@ class ExperimentConfig:
         if self.nt is not None and self.problem != "burgers":
             raise ConfigError("[burgers] nt is set, but problem is not burgers")
         try:
-            optimizer_config(self)
+            super().__post_init__()
             build_problem(self)
         except (ValueError, MgmlmcError) as exc:
             raise ConfigError(str(exc)) from exc
-        return self
 
 
 # (section, key) -> (ExperimentConfig attribute, type); configparser
@@ -123,7 +120,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    cfg = ExperimentConfig()
+    values = {}
     # the [DEFAULT] section comes first: its keys would reappear in every
     # section, and none of them is in the table
     for section in (parser.default_section, *parser.sections()):
@@ -137,15 +134,15 @@ def load_config(path: str) -> ExperimentConfig:
                          else cast(parser.get(section, key)))
             except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
-            setattr(cfg, attr, value)
+            values[attr] = value
 
     env_seed = os.environ.get("MGMLMC_SEED")
     if env_seed:  # set and not empty
         try:
-            cfg.global_seed = int(env_seed)
+            values["global_seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"seed override {env_seed!r} is not an integer") from exc
-    return cfg.validate()
+    return ExperimentConfig(**values)
 
 
 def _given(cfg: ExperimentConfig, *names) -> dict:
@@ -168,7 +165,3 @@ def build_problem(cfg: ExperimentConfig):
     problem.workers = cfg.workers
     return problem
 
-
-def optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
-    return OptimizerConfig(**{f.name: getattr(cfg, f.name)
-                              for f in fields(OptimizerConfig)})

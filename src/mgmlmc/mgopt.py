@@ -287,11 +287,11 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
 
 @dataclass
 class VCycleReport:
-    """Start/end cost and gradient norm at the entry level, plus diagnostics."""
+    """The entry estimate, the end cost and gradient norm at the entry
+    level, plus diagnostics."""
 
-    J0: float
+    entry: GradientEstimate  # the estimate the cycle started from
     J: float
-    g0_norm: float
     g_norm: float
     backtracks: int
     events: list
@@ -363,10 +363,11 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     The sample sets stay fixed throughout, and the cycle's sample
     evaluations are charged to ``ledger``.  ``entry`` is the level-K
     estimate at v on ``sets``; only a caller that holds none leaves it to
-    be taken here; it travels with the top level's start pair.  The
-    report's ``level_stats`` are those of the estimate at the returned
-    point, or the entry's where that pair is a quadratic-model one (only
-    when ``mu[K] == 0`` and the coarse correction backtracks).
+    be taken here; it travels with the top level's start pair, and the
+    report's ``entry`` is it either way.  The report's ``level_stats`` are
+    those of the estimate at the returned point, or the entry's where that
+    pair is a quadratic-model one (only when ``mu[K] == 0`` and the coarse
+    correction backtracks).
     """
     K = v.level
     if K > sets.K:
@@ -379,8 +380,7 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     report = VCycleReport(
-        J0=entry.cost_value, J=end.at[0], g0_norm=norm(entry.value),
-        g_norm=norm(end.at[1]),
+        entry=entry, J=end.at[0], g_norm=norm(end.at[1]),
         backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
         events=events, level_stats=(end.at.est or entry).stats,
     )

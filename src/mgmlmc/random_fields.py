@@ -28,8 +28,6 @@ import numpy as np
 from .errors import EmbeddingNotPSD, LevelMismatch
 from .grids import GridHierarchy
 
-_MASK64 = (1 << 64) - 1
-
 # padding schedule and eigenvalue clipping tolerance of build_embedding
 INITIAL_PADDING = 2
 MAX_PADDING = 8
@@ -114,6 +112,8 @@ class RngStream:
     index: int
 
     def __post_init__(self):
+        if not 0 <= self.global_seed < (1 << 64):
+            raise ValueError("global_seed outside [0, 2^64)")
         if not 0 <= self.set_id < (1 << 24):
             raise ValueError("set_id outside [0, 2^24)")
         if not 0 <= self.level < (1 << 8):
@@ -126,9 +126,10 @@ class RngStream:
         return (self.global_seed, self.set_id, self.level, self.index)
 
     def generator(self) -> np.random.Generator:
-        key0 = self.global_seed & _MASK64
         key1 = (self.set_id << 40) | (self.level << 32) | self.index
-        return np.random.Generator(np.random.Philox(key=[key0, key1]))
+        # an explicit dtype: a list holding a word >= 2^63 would become float64
+        key = np.array([self.global_seed, key1], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,15 @@ import csv
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mgmlmc.cli import _fmt, _write_matrix_csv, main
-from mgmlmc.config import (
-    KEYS,
-    ExperimentConfig,
-    build_problem,
-    load_config,
-    optimizer_config,
-)
+from mgmlmc.config import KEYS, ExperimentConfig, build_problem, load_config
+from mgmlmc.driver import OptimizerConfig
 from mgmlmc.errors import ConfigError
 
 
@@ -62,8 +57,24 @@ class TestConfigParsing:
         problem = build_problem(cfg)
         assert problem.name == "laplace"
         assert problem.hierarchy.nodes(2) == 33
-        opt = optimizer_config(cfg)
-        assert opt.tau == cfg.tau and opt.K == 2
+
+    def test_config_is_the_optimizer_config(self, tmp_path):
+        # the drivers run on the loaded config itself, and the CLI-only
+        # defaults differ from the library's where they are re-declared
+        cfg = load_config(write_config(tmp_path / "c.ini", "[grid]\nn0 = 9\n"))
+        assert isinstance(cfg, OptimizerConfig)
+        assert (cfg.tau, cfg.K, cfg.global_seed) == (5e-4, 2, 42)
+        assert cfg.eps1 == OptimizerConfig.eps1 and cfg.warmup == OptimizerConfig.warmup
+
+    def test_config_is_frozen_and_checked_on_replace(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.ini", "[grid]\nn0 = 9\n"))
+        with pytest.raises(FrozenInstanceError):
+            cfg.workers = 2
+        with pytest.raises(ConfigError, match="theta"):
+            replace(cfg, theta=1.5)
+        with pytest.raises(ConfigError, match="workers"):
+            replace(cfg, workers=0)
+        assert replace(cfg, workers=2).workers == 2
 
     def test_unknown_problem_rejected(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.ini",
@@ -205,6 +216,17 @@ class TestFieldSampleCommand:
         values = np.array([[float(v) for v in r] for r in rows[1:]])
         assert values.shape == (33, 33)
         assert np.all(values > 0)
+
+    def test_largest_seed_draws_its_own_field(self, tmp_path, monkeypatch):
+        # 2**64 - 1 is a valid seed; it must not wrap to seed 0's field
+        files = []
+        for seed in ("0", "18446744073709551615"):
+            out = tmp_path / f"o{seed}"
+            cfg_file = write_config(tmp_path / "c.ini", MGOPT_CONFIG.format(out=out))
+            monkeypatch.setenv("MGMLMC_SEED", seed)
+            assert main(["field-sample", cfg_file]) == 0
+            files.append((out / "field_sample.csv").read_bytes())
+        assert files[0] != files[1]
 
 
 class TestGradcheckCommand:

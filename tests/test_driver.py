@@ -228,7 +228,7 @@ class TestSingleLevel:
                                SmoothingSchedule.default(0))
         assert report.level_stats.levels == (0,)
         assert report.level_stats.n_used[0] == 12
-        assert report.J < report.J0
+        assert report.J < report.entry.cost_value
 
 
 class TestPlanCycle:

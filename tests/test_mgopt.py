@@ -444,8 +444,10 @@ class TestVCycle:
         v_given, given = run_vcycle(p, v, sets, schedule, ledger=given_ledger,
                                     entry=entry)
         assert np.array_equal(v_given.values, v_own.values)
-        assert (given.J0, given.J, given.g0_norm, given.g_norm, given.backtracks) \
-            == (own.J0, own.J, own.g0_norm, own.g_norm, own.backtracks)
+        assert (given.entry.cost_value, given.J, given.entry.gradient_norm,
+                given.g_norm, given.backtracks) \
+            == (own.entry.cost_value, own.J, own.entry.gradient_norm,
+                own.g_norm, own.backtracks)
         assert given.events == own.events
         assert np.array_equal(given.level_stats.V, own.level_stats.V)
         assert np.array_equal(given.level_stats.n_used, own.level_stats.n_used)
@@ -463,7 +465,8 @@ class TestVCycle:
                                    ledger=ledger, entry=entry)
         assert v_new is v and ledger.events == []
         assert report.level_stats is entry.stats
-        assert (report.J0, report.J) == (entry.cost_value, entry.cost_value)
+        assert (report.entry.cost_value, report.J) \
+            == (entry.cost_value, entry.cost_value)
 
     def test_events_are_plain_json(self, laplace_small):
         # the report is built from values, so the event log holds only
@@ -489,5 +492,5 @@ class TestVCycle:
         sets = small_sets(p, 2, (12, 6, 2))
         v = p.zero_control(2)
         v1, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2))
-        assert report.J < report.J0
-        assert report.g_norm < report.g0_norm
+        assert report.J < report.entry.cost_value
+        assert report.g_norm < report.entry.gradient_norm

@@ -96,6 +96,26 @@ class TestSampling:
         f2 = fs.sample(stream(4), 0)
         assert not np.array_equal(f1.values, f2.values)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="global_seed"):
+            RngStream(seed, 1, 0, 0)
+
+    def test_seeds_of_the_top_bit_draw_distinct_fields(self):
+        # a key word >= 2**63 must reach Philox as those 64 bits, not as a
+        # rounded float: neighbouring seeds and the largest one differ
+        fs = FieldSampler(GridHierarchy(1, n0=17, levels=1), SPEC)
+        draws = [fs.sample(RngStream(seed, 3, 0, 0), 0).values.tobytes()
+                 for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+        assert len(set(draws)) == 4
+
+    def test_adjacent_indices_of_a_high_set_id_differ(self):
+        # set ids >= 2**23 put the second key word at or above 2**63
+        fs = FieldSampler(GridHierarchy(1, n0=17, levels=1), SPEC)
+        f1 = fs.sample(RngStream(5, 2**23, 0, 0), 0)
+        f2 = fs.sample(RngStream(5, 2**23, 0, 1), 0)
+        assert not np.array_equal(f1.values, f2.values)
+
     def test_zero_variance_constant_field(self):
         spec = CovarianceSpec(sigma2=0.0, lam=0.3, scale=1e-3)
         fs = FieldSampler(GridHierarchy(1, n0=9, levels=1), spec)
