@@ -27,12 +27,13 @@ no point is estimated twice.  The cycle's report is built from these
 values; its events hold only numbers and flags.
 
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
-mix and one line-search step for every problem: a secant step from a trial
-gradient, evaluated afresh and checked by Armijo, with backtracking as the
-fallback.  On fixed-sample quadratic problems the secant step is the exact
-line search.  The ``explicit_gradients=False`` reference instead
-propagates gradients by affine combination there, which makes it
-step-for-step equivalent to classical CG on the sampled optimality system.
+mix and one line-search step for every problem: an interpolation step from
+a cost-only trial, evaluated afresh and checked by Armijo, with
+backtracking as the fallback.  On fixed-sample quadratic problems the
+interpolation step is the exact line search.  The
+``explicit_gradients=False`` reference instead propagates gradients by
+affine combination there, which makes it step-for-step equivalent to
+classical CG on the sampled optimality system.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     final point, also after zero steps; ``iterates[0]`` records the start.
 
     Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
-    which costs two gradient evaluations unless its Armijo fallback runs.
+    which costs one cost-only and one gradient evaluation (1.5 gradient
+    units) unless a fallback runs.
     With ``explicit_gradients=False`` a quadratic objective takes the
     classical CG step instead: one gradient at v + d gives the exact step s,
     and the gradient at v + s d is the affine combination
@@ -213,28 +215,31 @@ def _stable(evaluate, point):
 
 
 def _line_search_step(objective, v, at, d, gd):
-    """Quadratic-model trial step with stability-capped Armijo fallback.
+    """Interpolation step with stability-capped Armijo fallback.
 
-    It evaluates at v + sigma0 d, with sigma0 = min(1, the problem's step
-    cap), and then at the secant minimizer v + s* d.  On a positive-definite
-    quadratic with no cap, sigma0 = 1 and s* is the exact minimizer along d,
-    which satisfies the Armijo condition.
+    A cost-only probe Jt at v + sigma0 d, with sigma0 = min(1, the
+    problem's step cap), fixes the quadratic through J, <g,d> and Jt; its
+    curvature 2 (Jt - J - sigma0 <g,d>) / sigma0**2 gives the minimizer
+    s* (Nocedal & Wright, 2006, sec. 3.5), where the pair is evaluated and
+    accepted if it passes Armijo.  Otherwise the step falls back to sigma0
+    when Jt passes Armijo there, and to backtracking from sigma0 / 4.  On
+    a positive-definite quadratic with no cap, s* is the exact minimizer
+    along d, which satisfies the Armijo condition.
     """
-    J, g = at
+    J = at[0]
     cap = objective.problem.initial_step_cap(v, d)
     sigma0 = min(1.0, cap)
-    probe = _stable(objective.evaluate, v + sigma0 * d)
-    if probe is not None:
-        Jt, gt = probe
-        curv = inner_product(gt - g, d) / sigma0
+    Jt = _stable(objective.cost, v + sigma0 * d)
+    if Jt is not None:
+        curv = 2.0 * (Jt - J - sigma0 * gd) / sigma0**2
         if curv > 0.0:
             s_star = -gd / curv
-            if 0.0 < s_star <= cap and abs(s_star - sigma0) > 1e-12 * sigma0:
+            if s_star <= cap:
                 trial = _stable(objective.evaluate, v + s_star * d)
                 if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
                     return v + s_star * d, trial
         if Jt <= J + ARMIJO_C * sigma0 * gd:
-            return v + sigma0 * d, probe
+            return v + sigma0 * d, objective.evaluate(v + sigma0 * d)
 
     s = sigma0 / BACKTRACK_FACTOR
     for _ in range(MAX_BACKTRACKS):

@@ -18,8 +18,12 @@ from mgmlmc import (
     run_vcycle,
 )
 from mgmlmc.elliptic import LaplaceProblemSpec
+from mgmlmc.errors import StabilityViolation
 from mgmlmc.mgopt import (
+    ARMIJO_C,
+    BACKTRACK_FACTOR,
     LevelObjective,
+    _line_search_step,
     coarse_correction_linesearch,
     dai_yuan_beta,
     ncg_smooth,
@@ -31,6 +35,15 @@ from mgmlmc.random_fields import CovarianceSpec
 def small_sets(problem, K, n, seed=51, q=0.25, set_id=4):
     alloc = SampleAllocation(eps=0.1, theta=0.5, n=n, finest=K)
     return build_sample_sets(K, alloc, q, True, seed, set_id)
+
+
+def estimate_charges(problem, sets, k):
+    """The ledger events of one level-k gradient estimate on ``sets`` and
+    of one cost-only estimate, which charges the same samples at weight
+    0.5; neither depends on the point."""
+    ledger = SolveLedger()
+    mlmc_gradient(problem, problem.zero_control(k), sets, k, ledger=ledger)
+    return ledger.events, [(level, n, 0.5) for level, n, _ in ledger.events]
 
 
 def conditioned_quadratic():
@@ -148,26 +161,34 @@ class TestNcgSmoother:
                 assert beta == pytest.approx(alt, rel=1e-6)
             d_prev = -g_j + beta * d_prev
 
-    def test_step_costs_two_gradients_and_lands_on_secant_step(self, laplace_small):
-        # each step evaluates the gradient at v + d and again at v + s* d,
-        # s* = -<g,d> / <g(v+d) - g, d>, with no cost-only evaluation
-        p = laplace_small
+    @pytest.mark.parametrize("name", ["laplace_small", "dtn_small"])
+    def test_step_costs_a_cost_and_a_gradient_and_lands_on_interpolation_step(
+            self, request, name):
+        # each step takes a cost-only estimate Jt at v + d and then the
+        # gradient at v + s* d, s* = -<g,d> / curv with the interpolated
+        # curvature curv = 2 (Jt - J - <g,d>); on the fixed-sample quadratic
+        # that is the gradient secant's step, up to the cancellation in
+        # Jt - J
+        p = request.getfixturevalue(name)
         sets = small_sets(p, 2, (10, 4, 2))
         v = p.zero_control(2)
-        one_gradient = SolveLedger()
-        at = LevelObjective(p, sets, 2, ledger=one_gradient).evaluate(v)
+        gradient, cost = estimate_charges(p, sets, 2)
+        at = LevelObjective(p, sets, 2).evaluate(v)
         J, g = at
         steps = 3
         ledger = SolveLedger()
         res = ncg_smooth(LevelObjective(p, sets, 2, ledger=ledger), v, steps,
                          initial=at, record_iterates=True)
         assert res.steps_taken == steps
-        assert ledger.events == one_gradient.events * (2 * steps)
-        assert all(weight == 1.0 for _, _, weight in ledger.events)
+        assert ledger.events == (cost + gradient) * steps
+        obj = LevelObjective(p, sets, 2)
         d = -g  # the first direction
-        _, g_trial = LevelObjective(p, sets, 2).evaluate(v + d)
-        s_star = -inner_product(g, d) / inner_product(g_trial - g, d)
+        gd = inner_product(g, d)
+        s_star = -gd / (2.0 * (obj.cost(v + d) - J - gd))
         assert np.array_equal(res.iterates[1][0].values, (v + s_star * d).values)
+        _, g_trial = obj.evaluate(v + d)
+        s_secant = -gd / inner_product(g_trial - g, d)
+        assert s_star == pytest.approx(s_secant, rel=1e-10)
 
     def test_reduces_gradient(self, laplace_small):
         p = laplace_small
@@ -188,6 +209,69 @@ class TestNcgSmoother:
         J, g = res.at
         assert J < J0
         assert norm(g) < norm(g0)
+
+
+class TestLineSearchStep:
+    """The exits of the smoother's step other than the interpolation step,
+    on Burgers, which is not quadratic, and the estimates each charges."""
+
+    def _setup(self, problem, amplitude, scale):
+        sets = small_sets(problem, 1, (6, 3))
+        ledger = SolveLedger()
+        obj = LevelObjective(problem, sets, 1, ledger=ledger)
+        v = problem.control_from_function(
+            1, lambda x: amplitude * np.sin(np.pi * x))
+        at = LevelObjective(problem, sets, 1).evaluate(v)
+        d = -scale * at[1]
+        gradient, cost = estimate_charges(problem, sets, 1)
+        return obj, v, at, d, inner_product(at[1], d), ledger, gradient, cost
+
+    def test_armijo_fallback_evaluates_the_gradient_at_sigma0(self, burgers_small):
+        # along this d the interpolated curvature is negative, so no s* is
+        # tried, and the cost-only probe passes Armijo at sigma0 = 1: the
+        # step lands there and takes the gradient there
+        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+            burgers_small, 0.05, 10.0)
+        J = at[0]
+        assert burgers_small.initial_step_cap(v, d) > 1.0
+        Jt = LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
+        assert Jt - J - gd < 0.0 and Jt <= J + ARMIJO_C * gd
+        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        assert np.array_equal(v_new.values, (v + d).values)
+        J_new, g_new = LevelObjective(burgers_small, obj.sets, 1).evaluate(v + d)
+        assert pair[0] == J_new == Jt
+        assert np.array_equal(pair[1].values, g_new.values)
+        assert pair.est is not None
+        assert ledger.events == cost + gradient
+
+    def test_backtracks_after_a_rejected_trial(self, burgers_small):
+        # the gradient at s* fails Armijo, and so does the probe at sigma0;
+        # two cost-only backtracks later sigma0 / 16 passes
+        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+            burgers_small, 0.15, 10.0)
+        assert burgers_small.initial_step_cap(v, d) > 1.0
+        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        s = 1.0 / BACKTRACK_FACTOR**2
+        assert np.array_equal(v_new.values, (v + s * d).values)
+        assert pair[0] <= at[0] + ARMIJO_C * s * gd
+        assert pair.est is not None
+        assert ledger.events == cost + gradient + cost + cost + gradient
+
+    def test_unstable_probe_backtracks(self, burgers_small):
+        # the cap bounds only the initial state: the march from the probe
+        # v + d leaves the stability bound at a later step, so the probe
+        # gives no cost and charges nothing, and the backtracks take over;
+        # s = 1/4 and 1/16 are stable but fail Armijo, and 1/64 passes
+        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+            burgers_small, 0.05, 30.0)
+        assert burgers_small.initial_step_cap(v, d) > 1.0
+        with pytest.raises(StabilityViolation):
+            LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
+        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        s = 1.0 / BACKTRACK_FACTOR**3
+        assert np.array_equal(v_new.values, (v + s * d).values)
+        assert pair[0] <= at[0] + ARMIJO_C * s * gd
+        assert ledger.events == cost * 3 + gradient
 
 
 class TestCoarseCorrectionLinesearch:
@@ -397,16 +481,22 @@ class TestVCycle:
         p = laplace_small
         sets = dataclasses.replace(small_sets(p, 2, (12, 6, 2)), nested=False)
         v = p.control_from_function(2, lambda a, b: a * b)
-        real = mgopt.mlmc_gradient
+        real, real_cost = mgopt.mlmc_gradient, mgopt.mlmc_cost
         calls = []
 
         def recording(problem, u, *args, **kwargs):
             est = real(problem, u, *args, **kwargs)
             assert est.coarse is None
-            calls.append(u)
+            calls.append((real, u))
             return est
 
+        def recording_cost(problem, u, *args, **kwargs):
+            j = real_cost(problem, u, *args, **kwargs)
+            calls.append((real_cost, u))
+            return j
+
         monkeypatch.setattr(mgopt, "mlmc_gradient", recording)
+        monkeypatch.setattr(mgopt, "mlmc_cost", recording_cost)
         ledger = SolveLedger()
         _, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2),
                                ledger=ledger)
@@ -415,19 +505,22 @@ class TestVCycle:
 
         # level 1 starts at restrict(v) (no presmoothing at the top), and
         # level 0 at the restriction of a level-1 point estimated before it
+        estimates = [u for estimate, u in calls if estimate is real]
         first = {}
-        for i, u in enumerate(calls):
+        for i, u in enumerate(estimates):
             first.setdefault(u.level, i)
         restrict = p.hierarchy.restrict
-        assert np.array_equal(calls[first[1]].values, restrict(v).values)
-        assert any(np.array_equal(calls[first[0]].values, restrict(u).values)
-                   for u in calls[first[1]:first[0]] if u.level == 1)
+        assert np.array_equal(estimates[first[1]].values, restrict(v).values)
+        assert any(np.array_equal(estimates[first[0]].values, restrict(u).values)
+                   for u in estimates[first[1]:first[0]] if u.level == 1)
 
-        # every charge is one of the recorded estimates (the cycle takes no
-        # cost-only trial here), each charged once
+        # every charge is one of the recorded estimates, gradient or
+        # cost-only (each smoothing step's probe, charged at weight 0.5),
+        # each charged once
+        assert any(estimate is real_cost for estimate, _ in calls)
         replay = SolveLedger()
-        for u in calls:
-            real(p, u, sets, u.level, ledger=replay)
+        for estimate, u in calls:
+            estimate(p, u, sets, u.level, ledger=replay)
         assert ledger.events == replay.events
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
