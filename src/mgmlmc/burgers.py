@@ -443,20 +443,6 @@ class BurgersInitialControl(ControlProblem):
                 yield states[:, a:b].copy()
             del states  # before the next chunk is marched
 
-    def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:
-        """Largest line-search step keeping the initial state inside the
-        stability bound for diffusion fields under :func:`diffusion_bound`."""
-        dmax = float(np.max(np.abs(d.values)))
-        if dmax == 0.0:
-            return np.inf
-        dx = self.hierarchy.h(u.level)
-        k_bound = diffusion_bound(self.spec.covariance)
-        headroom = ((dx**2 / self.dt - 2.0 * k_bound) / dx
-                    - float(np.max(np.abs(u.values))))
-        if headroom <= 0.0:
-            return 1e-6
-        return headroom / dmax
-
     def state(self, u, field):
         """All nt states, shaped (nt, nodes); one batch of one sample."""
         return next(self.state_batch({field.level: u}, [field]))

@@ -11,9 +11,9 @@ correction
     tau_{k-1} = I tau_k + grad Jhat_{k-1}(v_{k-1}) - I grad Jhat_k(v_{k,1})
 
 makes the coarse shifted gradient match the restricted fine one exactly.
-The prolonged coarse update is applied through a backtracking line search
-(descent required, starting at s = 1), then postsmoothing runs.  Sample
-sets stay fixed for the whole cycle.
+The prolonged coarse update is applied through an Armijo line search
+from s = 1, then postsmoothing runs.  Sample sets stay fixed for the
+whole cycle.
 
 Every level is one call of :func:`vcycle` with the level's objective and
 the shifted (J, g) pair at its entry point, which travels with the
@@ -28,12 +28,15 @@ values; its events hold only numbers and flags.
 
 The smoother is nonlinear conjugate gradient with the Dai-Yuan direction
 mix and one line-search step for every problem: an interpolation step from
-a cost-only trial, evaluated afresh and checked by Armijo, with
+a cost-only trial at s = 1, evaluated afresh and checked by Armijo, with
 backtracking as the fallback.  On fixed-sample quadratic problems the
-interpolation step is the exact line search.  The
-``explicit_gradients=False`` reference instead propagates gradients by
-affine combination there, which makes it step-for-step equivalent to
-classical CG on the sampled optimality system.
+interpolation step is the exact line search.  Both searches share one
+backtracking loop and one acceptance rule (Armijo), and the march's
+stability check is the only guard on a trial step, so every pair in a
+cycle carries its estimate.  The ``explicit_gradients=False`` reference
+instead propagates gradients by affine combination on quadratic problems,
+which makes it step-for-step equivalent to classical CG on the sampled
+optimality system.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ class SmoothingSchedule:
 
 class Evaluation(tuple):
     """A level objective's shifted (J, g) pair that also holds ``est``, the
-    unshifted estimate it came from (None for a quadratic-model pair)."""
+    unshifted estimate it came from (None only for the affine pairs of
+    :func:`ncg_smooth`'s ``explicit_gradients=False`` reference)."""
 
     def __new__(cls, J: float, g: LevelVector, est: GradientEstimate | None):
         pair = super().__new__(cls, (J, g))
@@ -162,13 +166,15 @@ def ncg_smooth(objective: LevelObjective, v: LevelVector, steps: int, *,
     final point, also after zero steps; ``iterates[0]`` records the start.
 
     Each step is :func:`_line_search_step` along the Dai-Yuan direction d,
-    which costs one cost-only and one gradient evaluation (1.5 gradient
-    units) unless a fallback runs.
+    a cost-only probe at v + d and one gradient evaluation (1.5 gradient
+    units) unless a fallback runs; a step with no Armijo point raises
+    :class:`LineSearchFailure`.
     With ``explicit_gradients=False`` a quadratic objective takes the
     classical CG step instead: one gradient at v + d gives the exact step s,
     and the gradient at v + s d is the affine combination
-    (1-s) g(v) + s g(v+d), a model-formed pair with no estimate.  The
-    affine value and the evaluated one agree to solver accuracy.
+    (1-s) g(v) + s g(v+d), a model-formed pair with no estimate, the only
+    such pair.  The affine value and the evaluated one agree to solver
+    accuracy.
     """
     at = objective.evaluate(v) if initial is None else initial
     iterates = [(v, *at)] if record_iterates else []
@@ -215,79 +221,69 @@ def _stable(evaluate, point):
 
 
 def _line_search_step(objective, v, at, d, gd):
-    """Interpolation step with stability-capped Armijo fallback.
+    """Interpolation step with Armijo fallback.
 
-    A cost-only probe Jt at v + sigma0 d, with sigma0 = min(1, the
-    problem's step cap), fixes the quadratic through J, <g,d> and Jt; its
-    curvature 2 (Jt - J - sigma0 <g,d>) / sigma0**2 gives the minimizer
-    s* (Nocedal & Wright, 2006, sec. 3.5), where the pair is evaluated and
-    accepted if it passes Armijo.  Otherwise the step falls back to sigma0
-    when Jt passes Armijo there, and to backtracking from sigma0 / 4.  On
-    a positive-definite quadratic with no cap, s* is the exact minimizer
-    along d, which satisfies the Armijo condition.
+    A cost-only probe Jt at v + d fixes the quadratic through J, <g,d> and
+    Jt; its curvature 2 (Jt - J - <g,d>) gives the minimizer s* (Nocedal &
+    Wright, 2006, sec. 3.5), where the pair is evaluated and accepted if it
+    passes Armijo.  Otherwise the step falls back to s = 1 when Jt passes
+    Armijo there, and to :func:`_backtrack` from 1/4.  On a
+    positive-definite quadratic s* is the exact minimizer along d, which
+    satisfies the Armijo condition.  A trial that fails the problem's
+    stability check counts as rejected.
     """
     J = at[0]
-    cap = objective.problem.initial_step_cap(v, d)
-    sigma0 = min(1.0, cap)
-    Jt = _stable(objective.cost, v + sigma0 * d)
+    Jt = _stable(objective.cost, v + d)
     if Jt is not None:
-        curv = 2.0 * (Jt - J - sigma0 * gd) / sigma0**2
+        curv = 2.0 * (Jt - J - gd)
         if curv > 0.0:
             s_star = -gd / curv
-            if s_star <= cap:
-                trial = _stable(objective.evaluate, v + s_star * d)
-                if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
-                    return v + s_star * d, trial
-        if Jt <= J + ARMIJO_C * sigma0 * gd:
-            return v + sigma0 * d, objective.evaluate(v + sigma0 * d)
+            trial = _stable(objective.evaluate, v + s_star * d)
+            if trial is not None and trial[0] <= J + ARMIJO_C * s_star * gd:
+                return v + s_star * d, trial
+        if Jt <= J + ARMIJO_C * gd:
+            return v + d, objective.evaluate(v + d)
 
-    s = sigma0 / BACKTRACK_FACTOR
-    for _ in range(MAX_BACKTRACKS):
-        Jb = _stable(objective.cost, v + s * d)
-        if Jb is not None and Jb <= J + ARMIJO_C * s * gd:
-            return v + s * d, objective.evaluate(v + s * d)
+    found = _backtrack(objective, v, J, d, gd, 1.0 / BACKTRACK_FACTOR)
+    if found is None:
+        raise LineSearchFailure(
+            f"no Armijo step after {MAX_BACKTRACKS} backtracks (gd={gd:.3e})"
+        )
+    return found[1:3]
+
+
+def _backtrack(objective, v, J, d, gd, s):
+    """Cost-only trials at s, s/4, s/16, ... along d from v, where the
+    pair is J; returns ``(s, v + s d, evaluation, trials)`` at the first
+    step that passes Armijo, or None after ``MAX_BACKTRACKS`` trials."""
+    for b in range(1, MAX_BACKTRACKS + 1):
+        Js = _stable(objective.cost, v + s * d)
+        if Js is not None and Js <= J + ARMIJO_C * s * gd:
+            return s, v + s * d, objective.evaluate(v + s * d), b
         s /= BACKTRACK_FACTOR
-    raise LineSearchFailure(
-        f"no Armijo step after {MAX_BACKTRACKS} backtracks (gd={gd:.3e})"
-    )
+    return None
 
 
 def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
                                  d: LevelVector, at_v: Evaluation):
-    """Backtrack from s = 1 until the prolonged correction gives descent.
+    """Armijo line search from s = 1 along the prolonged correction d.
 
-    Returns ``(s, v_new, carried, backtracks)`` where ``carried`` is an
-    evaluation at ``v_new`` when one is available for reuse by the
-    postsmoother (always for the s=1 accept and on quadratic objectives).
-    A backtracked trial's cost comes from the quadratic model along d when
-    the objective is quadratic and v + d was evaluated, and otherwise from
-    a cost-only evaluation; a model-formed pair carries no estimate.  A
-    degenerate search returns s = 0 and the incoming point with ``at_v``.
+    Returns ``(s, v_new, at_new, backtracks)`` with ``at_new`` the
+    evaluation at ``v_new``.  A direction that is not one of descent,
+    <g,d> >= 0 (the zero direction included), returns s = 0 and the
+    incoming point with ``at_v`` unevaluated.  Otherwise the pair at v + d
+    is kept if it passes Armijo, and failing that :func:`_backtrack` runs
+    from 1/4; a search that finds no step returns s = 0.
     """
-    if norm(d) == 0.0:
-        return 1.0, v, at_v, 0
     J_v, g_v = at_v
-    full = _stable(objective.evaluate, v + d)
-    if full is not None and full[0] < J_v:
-        return 1.0, v + d, full, 0
-
     gd = inner_product(g_v, d)
-    model = objective.problem.is_quadratic and full is not None
-    if model:
-        # the sampled problem is exactly quadratic along d
-        curv = inner_product(full[1] - g_v, d)
-    s = 0.5
-    for b in range(1, MAX_BACKTRACKS + 1):
-        if model:
-            Js = J_v + s * gd + 0.5 * s * s * curv
-        else:
-            Js = _stable(objective.cost, v + s * d)
-        if Js is not None and Js < J_v:
-            carried = (Evaluation(Js, (1.0 - s) * g_v + s * full[1], None)
-                       if model else None)
-            return s, v + s * d, carried, b
-        s *= 0.5
-    return 0.0, v, at_v, MAX_BACKTRACKS
+    if gd >= 0.0:
+        return 0.0, v, at_v, 0
+    full = _stable(objective.evaluate, v + d)
+    if full is not None and full[0] <= J_v + ARMIJO_C * gd:
+        return 1.0, v + d, full, 0
+    found = _backtrack(objective, v, J_v, d, gd, 1.0 / BACKTRACK_FACTOR)
+    return found or (0.0, v, at_v, MAX_BACKTRACKS)
 
 
 @dataclass
@@ -342,14 +338,13 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
         v_coarse_new = vcycle(child, v_coarse, coarse_start, schedule, events).v
         d = hier.prolong(v_coarse_new - v_coarse)
 
-        s, v2, carried, backtracks = coarse_correction_linesearch(obj, v1, d, pre.at)
+        s, v2, at2, backtracks = coarse_correction_linesearch(obj, v1, d, pre.at)
         events.append({
             "level": k, "kind": "linesearch", "s": s, "backtracks": backtracks,
-            "carried": carried is not None,
             "direction_inner": inner_product(gJ1, d),
             "coarse_J_before": coarse_start[0],
         })
-        post = ncg_smooth(obj, v2, schedule.mu[k], initial=carried)
+        post = ncg_smooth(obj, v2, schedule.mu[k], initial=at2)
 
     events.append({
         "level": k, "kind": "summary",
@@ -370,9 +365,7 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     estimate at v on ``sets``; only a caller that holds none leaves it to
     be taken here; it travels with the top level's start pair, and the
     report's ``entry`` is it either way.  The report's ``level_stats`` are
-    those of the estimate at the returned point, or the entry's where that
-    pair is a quadratic-model one (only when ``mu[K] == 0`` and the coarse
-    correction backtracks).
+    those of the estimate at the returned point.
     """
     K = v.level
     if K > sets.K:
@@ -387,6 +380,6 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     report = VCycleReport(
         entry=entry, J=end.at[0], g_norm=norm(end.at[1]),
         backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
-        events=events, level_stats=(end.at.est or entry).stats,
+        events=events, level_stats=end.at.est.stats,
     )
     return end.v, report

@@ -254,15 +254,22 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
     Yields ``(level, index, combine(fine, coarse))``, coarse None on level
     lo, level by level from the top and in stream order within a level.
     Indices found in ``cached`` ((level, index) -> value) are yielded from
-    it, and neither member of their pair is evaluated.  Once every value
-    has been yielded, the ledger is charged, in level order, for each
-    level's uncached pairs; a failed estimate charges no level.
+    it, and neither member of their pair is evaluated.  The ledger is
+    charged, in level order, for each level's uncached pairs before any is
+    evaluated, so a failed estimate costs what a successful one does.
     """
     cached = cached or {}
     lo, top = min(streams), max(streams)
     levels = range(top, lo - 1, -1)
     units = [(level, i) for level in levels for i in range(len(streams[level]))
              if (level, i) not in cached]
+    if ledger is not None:
+        # each fresh pair solved at its level and, above level 0, one below
+        fresh = Counter(level for level, _ in units)
+        for level in reversed(levels):
+            ledger.add(level, fresh[level], weight)
+            if level > 0:
+                ledger.add(level - 1, fresh[level], weight)
 
     def fields(chunk):
         for level, i in chunk:
@@ -280,13 +287,6 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
             else:
                 fine = next(results)
                 yield level, i, combine(fine, None if level == lo else next(results))
-    if ledger is not None:
-        # each fresh pair solved at its level and, above level 0, one below
-        fresh = Counter(level for level, _ in units)
-        for level in reversed(levels):
-            ledger.add(level, fresh[level], weight)
-            if level > 0:
-                ledger.add(level - 1, fresh[level], weight)
 
 
 class _LevelSums:

@@ -166,10 +166,3 @@ class ControlProblem:
         field = self.field(stream, u.level)
         _, q = self.tracking_cost_grad(u, field)
         return self.alpha * u + q
-
-    # -- line search ------------------------------------------------------------
-
-    def initial_step_cap(self, u: LevelVector, d: LevelVector) -> float:
-        """Largest step along d from u that the nonquadratic line search may
-        try first; unbounded unless the problem has a stability limit."""
-        return np.inf

@@ -226,14 +226,14 @@ class TestLineSearchStep:
         gradient, cost = estimate_charges(problem, sets, 1)
         return obj, v, at, d, inner_product(at[1], d), ledger, gradient, cost
 
-    def test_armijo_fallback_evaluates_the_gradient_at_sigma0(self, burgers_small):
+    def test_armijo_fallback_evaluates_the_gradient_at_the_unit_step(
+            self, burgers_small):
         # along this d the interpolated curvature is negative, so no s* is
-        # tried, and the cost-only probe passes Armijo at sigma0 = 1: the
-        # step lands there and takes the gradient there
+        # tried, and the cost-only probe passes Armijo at s = 1: the step
+        # lands there and takes the gradient there
         obj, v, at, d, gd, ledger, gradient, cost = self._setup(
             burgers_small, 0.05, 10.0)
         J = at[0]
-        assert burgers_small.initial_step_cap(v, d) > 1.0
         Jt = LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
         assert Jt - J - gd < 0.0 and Jt <= J + ARMIJO_C * gd
         v_new, pair = _line_search_step(obj, v, at, d, gd)
@@ -245,11 +245,10 @@ class TestLineSearchStep:
         assert ledger.events == cost + gradient
 
     def test_backtracks_after_a_rejected_trial(self, burgers_small):
-        # the gradient at s* fails Armijo, and so does the probe at sigma0;
-        # two cost-only backtracks later sigma0 / 16 passes
+        # the gradient at s* fails Armijo, and so does the probe at s = 1;
+        # two cost-only backtracks later s = 1/16 passes
         obj, v, at, d, gd, ledger, gradient, cost = self._setup(
             burgers_small, 0.15, 10.0)
-        assert burgers_small.initial_step_cap(v, d) > 1.0
         v_new, pair = _line_search_step(obj, v, at, d, gd)
         s = 1.0 / BACKTRACK_FACTOR**2
         assert np.array_equal(v_new.values, (v + s * d).values)
@@ -258,51 +257,53 @@ class TestLineSearchStep:
         assert ledger.events == cost + gradient + cost + cost + gradient
 
     def test_unstable_probe_backtracks(self, burgers_small):
-        # the cap bounds only the initial state: the march from the probe
-        # v + d leaves the stability bound at a later step, so the probe
-        # gives no cost and charges nothing, and the backtracks take over;
-        # s = 1/4 and 1/16 are stable but fail Armijo, and 1/64 passes
+        # the march from the probe v + d leaves the stability bound, so the
+        # probe gives no cost, though it is charged, and the backtracks
+        # take over; s = 1/4 and 1/16 are stable but fail Armijo, and 1/64
+        # passes
         obj, v, at, d, gd, ledger, gradient, cost = self._setup(
             burgers_small, 0.05, 30.0)
-        assert burgers_small.initial_step_cap(v, d) > 1.0
         with pytest.raises(StabilityViolation):
             LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
         v_new, pair = _line_search_step(obj, v, at, d, gd)
         s = 1.0 / BACKTRACK_FACTOR**3
         assert np.array_equal(v_new.values, (v + s * d).values)
         assert pair[0] <= at[0] + ARMIJO_C * s * gd
-        assert ledger.events == cost * 3 + gradient
+        assert ledger.events == cost * 4 + gradient
 
 
 class TestCoarseCorrectionLinesearch:
+    """The coarse correction's Armijo search from s = 1, which backtracks
+    through the smoother's loop, and the estimates each exit charges."""
+
     def _setup(self, problem,
                fn=lambda a, b: 0.5 * np.sin(np.pi * a) * np.sin(np.pi * b)):
         sets = small_sets(problem, 1, (6, 3))
-        obj = LevelObjective(problem, sets, 1)
         v = problem.control_from_function(1, fn)
-        return obj, v, obj.evaluate(v)
+        at = LevelObjective(problem, sets, 1).evaluate(v)
+        obj = LevelObjective(problem, sets, 1, ledger=SolveLedger())
+        return obj, v, at
 
     def test_descent_direction_accepts_unit_step(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
         J, g = at
         d = -0.01 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
-        assert s == 1.0 and bt == 0 and carried is not None
+        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        assert s == 1.0 and bt == 0 and at2.est is not None
 
-    def test_zero_direction_trivial_accept(self, laplace_small):
+    def test_zero_direction_returns_zero(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
-        J, g = at
-        d = 0.0 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
-        assert s == 1.0 and v2 is v and carried == (J, g)
+        s, v2, at2, bt = coarse_correction_linesearch(obj, v, 0.0 * at[1], at)
+        assert s == 0.0 and bt == 0 and v2 is v and at2 is at
+        assert obj.ledger.events == []
 
     def test_ascent_direction_returns_zero(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
         J, g = at
         d = g.copy()  # synthetic ascent direction, <g, d> > 0
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
-        assert s == 0.0
-        assert norm(v2 - v) == 0.0
+        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        assert s == 0.0 and bt == 0 and v2 is v and at2 is at
+        assert obj.ledger.events == []
 
     def test_backtracks_on_overlong_descent(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
@@ -310,30 +311,30 @@ class TestCoarseCorrectionLinesearch:
         # descent direction but far too long at s = 1: the flattest Hessian
         # modes sit at the alpha floor, so the scale must exceed ~2/alpha
         d = -1e8 * g
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
-        assert 0.0 < s < 1.0
-        assert carried is not None
-        J2, _ = obj.evaluate(v2)
-        assert J2 < J
-        # the carried pair comes from the quadratic model along d; with the
-        # deliberately overlong direction the model subtracts large terms,
-        # so agreement is limited by that cancellation
-        assert carried[0] == pytest.approx(J2, rel=1e-6, abs=1e-12)
+        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        assert bt >= 1 and s == BACKTRACK_FACTOR ** -bt
+        assert at2[0] <= J + ARMIJO_C * s * inner_product(g, d)
+        # the pair at the accepted step is evaluated, not model-formed
+        assert at2.est is not None
+        J2, g2 = LevelObjective(laplace_small, obj.sets, 1).evaluate(v2)
+        assert at2[0] == J2 and np.array_equal(at2[1].values, g2.values)
 
     def test_backtracks_on_overlong_descent_cost_only(self, burgers_small):
-        # Burgers is not quadratic, so the trials are cost-only evaluations
-        # and no pair is carried; at this scale v + d and the first trials
-        # break the stability bound, which counts as a rejected trial
+        # Burgers is not quadratic: at this scale the march from v + d
+        # breaks the stability bound, so the unit trial is a rejected
+        # gradient estimate, still charged; then come the cost-only
+        # backtracks and the gradient at the accepted step
         obj, v, at = self._setup(burgers_small,
                                  lambda x: 0.15 * np.sin(np.pi * x))
         J, g = at
         d = -100.0 * g
-        assert burgers_small.initial_step_cap(v, d) < 1.0
-        s, v2, carried, bt = coarse_correction_linesearch(obj, v, d, at)
-        assert 0.0 < s < 1.0
-        assert carried is None
-        J2, _ = obj.evaluate(v2)
-        assert J2 < J
+        with pytest.raises(StabilityViolation):
+            LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
+        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        assert bt >= 1 and s == BACKTRACK_FACTOR ** -bt
+        assert at2[0] < J and at2.est is not None
+        gradient, cost = estimate_charges(burgers_small, obj.sets, 1)
+        assert obj.ledger.events == gradient + cost * bt + gradient
 
 
 class TestVCycle:

@@ -685,11 +685,18 @@ class TestGridSweep:
         state_moments(p, u, streams)
         assert len(states) == 1 and same_fields(states[0], unit_fields(p, {2: streams}))
 
-    def test_failed_estimate_charges_no_level(self, burgers_small, monkeypatch):
+    def test_failed_estimate_charges_like_a_successful_one(self, burgers_small,
+                                                           monkeypatch):
+        # the ledger is charged before any sample is evaluated, so the
+        # solves a failed estimate spent are not free
         from mgmlmc import BurgersInitialControl
         from mgmlmc.errors import StabilityViolation
 
         p = burgers_small
+        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
+        sets = build_sample_sets(2, alloc, 0.25, True, 59, 4)
+        ok = SolveLedger()
+        mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=ok)
         original = BurgersInitialControl.tracking_cost_grad_batch
 
         def fails_on_grid_2(self, u_at, fields):
@@ -700,13 +707,11 @@ class TestGridSweep:
 
         monkeypatch.setattr(BurgersInitialControl, "tracking_cost_grad_batch",
                             fails_on_grid_2)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 59, 4)
         # with workers > 1 only the chunk holding level 2's pairs fails; the
-        # others finish, and still nothing is charged
+        # others finish, and the charge is the same at every worker count
         for workers in (1, 2, 3):
             monkeypatch.setattr(p, "workers", workers)
             led = SolveLedger()
             with pytest.raises(StabilityViolation):
                 mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led)
-            assert led.events == []
+            assert led.events == ok.events != []
