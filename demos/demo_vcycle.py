@@ -16,6 +16,7 @@ from mgmlmc import (
     SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
+    norm,
     run_vcycle,
 )
 
@@ -36,11 +37,13 @@ for k in range(K, -1, -1):
 ledger = SolveLedger()
 v_new, report = run_vcycle(problem, v, sets, schedule, ledger=ledger)
 solves = equivalent_fine_solves(ledger.events, K, problem.kappa_default)
+J, g = report.end
+backtracks = sum(e["backtracks"] for e in report.events if e["kind"] == "linesearch")
 
-print(f"\ncycle summary: J {report.entry.cost_value:.4e} -> {report.J:.4e}   "
-      f"|g| {report.entry.gradient_norm:.4e} -> {report.g_norm:.4e}")
+print(f"\ncycle summary: J {report.entry.cost_value:.4e} -> {J:.4e}   "
+      f"|g| {report.entry.gradient_norm:.4e} -> {norm(g):.4e}")
 print(f"equivalent fine-grid solves: {solves:.1f}   "
-      f"line-search backtracks: {report.backtracks}")
+      f"line-search backtracks: {backtracks}")
 
 print("\nevent log:")
 for e in report.events:

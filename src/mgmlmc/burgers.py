@@ -344,11 +344,10 @@ class BurgersInitialControl(ControlProblem):
         if self.nt < 2:
             raise ValueError("nt must be at least 2")
         self.dt = spec.T / (self.nt - 1)
-        self._targets = {}
+        self._targets = [hierarchy.from_function(level, spec.target)
+                         for level in range(hierarchy.levels)]
 
     def target(self, level: int) -> LevelVector:
-        if level not in self._targets:
-            self._targets[level] = self.hierarchy.from_function(level, self.spec.target)
         return self._targets[level]
 
     def tracking_cost(self, u, field):

@@ -109,9 +109,10 @@ FD_EPS = 1e-5
 def fd_gradient_checks(problem, K: int, global_seed: int) -> dict:
     """Central-difference checks of per-sample and estimator gradients.
 
-    Returns the maximum relative deviation between the directional
-    derivative of the (per-sample / multilevel) cost and the inner product
-    with the corresponding gradient, over random unit directions.  The
+    Returns the largest relative deviation between the central difference
+    of the (per-sample / multilevel) cost along a random unit direction and
+    the inner product with the matching gradient.  One loop serves both
+    checks, the per-sample one drawing its directions first.  The
     estimator is checked on nested sets of max(2, 8 >> l) samples per
     level l.
     """
@@ -125,34 +126,27 @@ def fd_gradient_checks(problem, K: int, global_seed: int) -> dict:
         )
     rng = np.random.default_rng(global_seed + 7)
 
-    def random_direction():
-        d = u0.with_values(rng.standard_normal(u0.values.shape))
-        return d * (1.0 / norm(d))
+    def worst_deviation(cost, g):
+        worst = 0.0
+        for _ in range(FD_DIRECTIONS):
+            d = u0.with_values(rng.standard_normal(u0.values.shape))
+            d = d * (1.0 / norm(d))
+            fd = (cost(u0 + FD_EPS * d) - cost(u0 - FD_EPS * d)) / (2.0 * FD_EPS)
+            gd = float(np.vdot(g.values, d.values)) * u0.h ** u0.values.ndim
+            worst = max(worst, abs(fd - gd) / max(abs(gd), 1e-14))
+        return worst
 
     stream = RngStream(global_seed, make_set_id(0, PURPOSE_USER), K, 0)
-    g = problem.gradient_sample(u0, stream)
-    per_sample = 0.0
-    for _ in range(FD_DIRECTIONS):
-        d = random_direction()
-        jp = problem.cost_sample(u0 + FD_EPS * d, stream)
-        jm = problem.cost_sample(u0 - FD_EPS * d, stream)
-        fd = (jp - jm) / (2.0 * FD_EPS)
-        gd = float(np.vdot(g.values, d.values)) * u0.h ** u0.values.ndim
-        per_sample = max(per_sample, abs(fd - gd) / max(abs(gd), 1e-14))
+    per_sample = worst_deviation(lambda u: problem.cost_sample(u, stream),
+                                 problem.gradient_sample(u0, stream))
 
     counts = tuple(max(2, 8 >> level) for level in range(K + 1))
     alloc = SampleAllocation(eps=1.0, theta=0.5, n=counts, finest=K)
     sets = build_sample_sets(K, alloc, 0.25, True, global_seed,
                              make_set_id(1, PURPOSE_USER))
-    est = mlmc_gradient(problem, u0, sets, K)
-    estimator = 0.0
-    for _ in range(FD_DIRECTIONS):
-        d = random_direction()
-        jp = mlmc_gradient(problem, u0 + FD_EPS * d, sets, K).cost_value
-        jm = mlmc_gradient(problem, u0 - FD_EPS * d, sets, K).cost_value
-        fd = (jp - jm) / (2.0 * FD_EPS)
-        gd = float(np.vdot(est.value.values, d.values)) * u0.h ** u0.values.ndim
-        estimator = max(estimator, abs(fd - gd) / max(abs(gd), 1e-14))
+    estimator = worst_deviation(
+        lambda u: mlmc_gradient(problem, u, sets, K).cost_value,
+        mlmc_gradient(problem, u0, sets, K).value)
     return {"per_sample": per_sample, "estimator": estimator}
 
 

@@ -4,17 +4,18 @@ Both drivers run one loop.  Every cycle warms up on its own sample
 streams at the current iterate, allocates MLMC samples for the current
 gradient RMSE budget eps, takes the cycle's entry estimate (the level-K
 gradient at the iterate, which reuses the warm-up samples), optimizes
-from it on those fixed samples, and only declares success after a
-confirmation gradient computed with brand-new samples at RMSE r*tau, taken
-when the cycle's own gradient norm is at most tau.  The two drivers differ
-in three places:
+from it on those fixed samples to the :class:`~mgmlmc.mgopt.Evaluation`
+the inner optimizer ends at, whose (J, g) the cycle reports, and only
+declares success after a confirmation gradient computed with brand-new
+samples at RMSE r*tau, taken when that gradient's norm is at most tau.
+The two drivers differ in three places:
 
 * inner optimizer: ``robust_optimize`` runs one MG/OPT V-cycle from the
   entry estimate; ``baseline_optimize`` runs NCG on the finest level from
   it until the gradient norm drops below eps/r, under a total step budget.
-* confirmation statistics: the V-cycle's top-level sample statistics
-  refresh the extrapolated levels first; the baseline uses the planning
-  statistics.
+* confirmation statistics: the statistics of the V-cycle's end estimate
+  refresh the planning statistics' extrapolated levels first; the
+  baseline uses the planning statistics.
 * next budget: the V-cycle driver follows
 
       eta = min(1/2, |g|/|g0|),   eps_next = max(r*tau, r * eta * |g|),
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateStart
 from .grids import LevelVector, norm
-from .mgopt import LevelObjective, SmoothingSchedule, ncg_smooth, run_vcycle
+from .mgopt import Evaluation, LevelObjective, SmoothingSchedule, ncg_smooth, run_vcycle
 from .mlmc import (
     MAX_CYCLES,
     PURPOSE_CONFIRM,
@@ -165,12 +166,11 @@ class _CyclePlan(NamedTuple):
 
 
 class _Step(NamedTuple):
-    """A driver step's end point and its (J, |g|); it starts at the plan's entry."""
+    """A driver step's end point ``v`` and the :class:`Evaluation` ``at``
+    it; the step starts at the plan's entry."""
 
     v: LevelVector
-    J: float
-    g_norm: float
-    sample_stats: LevelStats  # statistics of the estimate at v
+    at: Evaluation
     confirm_stats: LevelStats  # statistics the confirmation is sized from
     budget_spent: bool = False
 
@@ -242,10 +242,12 @@ def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
             plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
             out = step(v, plan, ledger)
         v = out.v
-        fine_stats = out.sample_stats
+        J, g = out.at
+        g_norm = norm(g)
+        fine_stats = out.at.est.stats
 
         confirmed = False
-        if out.g_norm <= config.tau:
+        if g_norm <= config.tau:
             est = _confirmation(problem, v, out.confirm_stats, config, i, ledger)
             fine_stats = est.stats
             if est.gradient_norm <= config.tau:
@@ -256,8 +258,8 @@ def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
 
         solves = equivalent_fine_solves(ledger.events[mark:], config.K,
                                         problem.kappa_default)
-        row = CycleRow(i, eps, plan.alloc.n, plan.entry.cost_value, out.J,
-                       plan.entry.gradient_norm, out.g_norm, solves,
+        row = CycleRow(i, eps, plan.alloc.n, plan.entry.cost_value, J,
+                       plan.entry.gradient_norm, g_norm, solves,
                        time.perf_counter() - t0)
         report.rows.append(row)
         if row_sink is not None:
@@ -276,8 +278,8 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
     def step(v, plan, ledger):
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
                               entry=plan.entry)
-        stats = refresh_level_stats(plan.stats, cycle.level_stats)
-        return _Step(v, cycle.J, cycle.g_norm, cycle.level_stats, stats)
+        stats = refresh_level_stats(plan.stats, cycle.end.est.stats)
+        return _Step(v, cycle.end, stats)
 
     def next_eps(eps, row):
         if row.g_norm <= config.tau:  # the confirmation failed
@@ -305,8 +307,8 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
             gradient_tol=plan.alloc.eps / config.r,
         )
         steps_used += res.steps_taken
-        return _Step(res.v, res.at[0], norm(res.at[1]), res.at.est.stats,
-                     plan.stats, budget_spent=steps_used >= config.baseline_max_steps)
+        return _Step(res.v, res.at, plan.stats,
+                     budget_spent=steps_used >= config.baseline_max_steps)
 
     def next_eps(eps, row):
         return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)

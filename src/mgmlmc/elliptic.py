@@ -216,11 +216,10 @@ class LaplaceSourceControl(_EllipticBase):
 
     def __init__(self, hierarchy, spec: LaplaceProblemSpec | None = None):
         super().__init__(hierarchy, spec or LaplaceProblemSpec())
-        self._targets = {}
+        self._targets = [hierarchy.from_function(level, self.spec.target)
+                         for level in range(hierarchy.levels)]
 
     def target(self, level: int) -> LevelVector:
-        if level not in self._targets:
-            self._targets[level] = self.hierarchy.from_function(level, self.spec.target)
         return self._targets[level]
 
     @staticmethod
@@ -257,13 +256,12 @@ class DtNBoundaryControl(_EllipticBase):
         if hierarchy.n0 < 5:
             raise ValueError("the DtN problem needs n0 >= 5")
         super().__init__(hierarchy, spec or DtNProblemSpec())
-        self._targets = {}
+        self._target_fluxes = [np.asarray(self.spec.target_flux(x), dtype=float)
+                               for x in map(hierarchy.interior_coords,
+                                            range(hierarchy.levels))]
 
     def target_flux(self, level: int) -> np.ndarray:
-        if level not in self._targets:
-            x = self.hierarchy.interior_coords(level)
-            self._targets[level] = np.asarray(self.spec.target_flux(x), dtype=float)
-        return self._targets[level]
+        return self._target_fluxes[level]
 
     @staticmethod
     def _rhs(op, u):

@@ -48,7 +48,6 @@ from .errors import (CoherenceViolation, LevelMismatch, LineSearchFailure,
 from .grids import LevelVector, inner_product, norm
 from .mlmc import (
     GradientEstimate,
-    LevelStats,
     MgoptSampleSets,
     SolveLedger,
     mlmc_cost,
@@ -288,15 +287,12 @@ def coarse_correction_linesearch(objective: LevelObjective, v: LevelVector,
 
 @dataclass
 class VCycleReport:
-    """The entry estimate, the end cost and gradient norm at the entry
-    level, plus diagnostics."""
+    """The estimate ``entry`` a cycle starts from, the top level's
+    :class:`Evaluation` ``end`` at the returned point, and the events."""
 
-    entry: GradientEstimate  # the estimate the cycle started from
-    J: float
-    g_norm: float
-    backtracks: int
+    entry: GradientEstimate
+    end: Evaluation
     events: list
-    level_stats: LevelStats  # sample statistics of the estimate at the end point
 
 
 def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
@@ -364,8 +360,8 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
     evaluations are charged to ``ledger``.  ``entry`` is the level-K
     estimate at v on ``sets``; only a caller that holds none leaves it to
     be taken here; it travels with the top level's start pair, and the
-    report's ``entry`` is it either way.  The report's ``level_stats`` are
-    those of the estimate at the returned point.
+    report's ``entry`` is it either way.  The report's ``end`` is the
+    top level's evaluation at the returned point.
     """
     K = v.level
     if K > sets.K:
@@ -377,9 +373,4 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
         entry = mlmc_gradient(problem, v, sets, K, ledger=ledger)
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
-    report = VCycleReport(
-        entry=entry, J=end.at[0], g_norm=norm(end.at[1]),
-        backtracks=sum(e["backtracks"] for e in events if e["kind"] == "linesearch"),
-        events=events, level_stats=end.at.est.stats,
-    )
-    return end.v, report
+    return end.v, VCycleReport(entry, end.at, events)

@@ -264,11 +264,11 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
     units = [(level, i) for level in levels for i in range(len(streams[level]))
              if (level, i) not in cached]
     if ledger is not None:
-        # each fresh pair solved at its level and, above level 0, one below
+        # each fresh unit solved at its level and, above level lo, one below
         fresh = Counter(level for level, _ in units)
         for level in reversed(levels):
             ledger.add(level, fresh[level], weight)
-            if level > 0:
+            if level > lo:
                 ledger.add(level - 1, fresh[level], weight)
 
     def fields(chunk):

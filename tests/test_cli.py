@@ -9,10 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgmlmc.cli import _fmt, _write_matrix_csv, main
+from mgmlmc.cli import (FD_DIRECTIONS, FD_EPS, _fmt, _write_matrix_csv,
+                         fd_gradient_checks, main)
 from mgmlmc.config import KEYS, ExperimentConfig, build_problem, load_config
 from mgmlmc.driver import OptimizerConfig
 from mgmlmc.errors import ConfigError
+from mgmlmc.grids import GAMMA
+from mgmlmc.mlmc import (PURPOSE_USER, SampleAllocation, build_sample_sets,
+                         make_set_id, mlmc_gradient)
+from mgmlmc.random_fields import RngStream
+
+from conftest import unit_direction
 
 
 def write_config(path, text):
@@ -244,6 +251,40 @@ class TestGradcheckCommand:
         assert main(["gradcheck", cfg_file]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("name", ["laplace_small", "dtn_small", "burgers_small"])
+    def test_checks_equal_reference_loop(self, request, name):
+        # the per-sample check takes the generator's first FD_DIRECTIONS
+        # directions and the estimator check (nested sets of 8 and 4
+        # samples at K = 1) the next ones
+        p = request.getfixturevalue(name)
+        K, seed = 1, 5
+        amp = 0.1 if p.name == "burgers" else 1.0
+        if p.control_role == GAMMA or p.hierarchy.dim == 1:
+            u0 = p.control_from_function(K, lambda x: amp * np.sin(np.pi * x))
+        else:
+            u0 = p.control_from_function(
+                K, lambda a, b: amp * np.sin(np.pi * a) * np.sin(np.pi * b))
+        stream = RngStream(seed, make_set_id(0, PURPOSE_USER), K, 0)
+        alloc = SampleAllocation(eps=1.0, theta=0.5, n=(8, 4), finest=K)
+        sets = build_sample_sets(K, alloc, 0.25, True, seed,
+                                 make_set_id(1, PURPOSE_USER))
+        checks = {
+            "per_sample": (lambda u: p.cost_sample(u, stream),
+                           p.gradient_sample(u0, stream)),
+            "estimator": (lambda u: mlmc_gradient(p, u, sets, K).cost_value,
+                          mlmc_gradient(p, u0, sets, K).value),
+        }
+        rng = np.random.default_rng(seed + 7)
+        want = {}
+        for check, (cost, g) in checks.items():
+            want[check] = 0.0
+            for _ in range(FD_DIRECTIONS):
+                d = unit_direction(rng, u0)
+                fd = (cost(u0 + FD_EPS * d) - cost(u0 - FD_EPS * d)) / (2 * FD_EPS)
+                gd = float(np.vdot(g.values, d.values)) * u0.h ** u0.values.ndim
+                want[check] = max(want[check], abs(fd - gd) / max(abs(gd), 1e-14))
+        assert fd_gradient_checks(p, K, seed) == want
 
     def test_output_independent_of_workers(self, tmp_path, capsys):
         cfg_file = write_config(

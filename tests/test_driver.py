@@ -206,6 +206,43 @@ class TestBaselineOptimize:
         assert not u.values.any()
 
 
+class TestStepEnd:
+    """Each cycle reports the (J, g) pair its inner optimizer ends at."""
+
+    @pytest.mark.parametrize("driver, inner, end_of", [
+        (robust_optimize, "run_vcycle", lambda result: result[1].end),
+        (baseline_optimize, "ncg_smooth", lambda result: result.at)])
+    def test_rows_end_at_the_step_evaluation(self, laplace_small, monkeypatch,
+                                             driver, inner, end_of):
+        import mgmlmc.driver as driver_mod
+
+        real_inner, real_plan = getattr(driver_mod, inner), driver_mod._plan_cycle
+        ends, planned_from = [], []
+
+        def recorded(*args, **kwargs):
+            result = real_inner(*args, **kwargs)
+            ends.append(end_of(result))
+            return result
+
+        def plan(problem, v, eps, cycle, fine_stats, config, ledger):
+            planned_from.append(fine_stats)
+            return real_plan(problem, v, eps, cycle, fine_stats, config, ledger)
+
+        monkeypatch.setattr(driver_mod, inner, recorded)
+        monkeypatch.setattr(driver_mod, "_plan_cycle", plan)
+        # a failed confirmation on the way at this seed, with either driver
+        cfg = OptimizerConfig(tau=1e-3, K=2, eps1=0.1, i_max=4, global_seed=14,
+                              warmup=10, baseline_max_steps=40)
+        _, report = driver(laplace_small, cfg)
+        assert len(ends) == len(report.rows) >= 2
+        for row, (J, g) in zip(report.rows, ends):
+            assert (row.J, row.g_norm) == (J, norm(g))
+        # a cycle that ran no confirmation plans the next from its end estimate
+        for row, end, stats in zip(report.rows, ends, planned_from[1:]):
+            if row.g_norm > cfg.tau:
+                assert stats is end.est.stats
+
+
 class TestSingleLevel:
     """K = 0: the V-cycle is the coarsest level's smoothing alone."""
 
@@ -226,9 +263,9 @@ class TestSingleLevel:
         sets = build_sample_sets(0, alloc, 0.25, True, 7, 4)
         _, report = run_vcycle(problem, problem.zero_control(0), sets,
                                SmoothingSchedule.default(0))
-        assert report.level_stats.levels == (0,)
-        assert report.level_stats.n_used[0] == 12
-        assert report.J < report.entry.cost_value
+        assert report.end.est.stats.levels == (0,)
+        assert report.end.est.stats.n_used[0] == 12
+        assert report.end[0] < report.entry.cost_value
 
 
 class TestPlanCycle:

@@ -37,6 +37,11 @@ def small_sets(problem, K, n, seed=51, q=0.25, set_id=4):
     return build_sample_sets(K, alloc, q, True, seed, set_id)
 
 
+def backtracks(report):
+    """The coarse-correction backtracks of a V-cycle, from its events."""
+    return sum(e["backtracks"] for e in report.events if e["kind"] == "linesearch")
+
+
 def estimate_charges(problem, sets, k):
     """The ledger events of one level-k gradient estimate on ``sets`` and
     of one cost-only estimate, which charges the same samples at weight
@@ -538,13 +543,13 @@ class TestVCycle:
         v_given, given = run_vcycle(p, v, sets, schedule, ledger=given_ledger,
                                     entry=entry)
         assert np.array_equal(v_given.values, v_own.values)
-        assert (given.entry.cost_value, given.J, given.entry.gradient_norm,
-                given.g_norm, given.backtracks) \
-            == (own.entry.cost_value, own.J, own.entry.gradient_norm,
-                own.g_norm, own.backtracks)
+        assert (given.entry.cost_value, given.end[0], given.entry.gradient_norm,
+                norm(given.end[1]), backtracks(given)) \
+            == (own.entry.cost_value, own.end[0], own.entry.gradient_norm,
+                norm(own.end[1]), backtracks(own))
         assert given.events == own.events
-        assert np.array_equal(given.level_stats.V, own.level_stats.V)
-        assert np.array_equal(given.level_stats.n_used, own.level_stats.n_used)
+        assert np.array_equal(given.end.est.stats.V, own.end.est.stats.V)
+        assert np.array_equal(given.end.est.stats.n_used, own.end.est.stats.n_used)
         assert given_ledger.events == own_ledger.events
 
     def test_unmoved_entry_reports_its_statistics(self, laplace_small):
@@ -558,9 +563,24 @@ class TestVCycle:
         v_new, report = run_vcycle(p, v, sets, SmoothingSchedule((0,), (0,), 0),
                                    ledger=ledger, entry=entry)
         assert v_new is v and ledger.events == []
-        assert report.level_stats is entry.stats
-        assert (report.entry.cost_value, report.J) \
+        assert report.end.est.stats is entry.stats
+        assert (report.entry.cost_value, report.end[0]) \
             == (entry.cost_value, entry.cost_value)
+
+    @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
+    def test_end_is_the_evaluation_at_the_returned_point(self, request, name):
+        # the report's end pair and statistics are those of a fresh
+        # evaluation of the top level's functional at the returned point
+        p = request.getfixturevalue(name)
+        sets = small_sets(p, 2, (12, 6, 2))
+        v_new, report = run_vcycle(p, p.zero_control(2), sets,
+                                   SmoothingSchedule.default(2))
+        J, g = fresh = LevelObjective(p, sets, 2).evaluate(v_new)
+        assert report.end[0] == J
+        assert np.array_equal(report.end[1].values, g.values)
+        end, want = report.end.est.stats, fresh.est.stats
+        for f in dataclasses.fields(end):
+            assert np.array_equal(getattr(end, f.name), getattr(want, f.name))
 
     def test_events_are_plain_json(self, laplace_small):
         # the report is built from values, so the event log holds only
@@ -586,5 +606,5 @@ class TestVCycle:
         sets = small_sets(p, 2, (12, 6, 2))
         v = p.zero_control(2)
         v1, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2))
-        assert report.J < report.entry.cost_value
-        assert report.g_norm < report.entry.gradient_norm
+        assert report.end[0] < report.entry.cost_value
+        assert norm(report.end[1]) < report.entry.gradient_norm

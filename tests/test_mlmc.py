@@ -31,6 +31,7 @@ from mgmlmc.mlmc import (
     PURPOSE_USER,
     _LevelSums,
     _decay_rate,
+    _grid_sweep,
     _telescope,
     make_set_id,
     refresh_level_stats,
@@ -650,6 +651,26 @@ class TestGridSweep:
         for key, (jt, y) in values.items():
             assert collect[key][0] == jt and np.array_equal(collect[key][1], y)
         assert led.events == events
+
+    def test_lowest_level_units_charge_no_coarser_level(self, problem):
+        # on a sweep's lowest level a unit is one field, so a sweep over
+        # levels 1 and 2 neither evaluates nor charges any level-0 member
+        p = problem
+        u_at = restrictions(p, self.control(p, 2))
+        streams = {level: [RngStream(61, 4, level, i) for i in range(n)]
+                   for level, n in ((1, 3), (2, 2))}
+        evaluated = []
+
+        def evaluate(u_at, fields):
+            fields = list(fields)
+            evaluated.extend(f.level for f in fields)
+            return p.tracking_cost_batch(u_at, fields)
+
+        led = SolveLedger()
+        list(_grid_sweep(p, u_at, streams, evaluate, lambda fine, coarse: fine,
+                         ledger=led, weight=0.5))
+        assert sorted(evaluated) == [1, 1, 1, 1, 1, 2, 2]
+        assert led.events == [(1, 3, 0.5), (2, 2, 0.5), (1, 2, 0.5)]
 
     def test_one_batch_per_estimate(self, burgers_small, monkeypatch):
         from mgmlmc import BurgersInitialControl
