@@ -31,8 +31,9 @@ step runs only the multiply-adds on the adjoint variable.  The per-step
 functions (:func:`maccormack_predictor`, :func:`maccormack_step` and
 :func:`maccormack_step_adjoint`) are the reference: every element of the
 fused loops goes through their operations in their order, so the loops
-reproduce them bit for bit and batched results equal per-sample ones.  Batches are split into chunks whose
-stored states and predictors stay under ``BATCH_BYTES``.
+reproduce them bit for bit and batched results equal per-sample ones.
+Batches are split into chunks whose stored states and predictors stay
+under ``BATCH_BYTES``.
 """
 
 from __future__ import annotations

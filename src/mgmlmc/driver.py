@@ -8,14 +8,13 @@ from it on those fixed samples to the :class:`~mgmlmc.mgopt.Evaluation`
 the inner optimizer ends at, whose (J, g) the cycle reports, and only
 declares success after a confirmation gradient computed with brand-new
 samples at RMSE r*tau, taken when that gradient's norm is at most tau.
-The two drivers differ in three places:
+Both drivers size the confirmation by one rule: the cycle's planning
+statistics, their extrapolated levels refreshed by the step's end
+estimate.  The two drivers differ in two places:
 
 * inner optimizer: ``robust_optimize`` runs one MG/OPT V-cycle from the
   entry estimate; ``baseline_optimize`` runs NCG on the finest level from
   it until the gradient norm drops below eps/r, under a total step budget.
-* confirmation statistics: the statistics of the V-cycle's end estimate
-  refresh the planning statistics' extrapolated levels first; the
-  baseline uses the planning statistics.
 * next budget: the V-cycle driver follows
 
       eta = min(1/2, |g|/|g0|),   eps_next = max(r*tau, r * eta * |g|),
@@ -171,7 +170,6 @@ class _Step(NamedTuple):
 
     v: LevelVector
     at: Evaluation
-    confirm_stats: LevelStats  # statistics the confirmation is sized from
     budget_spent: bool = False
 
 
@@ -206,7 +204,9 @@ def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePla
 
 
 def _confirmation(problem, v, stats, config, cycle, ledger):
-    """Fresh-sample gradient at RMSE r*tau (the expensive test)."""
+    """Fresh-sample gradient at RMSE r*tau (the expensive test), allocated
+    from ``stats``: the cycle's planning statistics with their extrapolated
+    levels refreshed by the step's end estimate."""
     alloc = optimal_allocation(stats, config.r * config.tau, config.theta)
     sets = build_sample_sets(
         config.K, alloc, config.q, config.nested, config.global_seed,
@@ -248,7 +248,8 @@ def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
 
         confirmed = False
         if g_norm <= config.tau:
-            est = _confirmation(problem, v, out.confirm_stats, config, i, ledger)
+            stats = refresh_level_stats(plan.stats, out.at.est.stats)
+            est = _confirmation(problem, v, stats, config, i, ledger)
             fine_stats = est.stats
             if est.gradient_norm <= config.tau:
                 confirmed = True
@@ -278,8 +279,7 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
     def step(v, plan, ledger):
         v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
                               entry=plan.entry)
-        stats = refresh_level_stats(plan.stats, cycle.end.est.stats)
-        return _Step(v, cycle.end, stats)
+        return _Step(v, cycle.end)
 
     def next_eps(eps, row):
         if row.g_norm <= config.tau:  # the confirmation failed
@@ -307,7 +307,7 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
             gradient_tol=plan.alloc.eps / config.r,
         )
         steps_used += res.steps_taken
-        return _Step(res.v, res.at, plan.stats,
+        return _Step(res.v, res.at,
                      budget_spent=steps_used >= config.baseline_max_steps)
 
     def next_eps(eps, row):

@@ -29,6 +29,7 @@ from mgmlmc.mlmc import (
     build_sample_sets,
     equivalent_fine_solves,
     make_set_id,
+    refresh_level_stats,
 )
 from mgmlmc.problems import ControlProblem
 from mgmlmc.random_fields import CovarianceSpec, FieldSampler, RngStream
@@ -206,18 +207,27 @@ class TestBaselineOptimize:
         assert not u.values.any()
 
 
+STEP_ENDS = pytest.mark.parametrize("driver, inner, end_of", [
+    (robust_optimize, "run_vcycle", lambda result: result[1].end),
+    (baseline_optimize, "ncg_smooth", lambda result: result.at)])
+
+
 class TestStepEnd:
     """Each cycle reports the (J, g) pair its inner optimizer ends at."""
 
-    @pytest.mark.parametrize("driver, inner, end_of", [
-        (robust_optimize, "run_vcycle", lambda result: result[1].end),
-        (baseline_optimize, "ncg_smooth", lambda result: result.at)])
-    def test_rows_end_at_the_step_evaluation(self, laplace_small, monkeypatch,
-                                             driver, inner, end_of):
+    # a failed confirmation on the way at this seed, with either driver
+    CONFIG = OptimizerConfig(tau=1e-3, K=2, eps1=0.1, i_max=4, global_seed=14,
+                             warmup=10, baseline_max_steps=40)
+
+    def recorded_run(self, problem, monkeypatch, driver, inner, end_of):
+        """Runs ``driver`` on CONFIG; returns its report, each step's end
+        Evaluation, each cycle's (fine_stats, plan) and each confirmation's
+        (cycle, stats)."""
         import mgmlmc.driver as driver_mod
 
-        real_inner, real_plan = getattr(driver_mod, inner), driver_mod._plan_cycle
-        ends, planned_from = [], []
+        real_inner = getattr(driver_mod, inner)
+        real_plan, real_confirm = driver_mod._plan_cycle, driver_mod._confirmation
+        ends, plans, confirmations = [], [], []
 
         def recorded(*args, **kwargs):
             result = real_inner(*args, **kwargs)
@@ -225,22 +235,49 @@ class TestStepEnd:
             return result
 
         def plan(problem, v, eps, cycle, fine_stats, config, ledger):
-            planned_from.append(fine_stats)
-            return real_plan(problem, v, eps, cycle, fine_stats, config, ledger)
+            plans.append((fine_stats, real_plan(problem, v, eps, cycle,
+                                                fine_stats, config, ledger)))
+            return plans[-1][1]
+
+        def confirmation(problem, v, stats, config, cycle, ledger):
+            confirmations.append((cycle, stats))
+            return real_confirm(problem, v, stats, config, cycle, ledger)
 
         monkeypatch.setattr(driver_mod, inner, recorded)
         monkeypatch.setattr(driver_mod, "_plan_cycle", plan)
-        # a failed confirmation on the way at this seed, with either driver
-        cfg = OptimizerConfig(tau=1e-3, K=2, eps1=0.1, i_max=4, global_seed=14,
-                              warmup=10, baseline_max_steps=40)
-        _, report = driver(laplace_small, cfg)
+        monkeypatch.setattr(driver_mod, "_confirmation", confirmation)
+        _, report = driver(problem, self.CONFIG)
+        return report, ends, plans, confirmations
+
+    @STEP_ENDS
+    def test_rows_end_at_the_step_evaluation(self, laplace_small, monkeypatch,
+                                             driver, inner, end_of):
+        report, ends, plans, _ = self.recorded_run(
+            laplace_small, monkeypatch, driver, inner, end_of)
         assert len(ends) == len(report.rows) >= 2
         for row, (J, g) in zip(report.rows, ends):
             assert (row.J, row.g_norm) == (J, norm(g))
         # a cycle that ran no confirmation plans the next from its end estimate
-        for row, end, stats in zip(report.rows, ends, planned_from[1:]):
-            if row.g_norm > cfg.tau:
+        for row, end, (stats, _) in zip(report.rows, ends, plans[1:]):
+            if row.g_norm > self.CONFIG.tau:
                 assert stats is end.est.stats
+
+    @STEP_ENDS
+    def test_confirmation_sized_from_refreshed_plan_stats(
+            self, laplace_small, monkeypatch, driver, inner, end_of):
+        # one rule for both drivers: a confirmation is allocated from the
+        # cycle's planning statistics, their extrapolated levels refreshed
+        # by the step's end estimate
+        _, ends, plans, confirmations = self.recorded_run(
+            laplace_small, monkeypatch, driver, inner, end_of)
+        K = self.CONFIG.K
+        assert confirmations
+        for cycle, stats in confirmations:
+            (_, plan), end = plans[cycle - 1], ends[cycle - 1]
+            # the end estimate measured the extrapolated finest level
+            assert plan.stats.n_used[K] == 0 and plan.alloc.n[K] >= 2
+            refreshed = refresh_level_stats(plan.stats, end.est.stats)
+            np.testing.assert_array_equal(stats.V, refreshed.V)
 
 
 class TestSingleLevel:
