@@ -13,6 +13,10 @@
 #
 # MGMLMC names the entry point (default: the CLI module run from src/).
 # Exits non-zero at the first check that fails.
+#
+# A change meant to move no output is checked against a second source
+# tree, so it is not a workflow step: ci/compare_outputs.sh [REV] runs the
+# desk configs on REV's src/ and on the working tree and compares them.
 set -eu
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export MGMLMC="${MGMLMC:-python -m mgmlmc.cli}"

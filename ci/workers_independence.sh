@@ -29,15 +29,7 @@ for ini in demos/burgers_desk.ini demos/dtn_desk.ini demos/laplace_desk.ini "$tm
     for f in control.csv mean_state.csv var_state.csv; do
       cmp "$tmp/$name-w1/$f" "$tmp/$name-w$w/$f"
     done
-    python - "$tmp/$name-w1/report.csv" "$tmp/$name-w$w/report.csv" <<'PY'
-import csv, sys
-def rows(path):
-    with open(path, newline="") as fh:
-        table = list(csv.reader(fh))
-    keep = [j for j, name in enumerate(table[0]) if name != "time"]
-    return [[row[j] for j in keep] for row in table]
-sys.exit(rows(sys.argv[1]) != rows(sys.argv[2]))
-PY
+    python ci/same_report.py "$tmp/$name-w1/report.csv" "$tmp/$name-w$w/report.csv"
   done
 done
 rm -rf "$tmp"

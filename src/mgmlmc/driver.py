@@ -22,19 +22,22 @@ estimate.  The two drivers differ in two places:
   or r*tau after a failed confirmation; the baseline multiplies eps by
   0.25, down to r*tau.
 
-Stream families are keyed by the cycle index, so paired comparisons reuse
-the same randomness, and both drivers emit the same per-cycle report rows.
+Stream families are keyed by the cycle index ``state.i``, so a cycle
+depends only on the :class:`_RunState` it starts from and paired
+comparisons reuse the same randomness; both drivers emit the same
+per-cycle report rows.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import astuple, dataclass, field as dataclass_field, fields
 from typing import NamedTuple
 
 from .errors import DegenerateStart
 from .grids import LevelVector, norm
-from .mgopt import Evaluation, LevelObjective, SmoothingSchedule, ncg_smooth, run_vcycle
+from .mgopt import LevelObjective, SmoothingSchedule, ncg_smooth, run_vcycle
 from .mlmc import (
     MAX_CYCLES,
     PURPOSE_CONFIRM,
@@ -164,42 +167,45 @@ class _CyclePlan(NamedTuple):
     entry: GradientEstimate  # the level-K estimate at v on ``sets``
 
 
-class _Step(NamedTuple):
-    """A driver step's end point ``v`` and the :class:`Evaluation` ``at``
-    it; the step starts at the plan's entry."""
+@dataclass(frozen=True)
+class _RunState:
+    """What one cycle of the outer loop hands the next."""
 
-    v: LevelVector
-    at: Evaluation
-    budget_spent: bool = False
+    i: int  # the cycle index, which keys the cycle's sample streams
+    v: LevelVector  # the iterate the cycle starts from
+    eps: float  # the cycle's gradient RMSE budget
+    fine_stats: LevelStats | None  # of the previous cycle's last estimate
+    steps: int  # steps of the step cap that the earlier cycles spent
 
 
-def _plan_cycle(problem, v, eps, cycle, fine_stats, config, ledger) -> _CyclePlan:
+def _plan_cycle(problem, state: _RunState, config, ledger) -> _CyclePlan:
     """Warm-up, refresh, allocation, sets and entry estimate of one cycle.
 
-    The warm-up runs at v on the measured levels with the cycle's own
-    optimization streams, so the entry estimate, the cycle's one level-K
-    gradient at v, reuses its samples.  Extrapolated levels
-    (``n_used == 0``) take the previous cycle's sample variances when there
-    are any; the refresh leaves ``n_used`` as the warm-up counts.  These
-    floor the allocation: no measured level gets fewer samples than it
-    warmed up with, and every level gets at least one.
+    The warm-up runs at ``state.v`` on the measured levels with the
+    cycle's own optimization streams, so the entry estimate, the cycle's
+    one level-K gradient there, reuses its samples.  Extrapolated levels
+    (``n_used == 0``) take ``state.fine_stats``' sample variances when
+    there are any; the refresh leaves ``n_used`` as the warm-up counts.
+    These floor the allocation: no measured level gets fewer samples than
+    it warmed up with, and every level gets at least one.
     """
     K = config.K
-    opt_set_id = make_set_id(cycle, PURPOSE_OPT)
+    opt_set_id = make_set_id(state.i, PURPOSE_OPT)
     cache: dict = {}
     stats = estimate_level_stats(
-        problem, v, config.warmup, range(K + 1),
+        problem, state.v, config.warmup, range(K + 1),
         global_seed=config.global_seed,
         set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K),
         ledger=ledger, collect=cache,
     )
-    if fine_stats is not None:
-        stats = refresh_level_stats(stats, fine_stats)
-    alloc = optimal_allocation(stats, eps, config.theta, floor=stats.n_used)
+    if state.fine_stats is not None:
+        stats = refresh_level_stats(stats, state.fine_stats)
+    alloc = optimal_allocation(stats, state.eps, config.theta, floor=stats.n_used)
     sets = build_sample_sets(
         K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
     )
-    entry = mlmc_gradient(problem, v, sets, K, ledger=ledger, sample_cache=cache)
+    entry = mlmc_gradient(problem, state.v, sets, K, ledger=ledger,
+                          sample_cache=cache)
     return _CyclePlan(stats, alloc, sets, entry)
 
 
@@ -215,60 +221,57 @@ def _confirmation(problem, v, stats, config, cycle, ledger):
     return mlmc_gradient(problem, v, sets, config.K, ledger=ledger)
 
 
-def _adaptive_loop(problem, config, *, max_cycles, status, step, next_eps,
-                   row_sink):
+def _adaptive_loop(problem, config, *, max_cycles, max_steps, status, step,
+                   next_eps, row_sink):
     """The outer loop of both drivers; returns (control, RunReport).
 
-    The first cycle's RMSE budget is ``config.eps1``.  Each cycle plans its
-    samples at the current iterate, runs the driver's ``step(v, plan,
-    ledger)`` on them, confirms with fresh samples when the cheap gradient
-    norm is at most tau, and reports one row, which starts from the plan's
-    entry estimate (both drivers start there) and ends at the step's point.
-    Planning and step share one sample bank, so each of the cycle's fields
-    is drawn once; the confirmation's fresh fields are used once and are
-    not banked.  The loop ends on a confirmed gradient, after
-    ``max_cycles`` cycles or when the step has spent its budget; otherwise
-    ``next_eps(eps, row)`` sets the next cycle's RMSE budget.
+    Only the report and one :class:`_RunState`, which starts at cycle 1,
+    the zero control and ``config.eps1``, live across cycles.  Each cycle
+    plans its samples at ``state.v``, runs the driver's ``step(state, plan,
+    ledger)`` on them to ``(v, at, steps_taken)``, confirms with fresh
+    samples when the cheap gradient norm is at most tau, and reports one
+    row, which starts from the plan's entry estimate (both drivers start
+    there) and ends at ``at``.  Planning and step share one sample bank,
+    so each of the cycle's fields is drawn once; the confirmation's fresh
+    fields are used once and are not banked.  The loop ends on a confirmed
+    gradient, at cycle ``max_cycles`` or once ``max_steps`` steps are
+    spent; otherwise ``next_eps(eps, row)`` sets the next cycle's budget.
     """
     report = RunReport(status=status)
     ledger = report.ledger
-    v = problem.zero_control(config.K)
-    eps = config.eps1
-    fine_stats = None  # sample statistics of the previous cycle's estimates
-    for i in range(1, max_cycles + 1):
+    state = _RunState(1, problem.zero_control(config.K), config.eps1, None, 0)
+    while True:
         t0 = time.perf_counter()
         mark = len(ledger.events)
         with problem.sample_bank():
-            plan = _plan_cycle(problem, v, eps, i, fine_stats, config, ledger)
-            out = step(v, plan, ledger)
-        v = out.v
-        J, g = out.at
+            plan = _plan_cycle(problem, state, config, ledger)
+            v, at, steps_taken = step(state, plan, ledger)
+        J, g = at
         g_norm = norm(g)
-        fine_stats = out.at.est.stats
+        fine_stats = at.est.stats
 
-        confirmed = False
         if g_norm <= config.tau:
-            stats = refresh_level_stats(plan.stats, out.at.est.stats)
-            est = _confirmation(problem, v, stats, config, i, ledger)
+            stats = refresh_level_stats(plan.stats, fine_stats)
+            est = _confirmation(problem, v, stats, config, state.i, ledger)
             fine_stats = est.stats
             if est.gradient_norm <= config.tau:
-                confirmed = True
                 report.status = "converged"
                 report.final_J = est.cost_value
                 report.final_g_norm = est.gradient_norm
 
         solves = equivalent_fine_solves(ledger.events[mark:], config.K,
                                         problem.kappa_default)
-        row = CycleRow(i, eps, plan.alloc.n, plan.entry.cost_value, J,
-                       plan.entry.gradient_norm, g_norm, solves,
+        row = CycleRow(state.i, state.eps, plan.alloc.n, plan.entry.cost_value,
+                       J, plan.entry.gradient_norm, g_norm, solves,
                        time.perf_counter() - t0)
         report.rows.append(row)
         if row_sink is not None:
             row_sink(row)
-        if confirmed or out.budget_spent:
-            break
-        eps = next_eps(eps, row)
-    return v, report
+        steps = state.steps + steps_taken
+        if report.converged or state.i == max_cycles or steps >= max_steps:
+            return v, report
+        state = _RunState(state.i + 1, v, next_eps(state.eps, row),
+                          fine_stats, steps)
 
 
 def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
@@ -276,10 +279,10 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
     """Adaptive-RMSE V-cycle loop; returns (control, RunReport)."""
     schedule = SmoothingSchedule.default(config.K)
 
-    def step(v, plan, ledger):
-        v, cycle = run_vcycle(problem, v, plan.sets, schedule, ledger=ledger,
-                              entry=plan.entry)
-        return _Step(v, cycle.end)
+    def step(state, plan, ledger):
+        v, cycle = run_vcycle(problem, state.v, plan.sets, schedule,
+                              ledger=ledger, entry=plan.entry)
+        return v, cycle.end, 0
 
     def next_eps(eps, row):
         if row.g_norm <= config.tau:  # the confirmation failed
@@ -288,32 +291,29 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
         return next_rmse(eta, row.g_norm, config.r, config.tau)
 
     return _adaptive_loop(problem, config, max_cycles=config.i_max,
-                          status="max_cycles", step=step, next_eps=next_eps,
-                          row_sink=row_sink)
+                          max_steps=math.inf, status="max_cycles", step=step,
+                          next_eps=next_eps, row_sink=row_sink)
 
 
 def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
                       row_sink=None):
     """Finest-level NCG with MLMC gradients and 0.25-factor RMSE refinement."""
-    steps_used = 0
 
-    def step(v, plan, ledger):
-        nonlocal steps_used
+    def step(state, plan, ledger):
         objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
-            objective, v, steps=config.baseline_max_steps - steps_used,
-            initial=objective.shifted(v, plan.entry),
-            gradient_tol=plan.alloc.eps / config.r,
+            objective, state.v, steps=config.baseline_max_steps - state.steps,
+            initial=objective.shifted(state.v, plan.entry),
+            gradient_tol=state.eps / config.r,
         )
-        steps_used += res.steps_taken
-        return _Step(res.v, res.at,
-                     budget_spent=steps_used >= config.baseline_max_steps)
+        return res.v, res.at, res.steps_taken
 
     def next_eps(eps, row):
         return max(BASELINE_RMSE_FACTOR * eps, config.r * config.tau)
 
     return _adaptive_loop(problem, config, max_cycles=config.baseline_max_steps,
+                          max_steps=config.baseline_max_steps,
                           status="max_steps", step=step, next_eps=next_eps,
                           row_sink=row_sink)
 

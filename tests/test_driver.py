@@ -1,5 +1,6 @@
 import contextlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from mgmlmc import (
     run_vcycle,
     update_eta,
 )
-from mgmlmc.driver import (_plan_cycle, report_columns, row_to_record,
-                           state_statistics)
+from mgmlmc.driver import (_plan_cycle, _RunState, report_columns,
+                           row_to_record, state_statistics)
 from mgmlmc.elliptic import LaplaceProblemSpec
 from mgmlmc.errors import DegenerateStart
 from mgmlmc.mlmc import (
@@ -189,9 +190,9 @@ class TestBaselineOptimize:
         plans = []
         real = driver_mod._plan_cycle
 
-        def spy(problem, v, eps, cycle, fine_stats, config, ledger):
-            plan = real(problem, v, eps, cycle, fine_stats, config, ledger)
-            plans.append((fine_stats, plan))
+        def spy(problem, state, config, ledger):
+            plan = real(problem, state, config, ledger)
+            plans.append((state.fine_stats, plan))
             return plan
 
         monkeypatch.setattr(driver_mod, "_plan_cycle", spy)
@@ -234,9 +235,9 @@ class TestStepEnd:
             ends.append(end_of(result))
             return result
 
-        def plan(problem, v, eps, cycle, fine_stats, config, ledger):
-            plans.append((fine_stats, real_plan(problem, v, eps, cycle,
-                                                fine_stats, config, ledger)))
+        def plan(problem, state, config, ledger):
+            plans.append((state.fine_stats,
+                          real_plan(problem, state, config, ledger)))
             return plans[-1][1]
 
         def confirmation(problem, v, stats, config, cycle, ledger):
@@ -279,6 +280,54 @@ class TestStepEnd:
             refreshed = refresh_level_stats(plan.stats, end.est.stats)
             np.testing.assert_array_equal(stats.V, refreshed.V)
 
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_cycle_depends_on_its_state_alone(self, laplace_small, monkeypatch,
+                                              driver):
+        # re-planning each cycle's recorded _RunState with a fresh ledger
+        # and sample bank gives its entry estimate and allocation bit for
+        # bit, after a failed confirmation too; the baseline's NCG budget
+        # is what the earlier phases left of baseline_max_steps.  At
+        # CONFIG's own seed the baseline fails no confirmation; at seed 19
+        # both drivers fail one.
+        import mgmlmc.driver as driver_mod
+
+        cfg = replace(self.CONFIG, global_seed=19)
+        real_plan, real_ncg = driver_mod._plan_cycle, driver_mod.ncg_smooth
+        cycles, ncg_calls = [], []
+
+        def plan(problem, state, config, ledger):
+            planned = real_plan(problem, state, config, ledger)
+            cycles.append((state, planned.entry.cost_value,
+                           planned.entry.value.values.tobytes(),
+                           planned.alloc.n))
+            return planned
+
+        def ncg(*args, steps, **kwargs):
+            result = real_ncg(*args, steps=steps, **kwargs)
+            ncg_calls.append((steps, result.steps_taken))
+            return result
+
+        monkeypatch.setattr(driver_mod, "_plan_cycle", plan)
+        monkeypatch.setattr(driver_mod, "ncg_smooth", ncg)
+        _, report = driver(laplace_small, cfg)
+        assert len(cycles) == len(report.rows) >= 2
+        # a cycle at most tau on its own samples did not end the run
+        assert any(row.g_norm <= cfg.tau for row in report.rows[:-1])
+        for state, J0, g0, n in cycles:
+            with laplace_small.sample_bank():
+                again = real_plan(laplace_small, state, cfg, SolveLedger())
+            assert again.entry.cost_value == J0
+            assert again.entry.value.values.tobytes() == g0
+            assert again.alloc.n == n
+        if driver is baseline_optimize:
+            assert len(ncg_calls) == len(cycles)
+            spent = 0
+            for (state, *_), (steps, taken) in zip(cycles, ncg_calls):
+                assert state.steps == spent
+                assert steps == cfg.baseline_max_steps - state.steps
+                spent += taken
+            assert spent > 0
+
 
 class TestSingleLevel:
     """K = 0: the V-cycle is the coarsest level's smoothing alone."""
@@ -314,8 +363,8 @@ class TestPlanCycle:
             levels=(0, 1, 2), V=np.array([1.0, 1.0, 1e-30]),
             C=np.array([1.0, 4.0, 16.0]), n_used=np.array([6, 6, 1000]),
             mean_norms=np.zeros(3))
-        plan = _plan_cycle(laplace_small, laplace_small.zero_control(2), 0.1,
-                           1, previous, cfg, SolveLedger())
+        state = _RunState(1, laplace_small.zero_control(2), 0.1, previous, 0)
+        plan = _plan_cycle(laplace_small, state, cfg, SolveLedger())
         assert list(plan.stats.n_used) == [6, 6, 0]
         assert plan.stats.V[2] == 1e-30
         assert plan.alloc.n[2] < 1000
