@@ -1,9 +1,13 @@
-"""Exits 0 when two report.csv files agree apart from the wall-clock
-``time`` column, and 1 otherwise:
+"""Exits 0 when two run outputs agree apart from what the wall clock or
+the output directory sets, and 1 otherwise: two report.csv files apart
+from their ``time`` column, or two run.json files apart from
+``total_time`` and the configured ``output_dir``:
 
     python ci/same_report.py A/report.csv B/report.csv
+    python ci/same_report.py A/run.json B/run.json
 """
 import csv
+import json
 import sys
 
 
@@ -14,4 +18,12 @@ def rows(path):
     return [[row[j] for j in keep] for row in table]
 
 
-sys.exit(rows(sys.argv[1]) != rows(sys.argv[2]))
+def record(path):
+    with open(path) as fh:
+        run = json.load(fh)
+    del run["total_time"], run["config"]["output_dir"]
+    return run
+
+
+read = record if sys.argv[1].endswith(".json") else rows
+sys.exit(read(sys.argv[1]) != read(sys.argv[2]))

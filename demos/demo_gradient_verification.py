@@ -16,7 +16,6 @@ from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
     RngStream,
-    SampleAllocation,
     build_sample_sets,
     inner_product,
     mlmc_gradient,
@@ -57,16 +56,15 @@ print(f"initial condition   per-sample FD error: {check(p3, u3, stream):.2e}")
 
 # The multilevel estimator: gradient and cost assembled from the same
 # coupled samples form an exact gradient/functional pair.
-alloc = SampleAllocation(eps=1.0, theta=0.5, n=(8, 4, 2), finest=2)
-sets = build_sample_sets(2, alloc, 0.25, True, 11, 8)
-est = mlmc_gradient(p1, u1, sets, 2)
+sets = build_sample_sets((8, 4, 2), 0.25, True, 11, 8)
+est = mlmc_gradient(p1, u1, sets)
 eps = 1e-5
 worst = 0.0
 for _ in range(3):
     d = u1.with_values(rng.standard_normal(u1.values.shape))
     d = d * (1.0 / norm(d))
-    jp = mlmc_gradient(p1, u1 + eps * d, sets, 2).cost_value
-    jm = mlmc_gradient(p1, u1 - eps * d, sets, 2).cost_value
+    jp = mlmc_gradient(p1, u1 + eps * d, sets).cost_value
+    jm = mlmc_gradient(p1, u1 - eps * d, sets).cost_value
     fd = (jp - jm) / (2 * eps)
     worst = max(worst, abs(fd - inner_product(est.value, d)) / abs(fd))
 print(f"\nmultilevel estimator FD error:          {worst:.2e}")

@@ -11,7 +11,6 @@ import numpy as np
 from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
-    SampleAllocation,
     SmoothingSchedule,
     SolveLedger,
     build_sample_sets,
@@ -26,10 +25,9 @@ v = problem.zero_control(K)
 
 schedule = SmoothingSchedule.default(K)
 print("smoothing schedule: nu =", schedule.nu, " mu =", schedule.mu,
-      " coarsest =", schedule.coarsest_steps)
+      " (level 0 runs nu + mu =", schedule.nu[0] + schedule.mu[0], "steps)")
 
-alloc = SampleAllocation(eps=0.05, theta=0.5, n=(40, 12, 4), finest=K)
-sets = build_sample_sets(K, alloc, 1.0 / 16.0, True, 21, 8)
+sets = build_sample_sets((40, 12, 4), 1.0 / 16.0, True, 21, 8)
 print("sample counts per optimization level:")
 for k in range(K, -1, -1):
     print(f"  k={k}: {sets.counts[k]}")

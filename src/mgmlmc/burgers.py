@@ -38,7 +38,6 @@ under ``BATCH_BYTES``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -362,20 +361,18 @@ class BurgersInitialControl(ControlProblem):
     def _chunks(self, u_at, fields, rows):
         """(layout, initial state, diffusion field, controls) of the batch,
         in the fewest chunks that store at most BATCH_BYTES at ``rows``
-        stored states per node (at least one sample per chunk), filled to
-        about equal sizes.  Each chunk lays its samples end to end as a
-        :class:`Layout`."""
+        stored states per node (at least one sample per chunk): each chunk
+        takes samples in order while they fit.  Each chunk lays its samples
+        end to end as a :class:`Layout`."""
         fields = list(fields)
         for f in fields:
             self._check(u_at[f.level], f)
         if not fields:
             return
-        total = sum(f.nodes for f in fields)
         budget = max(1, BATCH_BYTES // (rows * 8))  # nodes per chunk
-        target = math.ceil(total / math.ceil(total / budget))
         chunk, nodes = [], 0
         for f in fields:
-            if chunk and nodes + f.nodes > target:
+            if chunk and nodes + f.nodes > budget:
                 yield self._flat(u_at, chunk)
                 chunk, nodes = [], 0
             chunk.append(f)

@@ -43,7 +43,6 @@ from .errors import MgmlmcError
 from .grids import GAMMA, LevelVector, norm
 from .mlmc import (
     PURPOSE_USER,
-    SampleAllocation,
     build_sample_sets,
     estimate_level_stats,
     make_set_id,
@@ -140,13 +139,12 @@ def fd_gradient_checks(problem, K: int, global_seed: int) -> dict:
     per_sample = worst_deviation(lambda u: problem.cost_sample(u, stream),
                                  problem.gradient_sample(u0, stream))
 
-    counts = tuple(max(2, 8 >> level) for level in range(K + 1))
-    alloc = SampleAllocation(eps=1.0, theta=0.5, n=counts, finest=K)
-    sets = build_sample_sets(K, alloc, 0.25, True, global_seed,
+    n = tuple(max(2, 8 >> level) for level in range(K + 1))
+    sets = build_sample_sets(n, 0.25, True, global_seed,
                              make_set_id(1, PURPOSE_USER))
     estimator = worst_deviation(
-        lambda u: mlmc_gradient(problem, u, sets, K).cost_value,
-        mlmc_gradient(problem, u0, sets, K).value)
+        lambda u: mlmc_gradient(problem, u, sets).cost_value,
+        mlmc_gradient(problem, u0, sets).value)
     return {"per_sample": per_sample, "estimator": estimator}
 
 
@@ -208,16 +206,15 @@ def cmd_mlmc_report(cfg: ExperimentConfig) -> int:
     # every level measured, and the counts sized for the confirmation
     # budget r * tau, the finest accuracy a run asks for
     stats = estimate_level_stats(
-        problem, u, cfg.warmup, range(cfg.K + 1),
-        global_seed=cfg.global_seed, set_id=make_set_id(0, PURPOSE_USER),
-        extrapolate_finest=0,
+        problem, u, cfg.warmup, global_seed=cfg.global_seed,
+        set_id=make_set_id(0, PURPOSE_USER), extrapolate_finest=0,
     )
-    alloc = optimal_allocation(stats, cfg.r * cfg.tau, cfg.theta)
+    n = optimal_allocation(stats, cfg.r * cfg.tau, cfg.theta)
     lines = [["level", "V", "C", "n", "phi", "kappa", "rho"]]
     for level in stats.levels:
         lines.append([
             str(level), _fmt(stats.V[level]), _fmt(stats.C[level]),
-            str(alloc.n[level]),
+            str(n[level]),
             "" if stats.phi is None else _fmt(stats.phi),
             "" if stats.kappa is None else _fmt(stats.kappa),
             "" if stats.rho is None else _fmt(stats.rho),

@@ -46,7 +46,6 @@ from .mlmc import (
     GradientEstimate,
     LevelStats,
     MgoptSampleSets,
-    SampleAllocation,
     SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
@@ -159,10 +158,10 @@ class RunReport:
 
 
 class _CyclePlan(NamedTuple):
-    """Sample statistics, allocation and sets of one cycle, planned at v."""
+    """Sample statistics and sets of one cycle, planned at v; the
+    allocation is ``sets.counts[-1]``."""
 
     stats: LevelStats  # warm-up estimates, extrapolated levels refreshed
-    alloc: SampleAllocation
     sets: MgoptSampleSets
     entry: GradientEstimate  # the level-K estimate at v on ``sets``
 
@@ -189,36 +188,32 @@ def _plan_cycle(problem, state: _RunState, config, ledger) -> _CyclePlan:
     These floor the allocation: no measured level gets fewer samples than
     it warmed up with, and every level gets at least one.
     """
-    K = config.K
     opt_set_id = make_set_id(state.i, PURPOSE_OPT)
     cache: dict = {}
     stats = estimate_level_stats(
-        problem, state.v, config.warmup, range(K + 1),
-        global_seed=config.global_seed,
-        set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested, K),
+        problem, state.v, config.warmup, global_seed=config.global_seed,
+        set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested,
+                                             config.K),
         ledger=ledger, collect=cache,
     )
     if state.fine_stats is not None:
         stats = refresh_level_stats(stats, state.fine_stats)
-    alloc = optimal_allocation(stats, state.eps, config.theta, floor=stats.n_used)
-    sets = build_sample_sets(
-        K, alloc, config.q, config.nested, config.global_seed, opt_set_id,
-    )
-    entry = mlmc_gradient(problem, state.v, sets, K, ledger=ledger,
+    n = optimal_allocation(stats, state.eps, config.theta, floor=stats.n_used)
+    sets = build_sample_sets(n, config.q, config.nested, config.global_seed,
+                             opt_set_id)
+    entry = mlmc_gradient(problem, state.v, sets, ledger=ledger,
                           sample_cache=cache)
-    return _CyclePlan(stats, alloc, sets, entry)
+    return _CyclePlan(stats, sets, entry)
 
 
 def _confirmation(problem, v, stats, config, cycle, ledger):
     """Fresh-sample gradient at RMSE r*tau (the expensive test), allocated
     from ``stats``: the cycle's planning statistics with their extrapolated
     levels refreshed by the step's end estimate."""
-    alloc = optimal_allocation(stats, config.r * config.tau, config.theta)
-    sets = build_sample_sets(
-        config.K, alloc, config.q, config.nested, config.global_seed,
-        make_set_id(cycle, PURPOSE_CONFIRM),
-    )
-    return mlmc_gradient(problem, v, sets, config.K, ledger=ledger)
+    n = optimal_allocation(stats, config.r * config.tau, config.theta)
+    sets = build_sample_sets(n, config.q, config.nested, config.global_seed,
+                             make_set_id(cycle, PURPOSE_CONFIRM))
+    return mlmc_gradient(problem, v, sets, ledger=ledger)
 
 
 def _adaptive_loop(problem, config, *, max_cycles, max_steps, status, step,
@@ -261,9 +256,9 @@ def _adaptive_loop(problem, config, *, max_cycles, max_steps, status, step,
 
         solves = equivalent_fine_solves(ledger.events[mark:], config.K,
                                         problem.kappa_default)
-        row = CycleRow(state.i, state.eps, plan.alloc.n, plan.entry.cost_value,
-                       J, plan.entry.gradient_norm, g_norm, solves,
-                       time.perf_counter() - t0)
+        row = CycleRow(state.i, state.eps, plan.sets.counts[-1],
+                       plan.entry.cost_value, J, plan.entry.gradient_norm,
+                       g_norm, solves, time.perf_counter() - t0)
         report.rows.append(row)
         if row_sink is not None:
             row_sink(row)

@@ -12,8 +12,10 @@ correction
 
 makes the coarse shifted gradient match the restricted fine one exactly.
 The prolonged coarse update is applied through an Armijo line search
-from s = 1, then postsmoothing runs.  Sample sets stay fixed for the
-whole cycle.
+from s = 1, then postsmoothing runs.  Level k presmooths ``nu[k]`` and
+postsmooths ``mu[k]`` steps of the :class:`SmoothingSchedule`; the
+coarsest level, with no correction between the two, runs their sum in
+one smoother call.  Sample sets stay fixed for the whole cycle.
 
 Every level is one call of :func:`vcycle` with the level's objective and
 the shifted (J, g) pair at its entry point, which travels with the
@@ -68,20 +70,18 @@ MAX_BACKTRACKS = 30
 
 @dataclass(frozen=True)
 class SmoothingSchedule:
-    """Pre/postsmoothing step counts per optimization level.
-
-    ``nu[k]``/``mu[k]`` apply at level k for k >= 1; the coarsest level runs
-    ``coarsest_steps`` smoother iterations.
+    """Pre/postsmoothing step counts ``nu[k]``/``mu[k]`` per optimization
+    level k.  Level 0 has no coarse correction between the two, so it runs
+    ``nu[0] + mu[0]`` smoother steps in one go.
     """
 
     nu: tuple
     mu: tuple
-    coarsest_steps: int
 
     def __post_init__(self):
         if len(self.nu) != len(self.mu):
             raise ValueError("nu and mu must cover the same levels")
-        if any(x < 0 for x in self.nu + self.mu) or self.coarsest_steps < 0:
+        if any(x < 0 for x in self.nu + self.mu):
             raise ValueError("smoothing counts must be >= 0")
 
     @staticmethod
@@ -89,12 +89,11 @@ class SmoothingSchedule:
         """No presmoothing at level K, counts doubling toward the coarse end.
 
         Total smoothing work at level k is 2**(K-k) steps: one postsmoothing
-        step at level K, nu = mu = 2**(K-1-k) in between, and a combined
-        2**K steps on the coarsest level.
+        step at level K and nu = mu = 2**(K-1-k) below it, so level 0 runs
+        2**K steps (one when K = 0).
         """
-        nu = tuple(2 ** (K - 1 - k) if 0 < k < K else 0 for k in range(K + 1))
-        return SmoothingSchedule(nu=nu, mu=nu[:K] + (1,),
-                                 coarsest_steps=max(1, 2**K))
+        nu = tuple(2 ** (K - 1 - k) if k < K else 0 for k in range(K + 1))
+        return SmoothingSchedule(nu=nu, mu=nu[:K] + (1,))
 
 
 class Evaluation(tuple):
@@ -129,11 +128,11 @@ class LevelObjective:
                           est.value - self.tau, est)
 
     def evaluate(self, u: LevelVector) -> Evaluation:
-        return self.shifted(u, mlmc_gradient(self.problem, u, self.sets, self.k,
+        return self.shifted(u, mlmc_gradient(self.problem, u, self.sets,
                                              ledger=self.ledger))
 
     def cost(self, u: LevelVector) -> float:
-        j = mlmc_cost(self.problem, u, self.sets, self.k, ledger=self.ledger)
+        j = mlmc_cost(self.problem, u, self.sets, ledger=self.ledger)
         return j - inner_product(self.tau, u)
 
 
@@ -308,8 +307,8 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
     evaluates its entry point.  Events are appended to ``events``.
     """
     k = obj.k
-    pre = ncg_smooth(obj, v, schedule.nu[k] if k > 0 else schedule.coarsest_steps,
-                     initial=start)
+    steps = schedule.nu[k] if k > 0 else schedule.nu[0] + schedule.mu[0]
+    pre = ncg_smooth(obj, v, steps, initial=start)
     post = pre
     if k > 0:
         problem, tau = obj.problem, obj.tau
@@ -318,7 +317,7 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
         ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
         coarse = pre.at.est.coarse or mlmc_gradient(
-            problem, v_coarse, obj.sets, k - 1, ledger=obj.ledger)
+            problem, v_coarse, obj.sets, ledger=obj.ledger)
         tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
         child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger)
         coarse_start = child.shifted(v_coarse, coarse)
@@ -370,7 +369,7 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
         raise LevelMismatch("schedule does not cover the requested levels")
     obj = LevelObjective(problem, sets, K, ledger=ledger)
     if entry is None:
-        entry = mlmc_gradient(problem, v, sets, K, ledger=ledger)
+        entry = mlmc_gradient(problem, v, sets, ledger=ledger)
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     return end.v, VCycleReport(entry, end.at, events)

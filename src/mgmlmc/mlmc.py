@@ -105,15 +105,15 @@ def equivalent_fine_solves(events, finest_level: int, kappa: float) -> float:
 class LevelStats:
     """Per-level variance/cost estimates and fitted decay rates.
 
-    ``V[l]`` integrates the pointwise sample variance of Y_l over the
-    domain; ``C[l]`` is the per-sample cost in relative units 2**(kappa*l).
+    The levels are 0..len(V)-1.  ``V[l]`` integrates the pointwise sample
+    variance of Y_l over the domain; ``C[l]`` is the per-sample cost in
+    relative units 2**(kappa*l).
     ``n_used[l]`` counts the samples behind this estimate's own ``V[l]``;
     it is zero where ``V[l]`` is extrapolated or was refreshed from other
     statistics.  ``phi``/``kappa``/``rho`` are fitted decay exponents
     (variance, cost, bias); a rate is None when not measurable.
     """
 
-    levels: tuple
     V: np.ndarray
     C: np.ndarray
     n_used: np.ndarray
@@ -122,30 +122,30 @@ class LevelStats:
     kappa: float | None = None
     rho: float | None = None
 
-
-@dataclass(frozen=True)
-class SampleAllocation:
-    eps: float
-    theta: float
-    n: tuple
-    finest: int
+    @property
+    def levels(self) -> tuple:
+        return tuple(range(len(self.V)))
 
 
 @dataclass(frozen=True)
 class MgoptSampleSets:
-    """Sample sets Omega_{l,k} for every optimization level k.
+    """Sample sets Omega_{l,k} for every optimization level k <= K.
 
     Level k uses MLMC levels 0..k with counts ceil(q**(K-k) * n_l), clamped
-    to at least one sample.  Streams for different MLMC levels l never
-    coincide (the level enters the stream key); when ``nested`` the sets of
-    level k are prefixes of those of level k+1.
+    to at least one sample, so ``counts[K]`` is the allocation n itself.
+    Streams for different MLMC levels l never coincide (the level enters
+    the stream key); when ``nested`` the sets of level k are prefixes of
+    those of level k+1.
     """
 
-    K: int
     counts: tuple  # counts[k][l], l <= k
     nested: bool
     global_seed: int
     set_id: int
+
+    @property
+    def K(self) -> int:
+        return len(self.counts) - 1
 
     def count(self, k: int, level: int) -> int:
         return self.counts[k][level]
@@ -162,35 +162,30 @@ class MgoptSampleSets:
         ]
 
 
-def build_sample_sets(K: int, allocation: SampleAllocation, q: float,
-                      nested: bool, global_seed: int,
+def build_sample_sets(n: tuple, q: float, nested: bool, global_seed: int,
                       set_id: int) -> MgoptSampleSets:
-    """Scale the finest-level allocation down the optimization hierarchy."""
+    """Scale the allocation n (levels 0..K, K = len(n) - 1) down the
+    optimization hierarchy."""
     if not 0.0 < q < 0.5:
         raise InvalidQ(f"q={q} outside (0, 1/2)")
-    if allocation.finest != K or len(allocation.n) != K + 1:
-        raise LevelMismatch("allocation does not match the requested K")
-    counts = []
-    for k in range(K + 1):
-        scale = q ** (K - k)
-        counts.append(tuple(
-            max(1, math.ceil(scale * allocation.n[level] - 1e-9))
-            for level in range(k + 1)
-        ))
-    return MgoptSampleSets(
-        K=K, counts=tuple(counts), nested=nested,
-        global_seed=global_seed, set_id=set_id,
-    )
+    K = len(n) - 1
+    counts = tuple(
+        tuple(max(1, math.ceil(q ** (K - k) * n[level] - 1e-9))
+              for level in range(k + 1))
+        for k in range(K + 1))
+    return MgoptSampleSets(counts=counts, nested=nested,
+                           global_seed=global_seed, set_id=set_id)
 
 
 def optimal_allocation(stats: LevelStats, eps: float, theta: float,
-                       floor=None) -> SampleAllocation:
-    """Evaluate the variance-optimal sample counts with upward rounding.
+                       floor=None) -> tuple:
+    """The variance-optimal sample counts n, one per level, rounded up.
 
     Levels with zero variance are clamped to one sample so their bias
     correction still enters the telescoped estimate.  ``floor`` raises the
     count per level, typically to the warm-up count so that warm-up samples
-    are never discarded.
+    are never discarded.  A level whose variance is NaN (measured from
+    fewer than two samples) raises :class:`InsufficientSamples`.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -198,6 +193,9 @@ def optimal_allocation(stats: LevelStats, eps: float, theta: float,
         raise ValueError("theta must be in (0, 1]")
     V = np.asarray(stats.V, dtype=float)
     C = np.asarray(stats.C, dtype=float)
+    if np.isnan(V).any():
+        level = int(np.argmax(np.isnan(V)))
+        raise InsufficientSamples(f"level {level} has no variance (< 2 samples)")
     s = float(np.sum(np.sqrt(V * C)))
     n = []
     for level, (v, c) in enumerate(zip(V, C)):
@@ -208,7 +206,7 @@ def optimal_allocation(stats: LevelStats, eps: float, theta: float,
         if floor is not None:
             n_l = max(n_l, int(floor[level]))
         n.append(n_l)
-    return SampleAllocation(eps=eps, theta=theta, n=tuple(n), finest=len(n) - 1)
+    return tuple(n)
 
 
 def _restriction_chain(problem: ControlProblem, u_k: LevelVector) -> dict:
@@ -409,25 +407,27 @@ class GradientEstimate:
         return norm(self.value)
 
 
-def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
-                  sets: MgoptSampleSets, k: int, *,
+def mlmc_gradient(problem: ControlProblem, u: LevelVector,
+                  sets: MgoptSampleSets, *,
                   ledger: SolveLedger | None = None,
                   sample_cache: dict | None = None) -> GradientEstimate:
-    """Estimate cost and gradient at optimization level k.
+    """Estimate cost and gradient at the optimization level k = u.level.
 
     On nested sets with k >= 1 the level-(k-1) sets are prefixes of the
     level-k ones, so running-sum snapshots after ``sets.count(k-1, l)``
     samples of each level l < k give the level-(k-1) estimate at the
     restricted control without further solves (``coarse``).  Any failed
-    sample propagates; nothing is silently dropped or resampled.
+    sample propagates; nothing is silently dropped or resampled.  A
+    control above ``sets.K`` raises :class:`LevelMismatch`.
 
     ``sample_cache`` maps (level, index) to already-computed sample values
     for the *same* control; cached samples are reused without solves or
-    ledger charges.  Callers must only pass caches collected at u_k.
+    ledger charges.  Callers must only pass caches collected at u.
     """
-    if u_k.level != k:
-        raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
-    u_at = _restriction_chain(problem, u_k)
+    k = u.level
+    if k > sets.K:
+        raise LevelMismatch(f"sample sets end at level {sets.K}, control on {k}")
+    u_at = _restriction_chain(problem, u)
     streams = {level: sets.streams(k, level) for level in range(k + 1)}
     nested = sets.nested and k >= 1
     snaps = {level: sets.count(k - 1, level) for level in range(k)} if nested else {}
@@ -441,14 +441,12 @@ def mlmc_gradient(problem: ControlProblem, u_k: LevelVector,
         if sums.n == snaps.get(level):
             prefix[level] = (sums.sum_y.copy(), sums.sum_jt, sums.n)
 
-    grad, cost = _telescope(problem, u_k,
+    grad, cost = _telescope(problem, u,
                             [(s.sum_y, s.sum_jt, s.n) for s in level_sums])
     kappa = problem.kappa_default
     V, n_used, mean_norms = _level_summary(problem, level_sums, k + 1)
-    stats = LevelStats(
-        levels=tuple(range(k + 1)), V=V, C=2.0 ** (kappa * np.arange(k + 1)),
-        n_used=n_used, mean_norms=mean_norms, kappa=kappa,
-    )
+    stats = LevelStats(V=V, C=2.0 ** (kappa * np.arange(k + 1)),
+                       n_used=n_used, mean_norms=mean_norms, kappa=kappa)
     coarse = (subestimate_from_prefix(problem, u_at[k - 1], prefix, stats)
               if nested else None)
     return GradientEstimate(value=grad, cost_value=cost, stats=stats,
@@ -467,12 +465,14 @@ def subestimate_from_prefix(problem: ControlProblem, u_km1: LevelVector,
     return GradientEstimate(value=grad, cost_value=cost, stats=stats)
 
 
-def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
-              k: int, *, ledger: SolveLedger | None = None) -> float:
-    """Cost-only MLMC estimate from the same sample sets (forward solves)."""
-    if u_k.level != k:
-        raise LevelMismatch(f"control lives on level {u_k.level}, expected {k}")
-    u_at = _restriction_chain(problem, u_k)
+def mlmc_cost(problem: ControlProblem, u: LevelVector, sets: MgoptSampleSets,
+              *, ledger: SolveLedger | None = None) -> float:
+    """Cost-only MLMC estimate at level u.level from the same sample sets
+    (forward solves); a control above ``sets.K`` raises LevelMismatch."""
+    k = u.level
+    if k > sets.K:
+        raise LevelMismatch(f"sample sets end at level {sets.K}, control on {k}")
+    u_at = _restriction_chain(problem, u)
     streams = {level: sets.streams(k, level) for level in range(k + 1)}
     sums = [0.0] * (k + 1)
     for level, _, jt in _grid_sweep(
@@ -483,7 +483,7 @@ def mlmc_cost(problem: ControlProblem, u_k: LevelVector, sets: MgoptSampleSets,
     total = 0.0
     for level in range(k + 1):
         total += sums[level] / len(streams[level])
-    return total + problem.regularization(u_k)
+    return total + problem.regularization(u)
 
 
 def _decay_rate(levels, values):
@@ -500,15 +500,15 @@ def _decay_rate(levels, values):
 
 
 def estimate_level_stats(problem: ControlProblem, u: LevelVector,
-                         warmup_n: int, levels, *,
+                         warmup_n: int, *,
                          global_seed: int, set_id: int,
                          extrapolate_finest: int = 2,
                          ledger: SolveLedger | None = None,
                          collect: dict | None = None) -> LevelStats:
-    """Warm-up variance estimation with extrapolation on the finest levels.
+    """Warm-up variance estimation on levels 0..u.level, with
+    extrapolation on the finest levels.
 
-    Levels must be contiguous from 0; the control ``u`` lives on the finest
-    of them.  The last ``extrapolate_finest`` levels are not sampled: their
+    The last ``extrapolate_finest`` levels are not sampled: their
     variance follows the fitted decay of the measured ones (at least two
     levels stay measured; the rate 2 is used when no decay can be fitted).
 
@@ -517,13 +517,9 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     When ``collect`` is a dict, the per-sample values are stored under
     ``(level, index)`` for reuse as a sample cache at the same control.
     """
-    levels = tuple(levels)
-    if levels != tuple(range(len(levels))):
-        raise LevelMismatch("levels must be 0..L contiguous")
     if warmup_n < 2:
         raise InsufficientSamples("need at least 2 warm-up samples per level")
-    if u.level != levels[-1]:
-        raise LevelMismatch("control must live on the finest requested level")
+    levels = tuple(range(u.level + 1))
     u_at = _restriction_chain(problem, u)
     n_extrapolated = min(max(extrapolate_finest, 0), max(len(levels) - 2, 0))
     measured = levels[: len(levels) - n_extrapolated]
@@ -548,10 +544,8 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     kappa = problem.kappa_default
     C = 2.0 ** (kappa * np.asarray(levels, dtype=float))
     rho = _decay_rate(fit_levels, mean_norms[fit_levels])
-    return LevelStats(
-        levels=levels, V=V, C=C, n_used=n_used, mean_norms=mean_norms,
-        phi=phi, kappa=kappa, rho=rho,
-    )
+    return LevelStats(V=V, C=C, n_used=n_used, mean_norms=mean_norms,
+                      phi=phi, kappa=kappa, rho=rho)
 
 
 def refresh_level_stats(stats: LevelStats, sample_stats: LevelStats) -> LevelStats:

@@ -22,7 +22,6 @@ from mgmlmc import (
     LaplaceSourceControl,
     OptimizerConfig,
     RngStream,
-    SampleAllocation,
     SmoothingSchedule,
     baseline_optimize,
     build_embedding,
@@ -80,16 +79,15 @@ def _exactness_case(problem, tol, seed):
     else:
         u = problem.control_from_function(
             K, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))
-    alloc = SampleAllocation(eps=1.0, theta=0.5, n=(8, 4, 2), finest=K)
-    sets = build_sample_sets(K, alloc, 0.25, True, seed, make_set_id(0, PURPOSE_USER))
-    est = mlmc_gradient(problem, u, sets, K)
+    sets = build_sample_sets((8, 4, 2), 0.25, True, seed, make_set_id(0, PURPOSE_USER))
+    est = mlmc_gradient(problem, u, sets)
     rng = np.random.default_rng(seed + 1)
     eps = 1e-5
     worst = 0.0
     for _ in range(5):
         d = unit_direction(rng, u)
-        jp = mlmc_gradient(problem, u + eps * d, sets, K).cost_value
-        jm = mlmc_gradient(problem, u - eps * d, sets, K).cost_value
+        jp = mlmc_gradient(problem, u + eps * d, sets).cost_value
+        jm = mlmc_gradient(problem, u - eps * d, sets).cost_value
         fd = (jp - jm) / (2 * eps)
         gd = inner_product(est.value, d)
         worst = max(worst, abs(fd - gd) / max(abs(gd), 1e-14))
@@ -118,8 +116,7 @@ def test_c03_coherence_identity(laplace_small):
     worst = 0.0
     checked = 0
     for cycle in range(20):
-        alloc = SampleAllocation(eps=0.05, theta=0.5, n=(12, 6, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 3000 + cycle,
+        sets = build_sample_sets((12, 6, 2), 0.25, True, 3000 + cycle,
                                  make_set_id(cycle, PURPOSE_OPT))
         v, rep = run_vcycle(p, v, sets, schedule)
         devs = [e["value"] for e in rep.events if e["kind"] == "coherence"]
@@ -155,7 +152,7 @@ def test_c04_telescoping_collapse(laplace_small):
     p = laplace_small
     u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))
     shared = _SharedStreams(K=2, n=6, global_seed=4100)
-    est = mlmc_gradient(p, u, shared, 2)
+    est = mlmc_gradient(p, u, shared)
     acc = None
     jt = 0.0
     for s in shared.streams(2, 2):
@@ -246,8 +243,7 @@ def test_c06_discretization_orders():
 def test_c07_ncg_cg_equivalence():
     problem = LaplaceSourceControl(
         GridHierarchy(dim=2, n0=9, levels=3), LaplaceProblemSpec(alpha=2e-2))
-    alloc = SampleAllocation(eps=1.0, theta=0.5, n=(6, 3), finest=1)
-    sets = build_sample_sets(1, alloc, 0.25, True, 7100, make_set_id(0, PURPOSE_USER))
+    sets = build_sample_sets((6, 3), 0.25, True, 7100, make_set_id(0, PURPOSE_USER))
     v0 = problem.zero_control(1)
     res = ncg_smooth(LevelObjective(problem, sets, 1), v0, 10,
                      record_iterates=True, explicit_gradients=False)
@@ -285,15 +281,15 @@ def test_c08_allocation_optimality():
     V = np.array([2.0, 0.5, 0.12])
     C = np.array([1.0, 4.0, 16.0])
     theta, eps = 1.0, 0.12
-    stats = LevelStats(levels=(0, 1, 2), V=V, C=C,
+    stats = LevelStats(V=V, C=C,
                        n_used=np.zeros(3, dtype=int), mean_norms=np.zeros(3))
-    alloc = optimal_allocation(stats, eps, theta)
-    formula_cost = float(np.dot(alloc.n, C))
+    n = optimal_allocation(stats, eps, theta)
+    formula_cost = float(np.dot(n, C))
     budget = theta * eps**2
-    assert float(np.sum(V / np.asarray(alloc.n))) <= budget + 1e-12
+    assert float(np.sum(V / np.asarray(n))) <= budget + 1e-12
     best = math.inf
-    for n1, n2 in itertools.product(range(1, 2 * alloc.n[1] + 3),
-                                    range(1, 2 * alloc.n[2] + 3)):
+    for n1, n2 in itertools.product(range(1, 2 * n[1] + 3),
+                                    range(1, 2 * n[2] + 3)):
         rest = budget - V[1] / n1 - V[2] / n2
         if rest <= 0:
             continue
@@ -310,7 +306,7 @@ def test_c08_allocation_optimality():
 def test_c09_variance_decay():
     problem = LaplaceSourceControl(GridHierarchy(dim=2, n0=17, levels=4))
     u = problem.zero_control(3)
-    stats = estimate_level_stats(problem, u, 100, range(4), global_seed=9100,
+    stats = estimate_level_stats(problem, u, 100, global_seed=9100,
                                  set_id=make_set_id(0, PURPOSE_USER),
                                  extrapolate_finest=0)
     for level in (2, 3):

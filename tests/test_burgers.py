@@ -335,18 +335,17 @@ class TestBatchedEvaluation:
     def test_mlmc_gradient_independent_of_workers_and_chunks(
             self, burgers_small, monkeypatch):
         import mgmlmc.burgers as burgers_mod
-        from mgmlmc import SampleAllocation, build_sample_sets, mlmc_cost, mlmc_gradient
+        from mgmlmc import build_sample_sets, mlmc_cost, mlmc_gradient
         from mgmlmc.driver import state_statistics
 
         p = burgers_small
         u = p.control_from_function(2, lambda x: 0.2 * np.sin(np.pi * x))
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 41, 4)
+        sets = build_sample_sets((7, 5, 3), 0.25, True, 41, 4)
 
         def run(workers):
             monkeypatch.setattr(p, "workers", workers)
-            est = mlmc_gradient(p, u, sets, 2)
-            cost = mlmc_cost(p, u, sets, 2)
+            est = mlmc_gradient(p, u, sets)
+            cost = mlmc_cost(p, u, sets)
             mean, var = state_statistics(p, u, 5, global_seed=41)
             return est, cost, mean, var
 
@@ -360,6 +359,34 @@ class TestBatchedEvaluation:
             assert est.coarse.cost_value == ref[0].coarse.cost_value
             assert cost == ref[1]
             assert np.array_equal(mean, ref[2]) and np.array_equal(var, ref[3])
+
+    def test_batch_splits_into_fewest_chunks(self, burgers_small, monkeypatch):
+        # 3 level-2 pairs (65 + 33 nodes) and 5 level-1 pairs (33 + 17),
+        # 544 nodes, under a budget of 83 nodes per chunk: each chunk takes
+        # fields in order while they fit, 9 marches, the fewest any split
+        # into contiguous chunks makes
+        import mgmlmc.burgers as burgers_mod
+
+        p = burgers_small
+        u_at = {level: p.control_from_function(level, lambda x: 0.2 * np.sin(np.pi * x))
+                for level in range(3)}
+        fields = [f for level, n in ((2, 3), (1, 5)) for i in range(n)
+                  for f in p.field_pair(RngStream(37, 3, level, i), level)]
+        assert sum(f.nodes for f in fields) == 544
+        whole = p.tracking_cost_batch(u_at, fields)
+
+        marched = []
+        real_march = burgers_mod._march
+
+        def march(y0, k, dt, layout, *args, **kwargs):
+            marched.append(layout.sizes.tolist())
+            return real_march(y0, k, dt, layout, *args, **kwargs)
+
+        monkeypatch.setattr(burgers_mod, "_march", march)
+        monkeypatch.setattr(burgers_mod, "BATCH_BYTES", 83 * 8)
+        assert p.tracking_cost_batch(u_at, fields) == whole
+        assert marched == [[65], [33], [65], [33], [65], [33, 33, 17],
+                           [33, 17, 33], [17, 33, 17], [33, 17]]
 
     def test_unstable_member_raises_at_earliest_step(self):
         # anti-diffusion grows |y| until the bound, set by the boundary node's

@@ -15,8 +15,8 @@ from mgmlmc.config import KEYS, ExperimentConfig, build_problem, load_config
 from mgmlmc.driver import OptimizerConfig
 from mgmlmc.errors import ConfigError
 from mgmlmc.grids import GAMMA
-from mgmlmc.mlmc import (PURPOSE_USER, SampleAllocation, build_sample_sets,
-                         make_set_id, mlmc_gradient)
+from mgmlmc.mlmc import (PURPOSE_USER, build_sample_sets, make_set_id,
+                         mlmc_gradient)
 from mgmlmc.random_fields import RngStream
 
 from conftest import unit_direction
@@ -266,14 +266,13 @@ class TestGradcheckCommand:
             u0 = p.control_from_function(
                 K, lambda a, b: amp * np.sin(np.pi * a) * np.sin(np.pi * b))
         stream = RngStream(seed, make_set_id(0, PURPOSE_USER), K, 0)
-        alloc = SampleAllocation(eps=1.0, theta=0.5, n=(8, 4), finest=K)
-        sets = build_sample_sets(K, alloc, 0.25, True, seed,
+        sets = build_sample_sets((8, 4), 0.25, True, seed,
                                  make_set_id(1, PURPOSE_USER))
         checks = {
             "per_sample": (lambda u: p.cost_sample(u, stream),
                            p.gradient_sample(u0, stream)),
-            "estimator": (lambda u: mlmc_gradient(p, u, sets, K).cost_value,
-                          mlmc_gradient(p, u0, sets, K).value),
+            "estimator": (lambda u: mlmc_gradient(p, u, sets).cost_value,
+                          mlmc_gradient(p, u0, sets).value),
         }
         rng = np.random.default_rng(seed + 7)
         want = {}

@@ -7,7 +7,6 @@ import pytest
 from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
-    SampleAllocation,
     SmoothingSchedule,
     SolveLedger,
     build_sample_sets,
@@ -32,9 +31,8 @@ from mgmlmc.mlmc import PURPOSE_OPT, make_set_id
 from mgmlmc.random_fields import CovarianceSpec
 
 
-def small_sets(problem, K, n, seed=51, q=0.25, set_id=4):
-    alloc = SampleAllocation(eps=0.1, theta=0.5, n=n, finest=K)
-    return build_sample_sets(K, alloc, q, True, seed, set_id)
+def small_sets(n, seed=51, q=0.25, set_id=4):
+    return build_sample_sets(n, q, True, seed, set_id)
 
 
 def backtracks(report):
@@ -47,7 +45,7 @@ def estimate_charges(problem, sets, k):
     of one cost-only estimate, which charges the same samples at weight
     0.5; neither depends on the point."""
     ledger = SolveLedger()
-    mlmc_gradient(problem, problem.zero_control(k), sets, k, ledger=ledger)
+    mlmc_gradient(problem, problem.zero_control(k), sets, ledger=ledger)
     return ledger.events, [(level, n, 0.5) for level, n, _ in ledger.events]
 
 
@@ -98,22 +96,22 @@ class TestLevelObjective:
     def test_no_tau_is_the_unshifted_functional(self, request, name):
         # the top level's shift is zero, and a zero shift changes no bit
         p = request.getfixturevalue(name)
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         u = p.zero_control(2)
         u = u.with_values(0.1 * np.random.default_rng(3).standard_normal(u.values.shape))
         obj = LevelObjective(p, sets, 2)
         assert not obj.tau.values.any()
         J, g = obj.evaluate(u)
-        est = mlmc_gradient(p, u, sets, 2)
+        est = mlmc_gradient(p, u, sets)
         assert J == est.cost_value
         assert g.values.tobytes() == est.value.values.tobytes()
-        assert obj.cost(u) == mlmc_cost(p, u, sets, 2)
+        assert obj.cost(u) == mlmc_cost(p, u, sets)
 
 
 class TestNcgSmoother:
     def test_zero_steps_keeps_point(self, laplace_small):
         p = laplace_small
-        sets = small_sets(p, 2, (4, 2, 1))
+        sets = small_sets((4, 2, 1))
         obj = LevelObjective(p, sets, 2)
         v = p.control_from_function(2, lambda a, b: a * b)
         res = ncg_smooth(obj, v, 0)
@@ -126,7 +124,7 @@ class TestNcgSmoother:
 
     def test_matches_classical_cg(self):
         p = conditioned_quadratic()
-        sets = small_sets(p, 1, (6, 3))
+        sets = small_sets((6, 3))
         obj = LevelObjective(p, sets, 1)
         v0 = p.zero_control(1)
         res = ncg_smooth(obj, v0, 10, record_iterates=True,
@@ -139,7 +137,7 @@ class TestNcgSmoother:
 
     def test_explicit_gradients_same_path(self):
         p = conditioned_quadratic()
-        sets = small_sets(p, 1, (6, 3))
+        sets = small_sets((6, 3))
         v0 = p.zero_control(1)
         r1 = ncg_smooth(LevelObjective(p, sets, 1), v0, 5, explicit_gradients=True)
         r2 = ncg_smooth(LevelObjective(p, sets, 1), v0, 5, explicit_gradients=False)
@@ -149,7 +147,7 @@ class TestNcgSmoother:
         # with exact line searches <d_{j-1}, g_j> = 0, so the Dai-Yuan beta
         # equals |g_j|^2 / (-<d_{j-1}, g_{j-1}>) and is positive
         p = conditioned_quadratic()
-        sets = small_sets(p, 1, (5, 2))
+        sets = small_sets((5, 2))
         obj = LevelObjective(p, sets, 1)
         res = ncg_smooth(obj, p.zero_control(1), 6, record_iterates=True,
                          explicit_gradients=False)
@@ -175,7 +173,7 @@ class TestNcgSmoother:
         # that is the gradient secant's step, up to the cancellation in
         # Jt - J
         p = request.getfixturevalue(name)
-        sets = small_sets(p, 2, (10, 4, 2))
+        sets = small_sets((10, 4, 2))
         v = p.zero_control(2)
         gradient, cost = estimate_charges(p, sets, 2)
         at = LevelObjective(p, sets, 2).evaluate(v)
@@ -197,7 +195,7 @@ class TestNcgSmoother:
 
     def test_reduces_gradient(self, laplace_small):
         p = laplace_small
-        sets = small_sets(p, 2, (10, 4, 2))
+        sets = small_sets((10, 4, 2))
         obj = LevelObjective(p, sets, 2)
         v0 = p.zero_control(2)
         _, g0 = start = obj.evaluate(v0)
@@ -206,7 +204,7 @@ class TestNcgSmoother:
 
     def test_burgers_smoother_descends(self, burgers_small):
         p = burgers_small
-        sets = small_sets(p, 1, (6, 3))
+        sets = small_sets((6, 3))
         obj = LevelObjective(p, sets, 1)
         v0 = p.zero_control(1)
         J0, g0 = start = obj.evaluate(v0)
@@ -221,7 +219,7 @@ class TestLineSearchStep:
     on Burgers, which is not quadratic, and the estimates each charges."""
 
     def _setup(self, problem, amplitude, scale):
-        sets = small_sets(problem, 1, (6, 3))
+        sets = small_sets((6, 3))
         ledger = SolveLedger()
         obj = LevelObjective(problem, sets, 1, ledger=ledger)
         v = problem.control_from_function(
@@ -283,7 +281,7 @@ class TestCoarseCorrectionLinesearch:
 
     def _setup(self, problem,
                fn=lambda a, b: 0.5 * np.sin(np.pi * a) * np.sin(np.pi * b)):
-        sets = small_sets(problem, 1, (6, 3))
+        sets = small_sets((6, 3))
         v = problem.control_from_function(1, fn)
         at = LevelObjective(problem, sets, 1).evaluate(v)
         obj = LevelObjective(problem, sets, 1, ledger=SolveLedger())
@@ -349,7 +347,7 @@ class TestVCycle:
         hier = GridHierarchy(dim=2, n0=9, levels=3)
         p = LaplaceSourceControl(
             hier, LaplaceProblemSpec(covariance=CovarianceSpec(0.0, 0.3)))
-        sets = small_sets(p, 2, (2, 1, 1))
+        sets = small_sets((2, 1, 1))
         from test_elliptic import dense_operator  # dense KKT oracle
 
         field = p.field(sets.streams(2, 2)[0], 2)
@@ -360,7 +358,7 @@ class TestVCycle:
         H = p.alpha * np.eye(m2) + np.linalg.solve(A, np.linalg.solve(A, np.eye(m2)))
         u_star = hier.vector(2, np.linalg.solve(H, np.linalg.solve(A, z)).reshape(
             hier.shape(2)))
-        g_star = mlmc_gradient(p, u_star, sets, 2).value
+        g_star = mlmc_gradient(p, u_star, sets).value
         assert norm(g_star) <= 1e-10
 
         v_new, report = run_vcycle(p, u_star, sets, SmoothingSchedule.default(2))
@@ -372,7 +370,7 @@ class TestVCycle:
 
     def test_coherence_identity_every_level(self, laplace_small):
         p = laplace_small
-        sets = small_sets(p, 2, (20, 8, 3))
+        sets = small_sets((20, 8, 3))
         _, report = run_vcycle(p, p.zero_control(2), sets,
                                SmoothingSchedule.default(2))
         devs = [e["value"] for e in report.events if e["kind"] == "coherence"]
@@ -387,7 +385,7 @@ class TestVCycle:
         rng = np.random.default_rng(123)
         checked = 0
         for rep in range(8):
-            sets = small_sets(p, 2, (14, 6, 2), seed=600 + rep,
+            sets = small_sets((14, 6, 2), seed=600 + rep,
                               set_id=make_set_id(rep, PURPOSE_OPT))
             v0 = p.hierarchy.vector(
                 2, 0.5 * rng.standard_normal(p.hierarchy.shape(2)))
@@ -409,7 +407,7 @@ class TestVCycle:
 
     def test_monotone_cost_with_fixed_samples(self, laplace_small):
         p = laplace_small
-        sets = small_sets(p, 2, (10, 5, 2))
+        sets = small_sets((10, 5, 2))
         v = p.zero_control(2)
         obj = LevelObjective(p, sets, 2)
         J_prev = obj.evaluate(v)[0]
@@ -426,16 +424,16 @@ class TestVCycle:
         # is formed
         p = laplace_small
         n = (16, 8, 4)
-        sets = small_sets(p, 2, n)
+        sets = small_sets(n)
         v = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
 
         ledger = SolveLedger()
-        est = mlmc_gradient(p, v, sets, 2, ledger=ledger)
-        direct = mlmc_gradient(p, p.hierarchy.restrict(v), sets, 1)
+        est = mlmc_gradient(p, v, sets, ledger=ledger)
+        direct = mlmc_gradient(p, p.hierarchy.restrict(v), sets)
         assert norm(est.coarse.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
 
         flat_ledger = SolveLedger()
-        flat = mlmc_gradient(p, v, dataclasses.replace(sets, nested=False), 2,
+        flat = mlmc_gradient(p, v, dataclasses.replace(sets, nested=False),
                              ledger=flat_ledger)
         assert flat.coarse is None
         assert ledger.events == flat_ledger.events
@@ -449,7 +447,7 @@ class TestVCycle:
 
         p = request.getfixturevalue(name)
         v = p.zero_control(2)
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         real = mgopt.mlmc_gradient
         seen = []
 
@@ -471,7 +469,7 @@ class TestVCycle:
             seen.clear()
             entry = None
             if pass_entry:
-                entry = record(v, real(p, v, sets, 2))
+                entry = record(v, real(p, v, sets))
                 assert entry.coarse is not None
             run_vcycle(p, v, sets, SmoothingSchedule.default(2), entry=entry)
             assert {level for level, _ in seen} == {0, 1, 2}
@@ -485,7 +483,7 @@ class TestVCycle:
         import mgmlmc.mgopt as mgopt
 
         p = laplace_small
-        sets = dataclasses.replace(small_sets(p, 2, (12, 6, 2)), nested=False)
+        sets = dataclasses.replace(small_sets((12, 6, 2)), nested=False)
         v = p.control_from_function(2, lambda a, b: a * b)
         real, real_cost = mgopt.mlmc_gradient, mgopt.mlmc_cost
         calls = []
@@ -526,7 +524,7 @@ class TestVCycle:
         assert any(estimate is real_cost for estimate, _ in calls)
         replay = SolveLedger()
         for estimate, u in calls:
-            estimate(p, u, sets, u.level, ledger=replay)
+            estimate(p, u, sets, ledger=replay)
         assert ledger.events == replay.events
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
@@ -534,12 +532,12 @@ class TestVCycle:
         # an entry estimate handed in replaces the cycle's own: same iterate,
         # report and ledger, the entry charged once
         p = request.getfixturevalue(name)
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         v = p.zero_control(2)
         schedule = SmoothingSchedule.default(2)
         own_ledger, given_ledger = SolveLedger(), SolveLedger()
         v_own, own = run_vcycle(p, v, sets, schedule, ledger=own_ledger)
-        entry = mlmc_gradient(p, v, sets, 2, ledger=given_ledger)
+        entry = mlmc_gradient(p, v, sets, ledger=given_ledger)
         v_given, given = run_vcycle(p, v, sets, schedule, ledger=given_ledger,
                                     entry=entry)
         assert np.array_equal(v_given.values, v_own.values)
@@ -556,11 +554,11 @@ class TestVCycle:
         # no smoothing step at all: the top level takes no estimate of its
         # own, and the report carries the entry's statistics
         p = laplace_small
-        sets = small_sets(p, 0, (8,))
+        sets = small_sets((8,))
         v = p.control_from_function(0, lambda a, b: a * b)
-        entry = mlmc_gradient(p, v, sets, 0)
+        entry = mlmc_gradient(p, v, sets)
         ledger = SolveLedger()
-        v_new, report = run_vcycle(p, v, sets, SmoothingSchedule((0,), (0,), 0),
+        v_new, report = run_vcycle(p, v, sets, SmoothingSchedule((0,), (0,)),
                                    ledger=ledger, entry=entry)
         assert v_new is v and ledger.events == []
         assert report.end.est.stats is entry.stats
@@ -572,7 +570,7 @@ class TestVCycle:
         # the report's end pair and statistics are those of a fresh
         # evaluation of the top level's functional at the returned point
         p = request.getfixturevalue(name)
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         v_new, report = run_vcycle(p, p.zero_control(2), sets,
                                    SmoothingSchedule.default(2))
         J, g = fresh = LevelObjective(p, sets, 2).evaluate(v_new)
@@ -586,7 +584,7 @@ class TestVCycle:
         # the report is built from values, so the event log holds only
         # numbers and flags and can be written out line by line as JSON
         p = laplace_small
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         _, report = run_vcycle(p, p.zero_control(2), sets,
                                SmoothingSchedule.default(2))
         assert json.loads(json.dumps(report.events))
@@ -594,16 +592,17 @@ class TestVCycle:
             "coherence", "linesearch", "summary"}
 
     def test_schedule_default_counts(self):
+        # level k smooths 2**(K-k) steps in all; level 0 runs nu[0] + mu[0]
         s = SmoothingSchedule.default(3)
-        assert s.nu == (0, 2, 1, 0)
-        assert s.mu == (0, 2, 1, 1)
-        assert s.coarsest_steps == 8
+        assert s.nu == (4, 2, 1, 0)
+        assert s.mu == (4, 2, 1, 1)
+        assert SmoothingSchedule.default(0) == SmoothingSchedule((0,), (1,))
         with pytest.raises(ValueError):
-            SmoothingSchedule(nu=(0, -1), mu=(0, 0), coarsest_steps=2)
+            SmoothingSchedule(nu=(0, -1), mu=(0, 0))
 
     def test_vcycle_burgers_descends(self, burgers_small):
         p = burgers_small
-        sets = small_sets(p, 2, (12, 6, 2))
+        sets = small_sets((12, 6, 2))
         v = p.zero_control(2)
         v1, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2))
         assert report.end[0] < report.entry.cost_value

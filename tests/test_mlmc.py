@@ -13,7 +13,6 @@ from mgmlmc import (
     LevelStats,
     MgoptSampleSets,
     RngStream,
-    SampleAllocation,
     SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
@@ -44,7 +43,7 @@ from conftest import predicted_gradient_cost, unit_direction
 def stats_from(V, C):
     V = np.asarray(V, dtype=float)
     C = np.asarray(C, dtype=float)
-    return LevelStats(levels=tuple(range(len(V))), V=V, C=C,
+    return LevelStats(V=V, C=C,
                       n_used=np.zeros(len(V), dtype=int),
                       mean_norms=np.zeros(len(V)))
 
@@ -53,21 +52,21 @@ class TestOptimalAllocation:
     def test_hand_computed_two_levels(self):
         # V = (1, 1/4), C = (1, 4), theta = 1, eps = 1/2:
         # sum sqrt(VC) = 2, n0 = ceil(4 * 1 * 2) = 8, n1 = ceil(4 * 1/4 * 2) = 2
-        alloc = optimal_allocation(stats_from([1.0, 0.25], [1.0, 4.0]), 0.5, 1.0)
-        assert alloc.n == (8, 2)
+        n = optimal_allocation(stats_from([1.0, 0.25], [1.0, 4.0]), 0.5, 1.0)
+        assert n == (8, 2)
 
     def test_zero_variance_clamps_to_one(self):
-        alloc = optimal_allocation(stats_from([1.0, 0.0, 0.25], [1, 2, 4]), 0.5, 1.0)
-        assert alloc.n[1] == 1
+        n = optimal_allocation(stats_from([1.0, 0.0, 0.25], [1, 2, 4]), 0.5, 1.0)
+        assert n[1] == 1
 
     def test_all_zero_variance(self):
-        alloc = optimal_allocation(stats_from([0.0, 0.0], [1, 4]), 0.1, 0.5)
-        assert alloc.n == (1, 1)
+        n = optimal_allocation(stats_from([0.0, 0.0], [1, 4]), 0.1, 0.5)
+        assert n == (1, 1)
 
     def test_floor_applies(self):
-        alloc = optimal_allocation(stats_from([1.0, 0.25], [1.0, 4.0]), 0.5, 1.0,
-                                   floor=[50, 1])
-        assert alloc.n == (50, 2)
+        n = optimal_allocation(stats_from([1.0, 0.25], [1.0, 4.0]), 0.5, 1.0,
+                               floor=[50, 1])
+        assert n == (50, 2)
 
     def test_invalid_inputs(self):
         stats = stats_from([1.0], [1.0])
@@ -75,6 +74,16 @@ class TestOptimalAllocation:
             optimal_allocation(stats, 0.0, 0.5)
         with pytest.raises(ValueError):
             optimal_allocation(stats, 0.1, 1.5)
+
+    def test_nan_variance_raises_insufficient_samples(self, laplace_small):
+        # the top level of counts (4, 3, 1) holds one sample, so the
+        # estimate's own statistics measure no variance there (NaN)
+        p = laplace_small
+        sets = build_sample_sets((4, 3, 1), 0.25, True, 3, 4)
+        stats = mlmc_gradient(p, p.zero_control(2), sets).stats
+        assert np.isnan(stats.V[2])
+        with pytest.raises(InsufficientSamples, match="level 2"):
+            optimal_allocation(stats, 1e-3, 0.5)
 
     def test_within_one_percent_of_integer_optimum(self):
         # exhaustive integer search oracle on a 3-level instance subject to
@@ -84,14 +93,14 @@ class TestOptimalAllocation:
         V = np.array([2.0, 0.5, 0.12])
         C = np.array([1.0, 4.0, 16.0])
         theta, eps = 1.0, 0.12
-        alloc = optimal_allocation(stats_from(V, C), eps, theta)
-        formula_cost = float(np.dot(alloc.n, C))
+        n = optimal_allocation(stats_from(V, C), eps, theta)
+        formula_cost = float(np.dot(n, C))
         budget = theta * eps**2
-        assert float(np.sum(V / np.asarray(alloc.n))) <= budget + 1e-12
+        assert float(np.sum(V / np.asarray(n))) <= budget + 1e-12
 
         best = math.inf
-        for n1 in range(1, 2 * alloc.n[1] + 3):
-            for n2 in range(1, 2 * alloc.n[2] + 3):
+        for n1 in range(1, 2 * n[1] + 3):
+            for n2 in range(1, 2 * n[2] + 3):
                 rest = budget - V[1] / n1 - V[2] / n2
                 if rest <= 0:
                     continue
@@ -104,10 +113,10 @@ class TestOptimalAllocation:
         # halving eps at fixed L at least quadruples the predicted cost
         # sum n_l C_l, up to the slack for the ceilings
         stats = stats_from([4e-2, 2e-2, 1e-2], [1.0, 4.0, 16.0])
-        cost = lambda alloc: float(np.dot(alloc.n, stats.C))
+        cost = lambda n: float(np.dot(n, stats.C))
         coarse = optimal_allocation(stats, 4e-3, 0.5)
         fine = optimal_allocation(stats, 2e-3, 0.5)
-        assert min(coarse.n) >= 100
+        assert min(coarse) >= 100
         assert cost(fine) >= 4.0 * cost(coarse) * 0.9
 
 
@@ -115,30 +124,26 @@ class TestSampleSets:
     def test_reference_scaling(self):
         # K = 3, q = 1/4, finest counts (2106, 440, 92, 20):
         # level 2 keeps (ceil(526.5), 110, 23) = (527, 110, 23)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(2106, 440, 92, 20), finest=3)
-        sets = build_sample_sets(3, alloc, 0.25, True, 1, make_set_id(0, PURPOSE_OPT))
+        n = (2106, 440, 92, 20)
+        sets = build_sample_sets(n, 0.25, True, 1, make_set_id(0, PURPOSE_OPT))
         assert sets.counts[2] == (527, 110, 23)
-        assert sets.counts[3] == alloc.n
+        assert sets.counts[3] == n
 
     def test_top_level_identical_to_allocation(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(9, 5, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 1 / 16, True, 1, 4)
+        sets = build_sample_sets((9, 5, 2), 1 / 16, True, 1, 4)
         assert sets.counts[2] == (9, 5, 2)
 
     def test_q_near_half_boundary(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(11, 4), finest=1)
-        sets = build_sample_sets(1, alloc, 0.499999, True, 1, 4)
+        sets = build_sample_sets((11, 4), 0.499999, True, 1, 4)
         assert sets.counts[0] == (math.ceil(11 * 0.499999),)
 
     def test_invalid_q(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(4, 2), finest=1)
         for q in (0.0, 0.5, 0.7):
             with pytest.raises(InvalidQ):
-                build_sample_sets(1, alloc, q, True, 1, 4)
+                build_sample_sets((4, 2), q, True, 1, 4)
 
     def test_disjoint_across_levels(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 4, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 9, 4)
+        sets = build_sample_sets((6, 4, 2), 0.25, True, 9, 4)
         all_ids = set()
         for level in range(3):
             for s in sets.streams(2, level):
@@ -146,8 +151,7 @@ class TestSampleSets:
                 all_ids.add(s.seed_id)
 
     def test_nested_across_k(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(32, 17, 6), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 9, 4)
+        sets = build_sample_sets((32, 17, 6), 0.25, True, 9, 4)
         for k in range(1, 3):
             for level in range(k):
                 coarse = {s.seed_id for s in sets.streams(k - 1, level)}
@@ -155,8 +159,7 @@ class TestSampleSets:
                 assert coarse <= fine
 
     def test_not_nested_when_disabled(self):
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(32, 17, 6), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, False, 9, 4)
+        sets = build_sample_sets((32, 17, 6), 0.25, False, 9, 4)
         coarse = {s.seed_id for s in sets.streams(1, 0)}
         fine = {s.seed_id for s in sets.streams(2, 0)}
         assert not coarse & fine
@@ -173,9 +176,7 @@ class TestEquivalentFineSolves:
     def test_reference_vcycle_magnitude(self):
         # counts from a published 5-level run: a V-cycle at q = 1/16 with two
         # evaluations per smoothing step lands near 132 equivalent solves
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(2106, 440, 92, 20, 4),
-                                 finest=4)
-        sets = build_sample_sets(4, alloc, 1 / 16, True, 1, 4)
+        sets = build_sample_sets((2106, 440, 92, 20, 4), 1 / 16, True, 1, 4)
         c_g = [predicted_gradient_cost(sets, k, 2.0) for k in range(5)]
         c_vcycle = sum((2 * 2 ** (4 - k) + 1) * c_g[k] for k in range(5))
         assert 132 / 2 <= c_vcycle <= 132 * 2
@@ -193,7 +194,7 @@ class TestLevelStats:
         p = LaplaceSourceControl(
             hier, LaplaceProblemSpec(covariance=CovarianceSpec(0.0, 0.3)))
         stats = estimate_level_stats(
-            p, p.zero_control(2), 5, range(3), global_seed=1, set_id=4,
+            p, p.zero_control(2), 5, global_seed=1, set_id=4,
             extrapolate_finest=0)
         # identical samples: variance at the floating-point noise floor
         assert np.all(stats.V <= 1e-30)
@@ -203,11 +204,10 @@ class TestLevelStats:
         # and control the warm-up V equals the gradient estimate's V exactly
         p = laplace_small
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 6, 6), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 13, 4)
-        est = mlmc_gradient(p, u, sets, 2)
+        sets = build_sample_sets((6, 6, 6), 0.25, True, 13, 4)
+        est = mlmc_gradient(p, u, sets)
         stats = estimate_level_stats(
-            p, u, 6, range(3), global_seed=13,
+            p, u, 6, global_seed=13,
             set_id=MgoptSampleSets.stream_set_id(4, True, 2),
             extrapolate_finest=0)
         assert np.array_equal(stats.V, est.stats.V)
@@ -216,7 +216,7 @@ class TestLevelStats:
     def test_insufficient_samples(self, laplace_small):
         with pytest.raises(InsufficientSamples):
             estimate_level_stats(laplace_small, laplace_small.zero_control(2),
-                                 1, range(3), global_seed=1, set_id=4)
+                                 1, global_seed=1, set_id=4)
 
     def test_synthetic_decay_recovers_phi(self, monkeypatch):
         # inject Y_l with V_l = 4^-l through a fake level evaluation; fitted phi = 2
@@ -239,7 +239,7 @@ class TestLevelStats:
 
         monkeypatch.setattr(mlmc_mod, "_gradient_sweep", fake_sweep)
         stats = estimate_level_stats(
-            SyntheticProblem(), hier.zeros(4), 400, range(5),
+            SyntheticProblem(), hier.zeros(4), 400,
             global_seed=3, set_id=4, extrapolate_finest=0)
         # V_l = h * m * 4^-l exactly in expectation; the h factor halves per
         # level, so the measured decay rate is phi = 2 + 1 - (node growth) = 2
@@ -248,7 +248,7 @@ class TestLevelStats:
     def test_problem1_variance_decays(self, laplace_small):
         p = laplace_small
         stats = estimate_level_stats(
-            p, p.zero_control(2), 60, range(3), global_seed=7, set_id=4,
+            p, p.zero_control(2), 60, global_seed=7, set_id=4,
             extrapolate_finest=0)
         assert stats.V[2] < stats.V[1]
         assert stats.phi is not None and stats.phi > 0
@@ -256,10 +256,10 @@ class TestLevelStats:
     def test_extrapolation_uses_fitted_decay(self, laplace_small):
         p = laplace_small
         full = estimate_level_stats(
-            p, p.zero_control(2), 40, range(3), global_seed=7, set_id=4,
+            p, p.zero_control(2), 40, global_seed=7, set_id=4,
             extrapolate_finest=0)
         extra = estimate_level_stats(
-            p, p.zero_control(2), 40, range(3), global_seed=7, set_id=4,
+            p, p.zero_control(2), 40, global_seed=7, set_id=4,
             extrapolate_finest=1)
         assert extra.n_used[2] == 0
         # extrapolated value within an order of magnitude of the measured one
@@ -268,7 +268,7 @@ class TestLevelStats:
     def test_refresh_touches_only_unsampled_levels(self):
         base = dataclasses.replace(stats_from([1.0, 0.5, 0.25], [1, 4, 16]),
                                    n_used=np.array([10, 10, 0]))
-        sample = LevelStats(levels=(0, 1, 2), V=np.array([9.0, 9.0, 9.0]),
+        sample = LevelStats(V=np.array([9.0, 9.0, 9.0]),
                             C=base.C, n_used=np.array([10, 10, 10]),
                             mean_norms=np.zeros(3))
         out = refresh_level_stats(base, sample)
@@ -280,7 +280,7 @@ class TestLevelStats:
         # a NaN variance or fewer than two samples measure nothing
         base = dataclasses.replace(stats_from([1.0, 0.5, 0.25], [1, 4, 16]),
                                    n_used=np.array([10, 10, 0]))
-        sample = LevelStats(levels=(0, 1, 2), V=np.array([9.0, 9.0, v_new]),
+        sample = LevelStats(V=np.array([9.0, 9.0, v_new]),
                             C=base.C, n_used=np.array([10, 10, n_new]),
                             mean_norms=np.zeros(3))
         out = refresh_level_stats(base, sample)
@@ -331,10 +331,9 @@ class TestMlmcGradient:
         p = LaplaceSourceControl(
             hier, LaplaceProblemSpec(covariance=CovarianceSpec(0.0, 0.3)))
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(5, 3, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 3, 4)
-        est1 = mlmc_gradient(p, u, sets, 2)
-        est2 = mlmc_gradient(p, u, sets, 2)
+        sets = build_sample_sets((5, 3, 2), 0.25, True, 3, 4)
+        est1 = mlmc_gradient(p, u, sets)
+        est2 = mlmc_gradient(p, u, sets)
         assert np.array_equal(est1.value.values, est2.value.values)
         direct = p.gradient_sample(u, RngStream(3, 99, 2, 0))
         assert norm(est1.value - direct) <= 1e-12 * norm(direct)
@@ -343,7 +342,7 @@ class TestMlmcGradient:
         p = laplace_small
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))
         shared = SharedStreamSets(K=2, n=5, global_seed=17)
-        est = mlmc_gradient(p, u, shared, 2)
+        est = mlmc_gradient(p, u, shared)
         acc = None
         jt_total = 0.0
         for s in shared.streams(2, 2):
@@ -359,15 +358,14 @@ class TestMlmcGradient:
     def test_exact_gradient_of_matched_cost(self, laplace_small):
         p = laplace_small
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(8, 4, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 23, 4)
-        est = mlmc_gradient(p, u, sets, 2)
+        sets = build_sample_sets((8, 4, 2), 0.25, True, 23, 4)
+        est = mlmc_gradient(p, u, sets)
         rng = np.random.default_rng(3)
         eps = 1e-5
         for _ in range(5):
             d = unit_direction(rng, u)
-            jp = mlmc_gradient(p, u + eps * d, sets, 2).cost_value
-            jm = mlmc_gradient(p, u - eps * d, sets, 2).cost_value
+            jp = mlmc_gradient(p, u + eps * d, sets).cost_value
+            jm = mlmc_gradient(p, u - eps * d, sets).cost_value
             fd = (jp - jm) / (2 * eps)
             gd = inner_product(est.value, d)
             assert abs(fd - gd) / max(abs(gd), 1e-14) <= 1e-5
@@ -379,18 +377,17 @@ class TestMlmcGradient:
         p = request.getfixturevalue(name)
         u = p.zero_control(1)
         u = u.with_values(0.1 * np.random.default_rng(7).standard_normal(u.values.shape))
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 3), finest=1)
+        n = (6, 3)
         for seed in (29, 30, 31):
-            sets = build_sample_sets(1, alloc, 0.25, True, seed, 4)
-            assert mlmc_cost(p, u, sets, 1) == mlmc_gradient(p, u, sets, 1).cost_value
+            sets = build_sample_sets(n, 0.25, True, seed, 4)
+            assert mlmc_cost(p, u, sets) == mlmc_gradient(p, u, sets).cost_value
 
     def test_ledger_counts_pairs(self, laplace_small):
         p = laplace_small
         u = p.zero_control(2)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(4, 3, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 31, 4)
+        sets = build_sample_sets((4, 3, 2), 0.25, True, 31, 4)
         led = SolveLedger()
-        mlmc_gradient(p, u, sets, 2, ledger=led)
+        mlmc_gradient(p, u, sets, ledger=led)
         counts = {}
         for level, n, weight in led.events:
             counts[level] = counts.get(level, 0.0) + n * weight
@@ -403,12 +400,11 @@ class TestMlmcGradient:
     def test_prefix_subestimate_matches_direct(self, laplace_small):
         p = laplace_small
         u = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
-        alloc = SampleAllocation(eps=0.05, theta=0.5, n=(40, 18, 6), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 37, 4)
-        est = mlmc_gradient(p, u, sets, 2)
+        sets = build_sample_sets((40, 18, 6), 0.25, True, 37, 4)
+        est = mlmc_gradient(p, u, sets)
         u1 = p.hierarchy.restrict(u)
         sub = est.coarse
-        direct = mlmc_gradient(p, u1, sets, 1)
+        direct = mlmc_gradient(p, u1, sets)
         assert norm(sub.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
         assert sub.cost_value == pytest.approx(direct.cost_value, rel=1e-12)
 
@@ -418,13 +414,13 @@ class TestMlmcGradient:
         p = laplace_small
         k = 1
         u = p.control_from_function(k, lambda a, b: np.sin(np.pi * a) * np.sin(np.pi * b))
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 3), finest=k)
+        n = (6, 3)
         reps = 200
         vals = np.empty(reps)
         probe = None
         for rep in range(reps):
-            sets = build_sample_sets(k, alloc, 0.25, True, 1000 + rep, 4)
-            est = mlmc_gradient(p, u, sets, k)
+            sets = build_sample_sets(n, 0.25, True, 1000 + rep, 4)
+            est = mlmc_gradient(p, u, sets)
             if probe is None:
                 rngp = np.random.default_rng(0)
                 probe = unit_direction(rngp, u)
@@ -444,34 +440,37 @@ class TestMlmcGradient:
         p = laplace_small
         u = p.zero_control(2)
         theta, eps = 0.5, 0.02
-        stats = estimate_level_stats(p, u, 80, range(3), global_seed=71,
+        stats = estimate_level_stats(p, u, 80, global_seed=71,
                                      set_id=4, extrapolate_finest=0)
-        alloc = optimal_allocation(stats, eps, theta)
-        fresh = estimate_level_stats(p, u, 80, range(3), global_seed=72,
+        n = optimal_allocation(stats, eps, theta)
+        fresh = estimate_level_stats(p, u, 80, global_seed=72,
                                      set_id=4, extrapolate_finest=0)
-        lhs = float(np.sum(fresh.V / np.asarray(alloc.n)))
+        lhs = float(np.sum(fresh.V / np.asarray(n)))
         assert lhs <= 1.1 * theta * eps**2
 
     def test_rmse_halving_scales_cost(self, laplace_small):
         # when phi < kappa, halving eps at fixed L at least quadruples the
         # predicted cost sum n_l C_l
         p = laplace_small
-        stats = estimate_level_stats(p, p.zero_control(2), 60, range(3),
+        stats = estimate_level_stats(p, p.zero_control(2), 60,
                                      global_seed=73, set_id=4,
                                      extrapolate_finest=0)
         if not (stats.phi is not None and stats.phi < stats.kappa):
             pytest.skip("variance decays faster than cost grows here")
-        cost = lambda alloc: float(np.dot(alloc.n, stats.C))
+        cost = lambda n: float(np.dot(n, stats.C))
         c1 = cost(optimal_allocation(stats, 4e-3, 0.5))
         c2 = cost(optimal_allocation(stats, 2e-3, 0.5))
         assert c2 >= 4.0 * c1 * 0.9  # ceiling effects allowed 10% slack
 
     def test_level_mismatch(self, laplace_small):
+        # an estimate's level is its control's: one above the sets' top
+        # level K = 1 has no samples
         p = laplace_small
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(2, 2, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 3, 4)
+        sets = build_sample_sets((2, 2), 0.25, True, 3, 4)
         with pytest.raises(LevelMismatch):
-            mlmc_gradient(p, p.zero_control(1), sets, 2)
+            mlmc_gradient(p, p.zero_control(2), sets)
+        with pytest.raises(LevelMismatch):
+            mlmc_cost(p, p.zero_control(2), sets)
 
 
 def restrictions(p, u):
@@ -576,8 +575,7 @@ class TestGridSweep:
         p = problem
         monkeypatch.setattr(p, "workers", workers)
         u = self.control(p, 2)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 43, 4)
+        sets = build_sample_sets((7, 5, 3), 0.25, True, 43, 4)
         streams = {level: sets.streams(2, level) for level in range(3)}
         snaps = dict(enumerate(sets.counts[1]))
         cache = None
@@ -596,7 +594,7 @@ class TestGridSweep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the worker threads often
         try:
-            est = mlmc_gradient(p, u, sets, 2, ledger=led, sample_cache=cache)
+            est = mlmc_gradient(p, u, sets, ledger=led, sample_cache=cache)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(est.value.values, grad.values)
@@ -615,8 +613,7 @@ class TestGridSweep:
         p = problem
         monkeypatch.setattr(p, "workers", workers)
         u = self.control(p, 2)
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(6, 4, 2), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 47, 4)
+        sets = build_sample_sets((6, 4, 2), 0.25, True, 47, 4)
         streams = {level: sets.streams(2, level) for level in range(3)}
         _, values, _, events = per_sample_estimate(p, u, streams, cost_only=True)
         total = 0.0
@@ -624,7 +621,7 @@ class TestGridSweep:
             n = len(streams[level])
             total += sum(values[(level, i)] for i in range(n)) / n
         led = SolveLedger()
-        cost = mlmc_cost(p, u, sets, 2, ledger=led)
+        cost = mlmc_cost(p, u, sets, ledger=led)
         assert cost == total + p.regularization(u)
         assert led.events == events
 
@@ -638,7 +635,7 @@ class TestGridSweep:
                    for level in range(2)}
         sums, values, _, events = per_sample_estimate(p, u, streams)
         led, collect = SolveLedger(), {}
-        stats = estimate_level_stats(p, u, 6, range(3), global_seed=13, set_id=4,
+        stats = estimate_level_stats(p, u, 6, global_seed=13, set_id=4,
                                      extrapolate_finest=1, ledger=led,
                                      collect=collect)
         hier = p.hierarchy
@@ -682,21 +679,20 @@ class TestGridSweep:
         costs = record_batches(monkeypatch, BurgersInitialControl,
                                "tracking_cost_batch")
         states = record_batches(monkeypatch, BurgersInitialControl, "state_batch")
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 53, 4)
+        sets = build_sample_sets((7, 5, 3), 0.25, True, 53, 4)
         for k in range(3):
             u = self.control(p, k)
             want = unit_fields(p, {level: sets.streams(k, level)
                                    for level in range(k + 1)})
             grads.clear()
-            mlmc_gradient(p, u, sets, k)
+            mlmc_gradient(p, u, sets)
             assert len(grads) == 1 and same_fields(grads[0], want)
             costs.clear()
-            mlmc_cost(p, u, sets, k)
+            mlmc_cost(p, u, sets)
             assert len(costs) == 1 and same_fields(costs[0], want)
 
         grads.clear()
-        estimate_level_stats(p, self.control(p, 2), 4, range(3), global_seed=3,
+        estimate_level_stats(p, self.control(p, 2), 4, global_seed=3,
                              set_id=4, extrapolate_finest=1)
         want = unit_fields(p, {level: [RngStream(3, 4, level, i) for i in range(4)]
                                for level in range(2)})
@@ -714,10 +710,9 @@ class TestGridSweep:
         from mgmlmc.errors import StabilityViolation
 
         p = burgers_small
-        alloc = SampleAllocation(eps=0.1, theta=0.5, n=(7, 5, 3), finest=2)
-        sets = build_sample_sets(2, alloc, 0.25, True, 59, 4)
+        sets = build_sample_sets((7, 5, 3), 0.25, True, 59, 4)
         ok = SolveLedger()
-        mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=ok)
+        mlmc_gradient(p, self.control(p, 2), sets, ledger=ok)
         original = BurgersInitialControl.tracking_cost_grad_batch
 
         def fails_on_grid_2(self, u_at, fields):
@@ -734,5 +729,5 @@ class TestGridSweep:
             monkeypatch.setattr(p, "workers", workers)
             led = SolveLedger()
             with pytest.raises(StabilityViolation):
-                mlmc_gradient(p, self.control(p, 2), sets, 2, ledger=led)
+                mlmc_gradient(p, self.control(p, 2), sets, ledger=led)
             assert led.events == ok.events != []
