@@ -13,6 +13,7 @@ set -eu
 MGMLMC=${MGMLMC:-mgmlmc}
 
 tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 for ini in demos/*.ini; do
   echo "== $ini"
   $MGMLMC gradcheck "$ini"
@@ -22,4 +23,3 @@ for ini in demos/*.ini; do
   $MGMLMC mlmc-report "$ini" --workers 2 > "$tmp/mlmc-report-w2.txt"
   cmp "$tmp/mlmc-report-w1.txt" "$tmp/mlmc-report-w2.txt"
 done
-rm -rf "$tmp"

@@ -4,7 +4,10 @@ from their ``time`` column, or two run.json files apart from
 ``total_time`` and the configured ``output_dir``:
 
     python ci/same_report.py A/report.csv B/report.csv
-    python ci/same_report.py A/run.json B/run.json
+    python ci/same_report.py A/run.json B/run.json [KEY ...]
+
+Further arguments name more ``config`` keys of run.json that may differ,
+such as ``workers`` when the two runs were given different thread counts.
 """
 import csv
 import json
@@ -21,7 +24,9 @@ def rows(path):
 def record(path):
     with open(path) as fh:
         run = json.load(fh)
-    del run["total_time"], run["config"]["output_dir"]
+    del run["total_time"]
+    for key in ["output_dir", *sys.argv[3:]]:
+        del run["config"][key]
     return run
 
 

@@ -12,7 +12,6 @@ from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
     SmoothingSchedule,
-    SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
     norm,
@@ -32,9 +31,10 @@ print("sample counts per optimization level:")
 for k in range(K, -1, -1):
     print(f"  k={k}: {sets.counts[k]}")
 
-ledger = SolveLedger()
-v_new, report = run_vcycle(problem, v, sets, schedule, ledger=ledger)
-solves = equivalent_fine_solves(ledger.events, K, problem.kappa_default)
+mark = len(problem.ledger)  # the cycle's cost is what it appends
+v_new, report = run_vcycle(problem, v, sets, schedule)
+solves = equivalent_fine_solves(problem.ledger[mark:], K,
+                                problem.kappa_default)
 J, g = report.end
 backtracks = sum(e["backtracks"] for e in report.events if e["kind"] == "linesearch")
 

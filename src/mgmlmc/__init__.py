@@ -33,7 +33,6 @@ from .mlmc import (
     GradientEstimate,
     LevelStats,
     MgoptSampleSets,
-    SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
     estimate_level_stats,

@@ -25,7 +25,8 @@ estimate.  The two drivers differ in two places:
 Stream families are keyed by the cycle index ``state.i``, so a cycle
 depends only on the :class:`_RunState` it starts from and paired
 comparisons reuse the same randomness; both drivers emit the same
-per-cycle report rows.
+per-cycle report rows, whose ``solves`` price the slice of
+``problem.ledger`` that the cycle appended.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .mlmc import (
     GradientEstimate,
     LevelStats,
     MgoptSampleSets,
-    SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
     estimate_level_stats,
@@ -146,7 +146,6 @@ class RunReport:
     status: str = "max_cycles"
     final_J: float | None = None
     final_g_norm: float | None = None
-    ledger: SolveLedger = dataclass_field(default_factory=SolveLedger)
 
     @property
     def total_solves(self) -> float:
@@ -177,7 +176,7 @@ class _RunState:
     steps: int  # steps of the step cap that the earlier cycles spent
 
 
-def _plan_cycle(problem, state: _RunState, config, ledger) -> _CyclePlan:
+def _plan_cycle(problem, state: _RunState, config) -> _CyclePlan:
     """Warm-up, refresh, allocation, sets and entry estimate of one cycle.
 
     The warm-up runs at ``state.v`` on the measured levels with the
@@ -194,26 +193,25 @@ def _plan_cycle(problem, state: _RunState, config, ledger) -> _CyclePlan:
         problem, state.v, config.warmup, global_seed=config.global_seed,
         set_id=MgoptSampleSets.stream_set_id(opt_set_id, config.nested,
                                              config.K),
-        ledger=ledger, collect=cache,
+        collect=cache,
     )
     if state.fine_stats is not None:
         stats = refresh_level_stats(stats, state.fine_stats)
     n = optimal_allocation(stats, state.eps, config.theta, floor=stats.n_used)
     sets = build_sample_sets(n, config.q, config.nested, config.global_seed,
                              opt_set_id)
-    entry = mlmc_gradient(problem, state.v, sets, ledger=ledger,
-                          sample_cache=cache)
+    entry = mlmc_gradient(problem, state.v, sets, sample_cache=cache)
     return _CyclePlan(stats, sets, entry)
 
 
-def _confirmation(problem, v, stats, config, cycle, ledger):
+def _confirmation(problem, v, stats, config, cycle):
     """Fresh-sample gradient at RMSE r*tau (the expensive test), allocated
     from ``stats``: the cycle's planning statistics with their extrapolated
     levels refreshed by the step's end estimate."""
     n = optimal_allocation(stats, config.r * config.tau, config.theta)
     sets = build_sample_sets(n, config.q, config.nested, config.global_seed,
                              make_set_id(cycle, PURPOSE_CONFIRM))
-    return mlmc_gradient(problem, v, sets, ledger=ledger)
+    return mlmc_gradient(problem, v, sets)
 
 
 def _adaptive_loop(problem, config, *, max_cycles, max_steps, status, step,
@@ -222,39 +220,39 @@ def _adaptive_loop(problem, config, *, max_cycles, max_steps, status, step,
 
     Only the report and one :class:`_RunState`, which starts at cycle 1,
     the zero control and ``config.eps1``, live across cycles.  Each cycle
-    plans its samples at ``state.v``, runs the driver's ``step(state, plan,
-    ledger)`` on them to ``(v, at, steps_taken)``, confirms with fresh
+    plans its samples at ``state.v``, runs the driver's ``step(state,
+    plan)`` on them to ``(v, at, steps_taken)``, confirms with fresh
     samples when the cheap gradient norm is at most tau, and reports one
     row, which starts from the plan's entry estimate (both drivers start
-    there) and ends at ``at``.  Planning and step share one sample bank,
-    so each of the cycle's fields is drawn once; the confirmation's fresh
+    there) and ends at ``at``; its ``solves`` price the cycle's slice of
+    ``problem.ledger``.  Planning and step share one sample bank, so each
+    of the cycle's fields is drawn once; the confirmation's fresh
     fields are used once and are not banked.  The loop ends on a confirmed
     gradient, at cycle ``max_cycles`` or once ``max_steps`` steps are
     spent; otherwise ``next_eps(eps, row)`` sets the next cycle's budget.
     """
     report = RunReport(status=status)
-    ledger = report.ledger
     state = _RunState(1, problem.zero_control(config.K), config.eps1, None, 0)
     while True:
         t0 = time.perf_counter()
-        mark = len(ledger.events)
+        mark = len(problem.ledger)
         with problem.sample_bank():
-            plan = _plan_cycle(problem, state, config, ledger)
-            v, at, steps_taken = step(state, plan, ledger)
+            plan = _plan_cycle(problem, state, config)
+            v, at, steps_taken = step(state, plan)
         J, g = at
         g_norm = norm(g)
         fine_stats = at.est.stats
 
         if g_norm <= config.tau:
             stats = refresh_level_stats(plan.stats, fine_stats)
-            est = _confirmation(problem, v, stats, config, state.i, ledger)
+            est = _confirmation(problem, v, stats, config, state.i)
             fine_stats = est.stats
             if est.gradient_norm <= config.tau:
                 report.status = "converged"
                 report.final_J = est.cost_value
                 report.final_g_norm = est.gradient_norm
 
-        solves = equivalent_fine_solves(ledger.events[mark:], config.K,
+        solves = equivalent_fine_solves(problem.ledger[mark:], config.K,
                                         problem.kappa_default)
         row = CycleRow(state.i, state.eps, plan.sets.counts[-1],
                        plan.entry.cost_value, J, plan.entry.gradient_norm,
@@ -274,9 +272,9 @@ def robust_optimize(problem: ControlProblem, config: OptimizerConfig,
     """Adaptive-RMSE V-cycle loop; returns (control, RunReport)."""
     schedule = SmoothingSchedule.default(config.K)
 
-    def step(state, plan, ledger):
+    def step(state, plan):
         v, cycle = run_vcycle(problem, state.v, plan.sets, schedule,
-                              ledger=ledger, entry=plan.entry)
+                              entry=plan.entry)
         return v, cycle.end, 0
 
     def next_eps(eps, row):
@@ -294,8 +292,8 @@ def baseline_optimize(problem: ControlProblem, config: OptimizerConfig,
                       row_sink=None):
     """Finest-level NCG with MLMC gradients and 0.25-factor RMSE refinement."""
 
-    def step(state, plan, ledger):
-        objective = LevelObjective(problem, plan.sets, config.K, ledger=ledger)
+    def step(state, plan):
+        objective = LevelObjective(problem, plan.sets, config.K)
         # iterate on fixed samples while eps <= r * |g| still holds
         res = ncg_smooth(
             objective, state.v, steps=config.baseline_max_steps - state.steps,

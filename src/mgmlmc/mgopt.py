@@ -48,13 +48,7 @@ from dataclasses import dataclass
 from .errors import (CoherenceViolation, LevelMismatch, LineSearchFailure,
                      StabilityViolation)
 from .grids import LevelVector, inner_product, norm
-from .mlmc import (
-    GradientEstimate,
-    MgoptSampleSets,
-    SolveLedger,
-    mlmc_cost,
-    mlmc_gradient,
-)
+from .mlmc import GradientEstimate, MgoptSampleSets, mlmc_cost, mlmc_gradient
 from .problems import ControlProblem
 
 # Largest relative deviation of the coarse shifted gradient from the
@@ -111,16 +105,15 @@ class LevelObjective:
     """Sampled shifted functional J_k = Jhat_k - <tau_k, .> at one level.
 
     Without ``tau`` the shift is zero: the top level's unshifted functional.
+    Its estimates charge their samples to ``problem.ledger``.
     """
 
     def __init__(self, problem: ControlProblem, sets: MgoptSampleSets, k: int,
-                 tau: LevelVector | None = None,
-                 ledger: SolveLedger | None = None):
+                 tau: LevelVector | None = None):
         self.problem = problem
         self.sets = sets
         self.k = k
         self.tau = problem.zero_control(k) if tau is None else tau
-        self.ledger = ledger
 
     def shifted(self, u: LevelVector, est: GradientEstimate) -> Evaluation:
         """The shifted pair at u from the level-k estimate ``est`` at u."""
@@ -128,11 +121,10 @@ class LevelObjective:
                           est.value - self.tau, est)
 
     def evaluate(self, u: LevelVector) -> Evaluation:
-        return self.shifted(u, mlmc_gradient(self.problem, u, self.sets,
-                                             ledger=self.ledger))
+        return self.shifted(u, mlmc_gradient(self.problem, u, self.sets))
 
     def cost(self, u: LevelVector) -> float:
-        j = mlmc_cost(self.problem, u, self.sets, ledger=self.ledger)
+        j = mlmc_cost(self.problem, u, self.sets)
         return j - inner_product(self.tau, u)
 
 
@@ -316,10 +308,10 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
         v1, gJ1 = pre.v, pre.at[1]
         ghat1 = gJ1 + tau
         v_coarse = hier.restrict(v1)
-        coarse = pre.at.est.coarse or mlmc_gradient(
-            problem, v_coarse, obj.sets, ledger=obj.ledger)
+        coarse = pre.at.est.coarse or mlmc_gradient(problem, v_coarse,
+                                                     obj.sets)
         tau_coarse = hier.restrict(tau) + (coarse.value - hier.restrict(ghat1))
-        child = LevelObjective(problem, obj.sets, k - 1, tau_coarse, obj.ledger)
+        child = LevelObjective(problem, obj.sets, k - 1, tau_coarse)
         coarse_start = child.shifted(v_coarse, coarse)
 
         dev = norm(coarse_start[1] - hier.restrict(gJ1)) / (1.0 + norm(gJ1))
@@ -351,12 +343,11 @@ def vcycle(obj: LevelObjective, v: LevelVector, start: Evaluation,
 
 def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
                schedule: SmoothingSchedule, *,
-               ledger: SolveLedger | None = None,
                entry: GradientEstimate | None = None) -> tuple:
     """One V-cycle from the top level K = v.level; returns (v', VCycleReport).
 
     The sample sets stay fixed throughout, and the cycle's sample
-    evaluations are charged to ``ledger``.  ``entry`` is the level-K
+    evaluations are charged to ``problem.ledger``.  ``entry`` is the level-K
     estimate at v on ``sets``; only a caller that holds none leaves it to
     be taken here; it travels with the top level's start pair, and the
     report's ``entry`` is it either way.  The report's ``end`` is the
@@ -367,9 +358,9 @@ def run_vcycle(problem: ControlProblem, v: LevelVector, sets: MgoptSampleSets,
         raise LevelMismatch(f"sample sets end at level {sets.K}, iterate on {K}")
     if len(schedule.nu) < K + 1:
         raise LevelMismatch("schedule does not cover the requested levels")
-    obj = LevelObjective(problem, sets, K, ledger=ledger)
+    obj = LevelObjective(problem, sets, K)
     if entry is None:
-        entry = mlmc_gradient(problem, v, sets, ledger=ledger)
+        entry = mlmc_gradient(problem, v, sets)
     events: list = []
     end = vcycle(obj, v, obj.shifted(v, entry), schedule, events)
     return end.v, VCycleReport(entry, end.at, events)

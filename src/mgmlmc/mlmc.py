@@ -28,7 +28,9 @@ level, so a level-k estimate makes one batch call instead of one per grid
 ``problem.workers > 1``, the problem's thread count for one estimate's
 samples, contiguous chunks of whole samples run on a thread pool.  Running
 sums are still accumulated sample by sample in stream order, so the
-estimates do not depend on batch size or ``problem.workers``.
+estimates do not depend on batch size or ``problem.workers``.  The sweep
+charges its fresh samples to ``problem.ledger``, so the cost of an
+estimate, V-cycle or run is the slice of the ledger it appended.
 
 Every per-level reduction (gradient, warm-up statistics, state moments)
 goes through one accumulator.  Means come from plain running sums; V_l
@@ -44,7 +46,7 @@ import itertools
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,27 +75,16 @@ def make_set_id(cycle: int, purpose: int) -> int:
     return (cycle << 3) | purpose
 
 
-@dataclass
-class SolveLedger:
-    """Record of sample evaluations for cost accounting.
-
-    One unit is a full gradient sample (forward + adjoint solve) at some
-    discretization level; cost-only samples weigh 0.5.
-    """
-
-    events: list = dataclass_field(default_factory=list)
-
-    def add(self, level: int, n: int, weight: float = 1.0) -> None:
-        if n > 0:
-            self.events.append((level, n, weight))
-
-
 def equivalent_fine_solves(events, finest_level: int, kappa: float) -> float:
     """Total cost in units of one finest-level sample evaluation.
 
-    ``events`` are ``(level, n, weight)`` triples, as in
-    :attr:`SolveLedger.events`.  A level-l sample costs
-    ``2**(kappa*(l - L))`` fine-solve units.
+    ``events`` are ``(level, n, weight)`` triples, any slice of a
+    problem's ``ledger``: n solves on grid l, weighing 1 for a gradient
+    sample and 0.5 for a cost-only or state one, at ``2**(kappa*(l - L))``
+    fine-solve units each.  Both members of a pair are charged, so a
+    level-l sample (l >= 1) costs ``(1 + 2**-kappa) * 2**(kappa*l)`` level-0
+    solves, where :func:`optimal_allocation` prices it at ``C[l]``, the
+    fine member's ``2**(kappa*l)``.
     """
     total = 0.0
     for level, n, weight in events:
@@ -186,6 +177,10 @@ def optimal_allocation(stats: LevelStats, eps: float, theta: float,
     count per level, typically to the warm-up count so that warm-up samples
     are never discarded.  A level whose variance is NaN (measured from
     fewer than two samples) raises :class:`InsufficientSamples`.
+
+    A level-l sample is priced at ``stats.C[l] = 2**(kappa*l)``, its fine
+    member alone; the ledger charges both members, ``(1 + 2**-kappa)`` times
+    that for l >= 1 (x1.25 at kappa = 2, x1.5 at kappa = 1).
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -236,7 +231,7 @@ def _in_chunks(evaluate, units: list, workers: int):
 
 
 def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
-                ledger=None, weight=1.0):
+                weight=1.0):
     """Per-sample values of every level's streams, one batch per estimate.
 
     ``streams`` maps the contiguous levels lo..top to their streams.  A
@@ -252,22 +247,23 @@ def _grid_sweep(problem, u_at, streams, evaluate, combine, *, cached=None,
     Yields ``(level, index, combine(fine, coarse))``, coarse None on level
     lo, level by level from the top and in stream order within a level.
     Indices found in ``cached`` ((level, index) -> value) are yielded from
-    it, and neither member of their pair is evaluated.  The ledger is
-    charged, in level order, for each level's uncached pairs before any is
-    evaluated, so a failed estimate costs what a successful one does.
+    it, and neither member of their pair is evaluated.  No other code
+    charges samples: before any unit is evaluated, a level's n > 0 uncached
+    units append ``(grid, n, weight)`` to ``problem.ledger`` for each
+    member's grid, so a failed estimate costs what a successful one does.
     """
     cached = cached or {}
     lo, top = min(streams), max(streams)
     levels = range(top, lo - 1, -1)
     units = [(level, i) for level in levels for i in range(len(streams[level]))
              if (level, i) not in cached]
-    if ledger is not None:
-        # each fresh unit solved at its level and, above level lo, one below
-        fresh = Counter(level for level, _ in units)
-        for level in reversed(levels):
-            ledger.add(level, fresh[level], weight)
+    # each fresh unit solved at its level and, above level lo, one below
+    fresh = Counter(level for level, _ in units)
+    for level in reversed(levels):
+        if fresh[level]:
+            problem.ledger.append((level, fresh[level], weight))
             if level > lo:
-                ledger.add(level - 1, fresh[level], weight)
+                problem.ledger.append((level - 1, fresh[level], weight))
 
     def fields(chunk):
         for level, i in chunk:
@@ -380,11 +376,12 @@ def _gradient_sweep(problem: ControlProblem, u_at, streams, **options):
 
 def state_moments(problem: ControlProblem, u: LevelVector, streams):
     """Per-node mean and unbiased variance of the full-grid states at
-    control u, one per stream's field on u's level."""
+    control u, one per stream's field on u's level; each state is a
+    forward solve, charged at weight 0.5."""
     sums = _LevelSums()
     for _, _, state in _grid_sweep(
             problem, {u.level: u}, {u.level: streams}, problem.state_batch,
-            lambda fine, coarse: fine):
+            lambda fine, coarse: fine, weight=0.5):
         sums.add(state)
     return sums.mean(), sums.var()
 
@@ -409,7 +406,6 @@ class GradientEstimate:
 
 def mlmc_gradient(problem: ControlProblem, u: LevelVector,
                   sets: MgoptSampleSets, *,
-                  ledger: SolveLedger | None = None,
                   sample_cache: dict | None = None) -> GradientEstimate:
     """Estimate cost and gradient at the optimization level k = u.level.
 
@@ -422,7 +418,8 @@ def mlmc_gradient(problem: ControlProblem, u: LevelVector,
 
     ``sample_cache`` maps (level, index) to already-computed sample values
     for the *same* control; cached samples are reused without solves or
-    ledger charges.  Callers must only pass caches collected at u.
+    charges to ``problem.ledger``.  Callers must only pass caches collected
+    at u.
     """
     k = u.level
     if k > sets.K:
@@ -435,7 +432,7 @@ def mlmc_gradient(problem: ControlProblem, u: LevelVector,
     level_sums = [_LevelSums() for _ in range(k + 1)]
     prefix: list = [None] * len(snaps)
     for level, _, (jt, yv) in _gradient_sweep(
-            problem, u_at, streams, cached=sample_cache, ledger=ledger):
+            problem, u_at, streams, cached=sample_cache):
         sums = level_sums[level]
         sums.add(yv, jt)
         if sums.n == snaps.get(level):
@@ -465,8 +462,8 @@ def subestimate_from_prefix(problem: ControlProblem, u_km1: LevelVector,
     return GradientEstimate(value=grad, cost_value=cost, stats=stats)
 
 
-def mlmc_cost(problem: ControlProblem, u: LevelVector, sets: MgoptSampleSets,
-              *, ledger: SolveLedger | None = None) -> float:
+def mlmc_cost(problem: ControlProblem, u: LevelVector,
+              sets: MgoptSampleSets) -> float:
     """Cost-only MLMC estimate at level u.level from the same sample sets
     (forward solves); a control above ``sets.K`` raises LevelMismatch."""
     k = u.level
@@ -478,7 +475,7 @@ def mlmc_cost(problem: ControlProblem, u: LevelVector, sets: MgoptSampleSets,
     for level, _, jt in _grid_sweep(
             problem, u_at, streams, problem.tracking_cost_batch,
             lambda fine, coarse: fine if coarse is None else fine - coarse,
-            ledger=ledger, weight=0.5):
+            weight=0.5):
         sums[level] += jt
     total = 0.0
     for level in range(k + 1):
@@ -503,7 +500,6 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
                          warmup_n: int, *,
                          global_seed: int, set_id: int,
                          extrapolate_finest: int = 2,
-                         ledger: SolveLedger | None = None,
                          collect: dict | None = None) -> LevelStats:
     """Warm-up variance estimation on levels 0..u.level, with
     extrapolation on the finest levels.
@@ -527,8 +523,7 @@ def estimate_level_stats(problem: ControlProblem, u: LevelVector,
     streams = {level: [RngStream(global_seed, set_id, level, i)
                        for i in range(warmup_n)] for level in measured}
     level_sums = [_LevelSums() for _ in measured]
-    for level, i, (jt, yv) in _gradient_sweep(
-            problem, u_at, streams, ledger=ledger):
+    for level, i, (jt, yv) in _gradient_sweep(problem, u_at, streams):
         level_sums[level].add(yv, jt)
         if collect is not None:
             collect[(level, i)] = (jt, yv)

@@ -43,7 +43,11 @@ from .random_fields import (
 
 
 class ControlProblem:
-    """Base class wiring a hierarchy, a field sampler and the cost split."""
+    """Base class wiring a hierarchy, a field sampler and the cost split.
+
+    ``mlmc._grid_sweep`` alone evaluates samples: it reads ``workers`` and
+    appends to ``ledger``, whose slices price a run, a cycle or an estimate.
+    """
 
     name = "problem"
     control_role = INTERIOR
@@ -58,8 +62,8 @@ class ControlProblem:
         self.alpha = alpha
         self.sampler = FieldSampler(hierarchy, covariance)
         self._bank: dict | None = None  # (seed_id, level) -> FieldSample
-        # threads that evaluate one estimate's samples (``mlmc._grid_sweep``)
-        self.workers = 1
+        self.workers = 1  # threads that evaluate one estimate's samples
+        self.ledger: list = []  # (level, n, weight) events, append-only
 
     # -- controls ------------------------------------------------------------
 

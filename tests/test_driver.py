@@ -10,7 +10,6 @@ from mgmlmc import (
     LaplaceSourceControl,
     OptimizerConfig,
     SmoothingSchedule,
-    SolveLedger,
     baseline_optimize,
     next_rmse,
     norm,
@@ -188,8 +187,8 @@ class TestBaselineOptimize:
         plans = []
         real = driver_mod._plan_cycle
 
-        def spy(problem, state, config, ledger):
-            plan = real(problem, state, config, ledger)
+        def spy(problem, state, config):
+            plan = real(problem, state, config)
             plans.append((state.fine_stats, plan))
             return plan
 
@@ -236,14 +235,13 @@ class TestStepEnd:
             ends.append(end_of(result))
             return result
 
-        def plan(problem, state, config, ledger):
-            plans.append((state.fine_stats,
-                          real_plan(problem, state, config, ledger)))
+        def plan(problem, state, config):
+            plans.append((state.fine_stats, real_plan(problem, state, config)))
             return plans[-1][1]
 
-        def confirmation(problem, v, stats, config, cycle, ledger):
+        def confirmation(problem, v, stats, config, cycle):
             confirmations.append((cycle, stats))
-            return real_confirm(problem, v, stats, config, cycle, ledger)
+            return real_confirm(problem, v, stats, config, cycle)
 
         monkeypatch.setattr(driver_mod, inner, recorded)
         monkeypatch.setattr(driver_mod, "_plan_cycle", plan)
@@ -287,10 +285,10 @@ class TestStepEnd:
     @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
     def test_cycle_depends_on_its_state_alone(self, laplace_small, monkeypatch,
                                               driver):
-        # re-planning each cycle's recorded _RunState with a fresh ledger
-        # and sample bank gives its entry estimate and allocation bit for
-        # bit, after a failed confirmation too; the baseline's NCG budget
-        # is what the earlier phases left of baseline_max_steps.  At
+        # re-planning each cycle's recorded _RunState in a fresh sample
+        # bank gives its entry estimate and allocation bit for bit, after
+        # a failed confirmation too; the baseline's NCG budget is what the
+        # earlier phases left of baseline_max_steps.  At
         # CONFIG's own seed the baseline fails no confirmation; at seed 19
         # both drivers fail one.
         import mgmlmc.driver as driver_mod
@@ -299,8 +297,8 @@ class TestStepEnd:
         real_plan, real_ncg = driver_mod._plan_cycle, driver_mod.ncg_smooth
         cycles, ncg_calls = [], []
 
-        def plan(problem, state, config, ledger):
-            planned = real_plan(problem, state, config, ledger)
+        def plan(problem, state, config):
+            planned = real_plan(problem, state, config)
             cycles.append((state, planned.entry.cost_value,
                            planned.entry.value.values.tobytes(),
                            planned.sets.counts[-1]))
@@ -319,7 +317,7 @@ class TestStepEnd:
         assert any(row.g_norm <= cfg.tau for row in report.rows[:-1])
         for state, J0, g0, n in cycles:
             with laplace_small.sample_bank():
-                again = real_plan(laplace_small, state, cfg, SolveLedger())
+                again = real_plan(laplace_small, state, cfg)
             assert again.entry.cost_value == J0
             assert again.entry.value.values.tobytes() == g0
             assert again.sets.counts[-1] == n
@@ -367,7 +365,7 @@ class TestPlanCycle:
             C=np.array([1.0, 4.0, 16.0]), n_used=np.array([6, 6, 1000]),
             mean_norms=np.zeros(3))
         state = _RunState(1, laplace_small.zero_control(2), 0.1, previous, 0)
-        plan = _plan_cycle(laplace_small, state, cfg, SolveLedger())
+        plan = _plan_cycle(laplace_small, state, cfg)
         assert list(plan.stats.n_used) == [6, 6, 0]
         assert plan.stats.V[2] == 1e-30
         n = plan.sets.counts[-1]
@@ -411,11 +409,11 @@ class TestWarmupReuse:
         first = []
         real = driver_mod.mlmc_gradient
 
-        def spy(problem, u, sets, *, ledger=None, **kwargs):
-            mark = len(ledger.events)
-            est = real(problem, u, sets, ledger=ledger, **kwargs)
+        def spy(problem, u, sets, **kwargs):
+            mark = len(problem.ledger)
+            est = real(problem, u, sets, **kwargs)
             if not first:
-                first.append((sets, ledger.events[mark:]))
+                first.append((sets, problem.ledger[mark:]))
             return est
 
         monkeypatch.setattr(driver_mod, "mlmc_gradient", spy)
@@ -432,11 +430,47 @@ class TestWarmupReuse:
             predicted_gradient_cost(sets, 2, kappa) - warm, rel=1e-12)
 
 
-def _run_fingerprint(u, report):
-    """Everything a run reports except wall times."""
+def _run_fingerprint(problem, driver, config):
+    """Everything a run of ``driver`` reports except wall times, and the
+    ledger events it appended."""
+    mark = len(problem.ledger)
+    u, report = driver(problem, config)
     rows = [row_to_record(r)[:-1] for r in report.rows]
     return (u.values.tobytes(), rows, report.status, report.final_J,
-            report.final_g_norm, report.ledger.events)
+            report.final_g_norm, problem.ledger[mark:])
+
+
+class TestOneLedger:
+    """A run's cost is the slice of ``problem.ledger`` that it appends."""
+
+    CONFIG = TestStepEnd.CONFIG  # runs that meet a confirmation
+
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_run_slice_prices_to_total_solves(self, laplace_small, driver):
+        # the rows' solves price the run's slice, confirmations included;
+        # the state statistics afterwards charge their forward solves
+        # after it
+        p, cfg = laplace_small, self.CONFIG
+        mark = len(p.ledger)
+        u, report = driver(p, cfg)
+        run = p.ledger[mark:]
+        assert run and len(report.rows) >= 2
+        assert equivalent_fine_solves(run, cfg.K, p.kappa_default) \
+            == pytest.approx(report.total_solves, rel=1e-12)
+        end = len(p.ledger)
+        state_statistics(p, u, 8, global_seed=cfg.global_seed)
+        assert p.ledger[mark:end] == run
+        assert p.ledger[end:] == [(cfg.K, 8, 0.5)]
+
+    @pytest.mark.parametrize("driver", [robust_optimize, baseline_optimize])
+    def test_second_run_appends_the_same_slice(self, laplace_small, driver):
+        p = laplace_small
+        slices = []
+        for _ in range(2):
+            mark = len(p.ledger)
+            driver(p, self.CONFIG)
+            slices.append(p.ledger[mark:])
+        assert slices[0] == slices[1] != []
 
 
 class TestSampleBank:
@@ -465,14 +499,14 @@ class TestSampleBank:
                                                  monkeypatch, driver):
         cfg = OptimizerConfig(tau=2e-3, K=2, eps1=0.1, i_max=8,
                               global_seed=11, warmup=20)
-        banked = _run_fingerprint(*driver(laplace_small, cfg))
+        banked = _run_fingerprint(laplace_small, driver, cfg)
         with monkeypatch.context() as m:
             m.setattr(laplace_small, "workers", 2)
-            threaded = _run_fingerprint(*driver(laplace_small, cfg))
+            threaded = _run_fingerprint(laplace_small, driver, cfg)
         with monkeypatch.context() as m:
             m.setattr(ControlProblem, "sample_bank",
                       lambda self: contextlib.nullcontext())
-            unbanked = _run_fingerprint(*driver(laplace_small, cfg))
+            unbanked = _run_fingerprint(laplace_small, driver, cfg)
         assert banked[2] == "converged"
         assert banked == unbanked
         assert banked == threaded

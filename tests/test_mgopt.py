@@ -8,7 +8,6 @@ from mgmlmc import (
     GridHierarchy,
     LaplaceSourceControl,
     SmoothingSchedule,
-    SolveLedger,
     build_sample_sets,
     inner_product,
     mlmc_cost,
@@ -40,13 +39,20 @@ def backtracks(report):
     return sum(e["backtracks"] for e in report.events if e["kind"] == "linesearch")
 
 
+def charged(problem, fn, *args):
+    """``fn(*args)`` and the events it appended to ``problem.ledger``."""
+    mark = len(problem.ledger)
+    result = fn(*args)
+    return result, problem.ledger[mark:]
+
+
 def estimate_charges(problem, sets, k):
     """The ledger events of one level-k gradient estimate on ``sets`` and
     of one cost-only estimate, which charges the same samples at weight
     0.5; neither depends on the point."""
-    ledger = SolveLedger()
-    mlmc_gradient(problem, problem.zero_control(k), sets, ledger=ledger)
-    return ledger.events, [(level, n, 0.5) for level, n, _ in ledger.events]
+    _, events = charged(problem, mlmc_gradient, problem,
+                        problem.zero_control(k), sets)
+    return events, [(level, n, 0.5) for level, n, _ in events]
 
 
 def conditioned_quadratic():
@@ -179,11 +185,11 @@ class TestNcgSmoother:
         at = LevelObjective(p, sets, 2).evaluate(v)
         J, g = at
         steps = 3
-        ledger = SolveLedger()
-        res = ncg_smooth(LevelObjective(p, sets, 2, ledger=ledger), v, steps,
+        mark = len(p.ledger)
+        res = ncg_smooth(LevelObjective(p, sets, 2), v, steps,
                          initial=at, record_iterates=True)
         assert res.steps_taken == steps
-        assert ledger.events == (cost + gradient) * steps
+        assert p.ledger[mark:] == (cost + gradient) * steps
         obj = LevelObjective(p, sets, 2)
         d = -g  # the first direction
         gd = inner_product(g, d)
@@ -220,59 +226,61 @@ class TestLineSearchStep:
 
     def _setup(self, problem, amplitude, scale):
         sets = small_sets((6, 3))
-        ledger = SolveLedger()
-        obj = LevelObjective(problem, sets, 1, ledger=ledger)
+        obj = LevelObjective(problem, sets, 1)
         v = problem.control_from_function(
             1, lambda x: amplitude * np.sin(np.pi * x))
-        at = LevelObjective(problem, sets, 1).evaluate(v)
+        at = obj.evaluate(v)
         d = -scale * at[1]
         gradient, cost = estimate_charges(problem, sets, 1)
-        return obj, v, at, d, inner_product(at[1], d), ledger, gradient, cost
+        return obj, v, at, d, inner_product(at[1], d), gradient, cost
 
     def test_armijo_fallback_evaluates_the_gradient_at_the_unit_step(
             self, burgers_small):
         # along this d the interpolated curvature is negative, so no s* is
         # tried, and the cost-only probe passes Armijo at s = 1: the step
         # lands there and takes the gradient there
-        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+        obj, v, at, d, gd, gradient, cost = self._setup(
             burgers_small, 0.05, 10.0)
         J = at[0]
         Jt = LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
         assert Jt - J - gd < 0.0 and Jt <= J + ARMIJO_C * gd
-        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        (v_new, pair), events = charged(
+            burgers_small, _line_search_step, obj, v, at, d, gd)
         assert np.array_equal(v_new.values, (v + d).values)
         J_new, g_new = LevelObjective(burgers_small, obj.sets, 1).evaluate(v + d)
         assert pair[0] == J_new == Jt
         assert np.array_equal(pair[1].values, g_new.values)
         assert pair.est is not None
-        assert ledger.events == cost + gradient
+        assert events == cost + gradient
 
     def test_backtracks_after_a_rejected_trial(self, burgers_small):
         # the gradient at s* fails Armijo, and so does the probe at s = 1;
         # two cost-only backtracks later s = 1/16 passes
-        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+        obj, v, at, d, gd, gradient, cost = self._setup(
             burgers_small, 0.15, 10.0)
-        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        (v_new, pair), events = charged(
+            burgers_small, _line_search_step, obj, v, at, d, gd)
         s = 1.0 / BACKTRACK_FACTOR**2
         assert np.array_equal(v_new.values, (v + s * d).values)
         assert pair[0] <= at[0] + ARMIJO_C * s * gd
         assert pair.est is not None
-        assert ledger.events == cost + gradient + cost + cost + gradient
+        assert events == cost + gradient + cost + cost + gradient
 
     def test_unstable_probe_backtracks(self, burgers_small):
         # the march from the probe v + d leaves the stability bound, so the
         # probe gives no cost, though it is charged, and the backtracks
         # take over; s = 1/4 and 1/16 are stable but fail Armijo, and 1/64
         # passes
-        obj, v, at, d, gd, ledger, gradient, cost = self._setup(
+        obj, v, at, d, gd, gradient, cost = self._setup(
             burgers_small, 0.05, 30.0)
         with pytest.raises(StabilityViolation):
             LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
-        v_new, pair = _line_search_step(obj, v, at, d, gd)
+        (v_new, pair), events = charged(
+            burgers_small, _line_search_step, obj, v, at, d, gd)
         s = 1.0 / BACKTRACK_FACTOR**3
         assert np.array_equal(v_new.values, (v + s * d).values)
         assert pair[0] <= at[0] + ARMIJO_C * s * gd
-        assert ledger.events == cost * 4 + gradient
+        assert events == cost * 4 + gradient
 
 
 class TestCoarseCorrectionLinesearch:
@@ -283,9 +291,8 @@ class TestCoarseCorrectionLinesearch:
                fn=lambda a, b: 0.5 * np.sin(np.pi * a) * np.sin(np.pi * b)):
         sets = small_sets((6, 3))
         v = problem.control_from_function(1, fn)
-        at = LevelObjective(problem, sets, 1).evaluate(v)
-        obj = LevelObjective(problem, sets, 1, ledger=SolveLedger())
-        return obj, v, at
+        obj = LevelObjective(problem, sets, 1)
+        return obj, v, obj.evaluate(v)
 
     def test_descent_direction_accepts_unit_step(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
@@ -296,17 +303,20 @@ class TestCoarseCorrectionLinesearch:
 
     def test_zero_direction_returns_zero(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
-        s, v2, at2, bt = coarse_correction_linesearch(obj, v, 0.0 * at[1], at)
+        (s, v2, at2, bt), events = charged(
+            laplace_small, coarse_correction_linesearch, obj, v, 0.0 * at[1],
+            at)
         assert s == 0.0 and bt == 0 and v2 is v and at2 is at
-        assert obj.ledger.events == []
+        assert events == []
 
     def test_ascent_direction_returns_zero(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
         J, g = at
         d = g.copy()  # synthetic ascent direction, <g, d> > 0
-        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        (s, v2, at2, bt), events = charged(
+            laplace_small, coarse_correction_linesearch, obj, v, d, at)
         assert s == 0.0 and bt == 0 and v2 is v and at2 is at
-        assert obj.ledger.events == []
+        assert events == []
 
     def test_backtracks_on_overlong_descent(self, laplace_small):
         obj, v, at = self._setup(laplace_small)
@@ -333,11 +343,12 @@ class TestCoarseCorrectionLinesearch:
         d = -100.0 * g
         with pytest.raises(StabilityViolation):
             LevelObjective(burgers_small, obj.sets, 1).cost(v + d)
-        s, v2, at2, bt = coarse_correction_linesearch(obj, v, d, at)
+        (s, v2, at2, bt), events = charged(
+            burgers_small, coarse_correction_linesearch, obj, v, d, at)
         assert bt >= 1 and s == BACKTRACK_FACTOR ** -bt
         assert at2[0] < J and at2.est is not None
         gradient, cost = estimate_charges(burgers_small, obj.sets, 1)
-        assert obj.ledger.events == gradient + cost * bt + gradient
+        assert events == gradient + cost * bt + gradient
 
 
 class TestVCycle:
@@ -427,16 +438,14 @@ class TestVCycle:
         sets = small_sets(n)
         v = p.control_from_function(2, lambda a, b: np.sin(np.pi * a) * b)
 
-        ledger = SolveLedger()
-        est = mlmc_gradient(p, v, sets, ledger=ledger)
+        est, nested_events = charged(p, mlmc_gradient, p, v, sets)
         direct = mlmc_gradient(p, p.hierarchy.restrict(v), sets)
         assert norm(est.coarse.value - direct.value) <= 1e-12 * max(norm(direct.value), 1e-30)
 
-        flat_ledger = SolveLedger()
-        flat = mlmc_gradient(p, v, dataclasses.replace(sets, nested=False),
-                             ledger=flat_ledger)
+        flat, flat_events = charged(p, mlmc_gradient, p, v,
+                                    dataclasses.replace(sets, nested=False))
         assert flat.coarse is None
-        assert ledger.events == flat_ledger.events
+        assert nested_events == flat_events
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
     def test_no_point_evaluated_twice(self, request, monkeypatch, name):
@@ -501,9 +510,8 @@ class TestVCycle:
 
         monkeypatch.setattr(mgopt, "mlmc_gradient", recording)
         monkeypatch.setattr(mgopt, "mlmc_cost", recording_cost)
-        ledger = SolveLedger()
-        _, report = run_vcycle(p, v, sets, SmoothingSchedule.default(2),
-                               ledger=ledger)
+        (_, report), events = charged(p, run_vcycle, p, v, sets,
+                                      SmoothingSchedule.default(2))
         devs = [e["value"] for e in report.events if e["kind"] == "coherence"]
         assert len(devs) == 2 and all(d <= 1e-10 for d in devs)
 
@@ -522,10 +530,10 @@ class TestVCycle:
         # cost-only (each smoothing step's probe, charged at weight 0.5),
         # each charged once
         assert any(estimate is real_cost for estimate, _ in calls)
-        replay = SolveLedger()
+        mark = len(p.ledger)
         for estimate, u in calls:
-            estimate(p, u, sets, ledger=replay)
-        assert ledger.events == replay.events
+            estimate(p, u, sets)
+        assert events == p.ledger[mark:]
 
     @pytest.mark.parametrize("name", ["laplace_small", "burgers_small"])
     def test_given_entry_matches_own(self, request, name):
@@ -535,11 +543,10 @@ class TestVCycle:
         sets = small_sets((12, 6, 2))
         v = p.zero_control(2)
         schedule = SmoothingSchedule.default(2)
-        own_ledger, given_ledger = SolveLedger(), SolveLedger()
-        v_own, own = run_vcycle(p, v, sets, schedule, ledger=own_ledger)
-        entry = mlmc_gradient(p, v, sets, ledger=given_ledger)
-        v_given, given = run_vcycle(p, v, sets, schedule, ledger=given_ledger,
-                                    entry=entry)
+        (v_own, own), own_events = charged(p, run_vcycle, p, v, sets, schedule)
+        mark = len(p.ledger)
+        entry = mlmc_gradient(p, v, sets)
+        v_given, given = run_vcycle(p, v, sets, schedule, entry=entry)
         assert np.array_equal(v_given.values, v_own.values)
         assert (given.entry.cost_value, given.end[0], given.entry.gradient_norm,
                 norm(given.end[1]), backtracks(given)) \
@@ -548,7 +555,7 @@ class TestVCycle:
         assert given.events == own.events
         assert np.array_equal(given.end.est.stats.V, own.end.est.stats.V)
         assert np.array_equal(given.end.est.stats.n_used, own.end.est.stats.n_used)
-        assert given_ledger.events == own_ledger.events
+        assert p.ledger[mark:] == own_events
 
     def test_unmoved_entry_reports_its_statistics(self, laplace_small):
         # no smoothing step at all: the top level takes no estimate of its
@@ -557,10 +564,10 @@ class TestVCycle:
         sets = small_sets((8,))
         v = p.control_from_function(0, lambda a, b: a * b)
         entry = mlmc_gradient(p, v, sets)
-        ledger = SolveLedger()
+        mark = len(p.ledger)
         v_new, report = run_vcycle(p, v, sets, SmoothingSchedule((0,), (0,)),
-                                   ledger=ledger, entry=entry)
-        assert v_new is v and ledger.events == []
+                                   entry=entry)
+        assert v_new is v and p.ledger[mark:] == []
         assert report.end.est.stats is entry.stats
         assert (report.entry.cost_value, report.end[0]) \
             == (entry.cost_value, entry.cost_value)

@@ -13,7 +13,6 @@ from mgmlmc import (
     LevelStats,
     MgoptSampleSets,
     RngStream,
-    SolveLedger,
     build_sample_sets,
     equivalent_fine_solves,
     estimate_level_stats,
@@ -182,10 +181,8 @@ class TestEquivalentFineSolves:
         assert 132 / 2 <= c_vcycle <= 132 * 2
 
     def test_ledger_accumulates(self):
-        led = SolveLedger()
-        led.add(2, 3, 1.0)
-        led.add(1, 4, 0.5)
-        assert equivalent_fine_solves(led.events, 2, 2.0) == pytest.approx(3 + 0.5)
+        events = [(2, 3, 1.0), (1, 4, 0.5)]
+        assert equivalent_fine_solves(events, 2, 2.0) == pytest.approx(3 + 0.5)
 
 
 class TestLevelStats:
@@ -386,10 +383,10 @@ class TestMlmcGradient:
         p = laplace_small
         u = p.zero_control(2)
         sets = build_sample_sets((4, 3, 2), 0.25, True, 31, 4)
-        led = SolveLedger()
-        mlmc_gradient(p, u, sets, ledger=led)
+        mark = len(p.ledger)
+        mlmc_gradient(p, u, sets)
         counts = {}
-        for level, n, weight in led.events:
+        for level, n, weight in p.ledger[mark:]:
             counts[level] = counts.get(level, 0.0) + n * weight
         # level 2 appears 2 times as a pair fine member; level 1 as pair
         # coarse member (2) plus its own fine member (3), etc.
@@ -485,13 +482,14 @@ def per_sample_estimate(p, u, streams, *, cost_only=False, cache=None,
     """Level by level, each sample's fields drawn and evaluated alone.
 
     Returns the level sums, the per-sample values, the prefix sums after
-    ``snaps[level]`` samples and the ledger events of the uncached pairs.
+    ``snaps[level]`` samples and the ledger events of the uncached pairs,
+    one per member level of a level with any.
     """
     u_at = restrictions(p, u)
     cache, snaps = cache or {}, snaps or {}
     evaluate = p.tracking_cost if cost_only else p.tracking_cost_grad
     weight = 0.5 if cost_only else 1.0
-    sums, values, prefix, led = [], {}, {}, SolveLedger()
+    sums, values, prefix, events = [], {}, {}, []
     for level in sorted(streams):
         s, fresh = _LevelSums(), 0
         for i, stream in enumerate(streams[level]):
@@ -515,10 +513,11 @@ def per_sample_estimate(p, u, streams, *, cost_only=False, cache=None,
                 if s.n == snaps.get(level):
                     prefix[level] = (s.sum_y.copy(), s.sum_jt)
         sums.append(s)
-        led.add(level, fresh, weight)
-        if level > 0:
-            led.add(level - 1, fresh, weight)
-    return sums, values, prefix, led.events
+        if fresh:
+            events.append((level, fresh, weight))
+            if level > 0:
+                events.append((level - 1, fresh, weight))
+    return sums, values, prefix, events
 
 
 def record_batches(monkeypatch, cls, name):
@@ -590,11 +589,11 @@ class TestGridSweep:
         grad1, cost1 = _telescope(p, p.hierarchy.restrict(u), [
             (*prefix[level], n) for level, n in snaps.items()])
 
-        led = SolveLedger()
+        mark = len(p.ledger)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the worker threads often
         try:
-            est = mlmc_gradient(p, u, sets, ledger=led, sample_cache=cache)
+            est = mlmc_gradient(p, u, sets, sample_cache=cache)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(est.value.values, grad.values)
@@ -606,7 +605,7 @@ class TestGridSweep:
         assert sorted(prefix) == [0, 1]
         assert np.array_equal(est.coarse.value.values, grad1.values)
         assert est.coarse.cost_value == cost1
-        assert led.events == events
+        assert p.ledger[mark:] == events
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_cost_equals_per_sample_loop(self, problem, workers, monkeypatch):
@@ -620,10 +619,10 @@ class TestGridSweep:
         for level in range(3):
             n = len(streams[level])
             total += sum(values[(level, i)] for i in range(n)) / n
-        led = SolveLedger()
-        cost = mlmc_cost(p, u, sets, ledger=led)
+        mark = len(p.ledger)
+        cost = mlmc_cost(p, u, sets)
         assert cost == total + p.regularization(u)
-        assert led.events == events
+        assert p.ledger[mark:] == events
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_level_stats_equal_per_sample_loop(self, problem, workers,
@@ -634,10 +633,9 @@ class TestGridSweep:
         streams = {level: [RngStream(13, 4, level, i) for i in range(6)]
                    for level in range(2)}
         sums, values, _, events = per_sample_estimate(p, u, streams)
-        led, collect = SolveLedger(), {}
+        mark, collect = len(p.ledger), {}
         stats = estimate_level_stats(p, u, 6, global_seed=13, set_id=4,
-                                     extrapolate_finest=1, ledger=led,
-                                     collect=collect)
+                                     extrapolate_finest=1, collect=collect)
         hier = p.hierarchy
         for level, s in enumerate(sums):
             assert stats.V[level] == s.level_variance(hier.h(level))
@@ -647,7 +645,7 @@ class TestGridSweep:
         assert sorted(collect) == sorted(values)
         for key, (jt, y) in values.items():
             assert collect[key][0] == jt and np.array_equal(collect[key][1], y)
-        assert led.events == events
+        assert p.ledger[mark:] == events
 
     def test_lowest_level_units_charge_no_coarser_level(self, problem):
         # on a sweep's lowest level a unit is one field, so a sweep over
@@ -663,11 +661,11 @@ class TestGridSweep:
             evaluated.extend(f.level for f in fields)
             return p.tracking_cost_batch(u_at, fields)
 
-        led = SolveLedger()
+        mark = len(p.ledger)
         list(_grid_sweep(p, u_at, streams, evaluate, lambda fine, coarse: fine,
-                         ledger=led, weight=0.5))
+                         weight=0.5))
         assert sorted(evaluated) == [1, 1, 1, 1, 1, 2, 2]
-        assert led.events == [(1, 3, 0.5), (2, 2, 0.5), (1, 2, 0.5)]
+        assert p.ledger[mark:] == [(1, 3, 0.5), (2, 2, 0.5), (1, 2, 0.5)]
 
     def test_one_batch_per_estimate(self, burgers_small, monkeypatch):
         from mgmlmc import BurgersInitialControl
@@ -711,8 +709,9 @@ class TestGridSweep:
 
         p = burgers_small
         sets = build_sample_sets((7, 5, 3), 0.25, True, 59, 4)
-        ok = SolveLedger()
-        mlmc_gradient(p, self.control(p, 2), sets, ledger=ok)
+        mark = len(p.ledger)
+        mlmc_gradient(p, self.control(p, 2), sets)
+        ok = p.ledger[mark:]
         original = BurgersInitialControl.tracking_cost_grad_batch
 
         def fails_on_grid_2(self, u_at, fields):
@@ -727,7 +726,7 @@ class TestGridSweep:
         # others finish, and the charge is the same at every worker count
         for workers in (1, 2, 3):
             monkeypatch.setattr(p, "workers", workers)
-            led = SolveLedger()
+            mark = len(p.ledger)
             with pytest.raises(StabilityViolation):
-                mlmc_gradient(p, self.control(p, 2), sets, ledger=led)
-            assert led.events == ok.events != []
+                mlmc_gradient(p, self.control(p, 2), sets)
+            assert p.ledger[mark:] == ok != []
